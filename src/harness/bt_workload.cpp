@@ -1,9 +1,5 @@
 #include "harness/bt_workload.hpp"
 
-#include <vector>
-
-#include "support/parallel.hpp"
-
 #include "ds/btree.hpp"
 #include "locks/schemes.hpp"
 #include "locks/shared_mcs_lock.hpp"
@@ -87,22 +83,13 @@ RunStats run_bt_point_once(const BtPoint& p) {
 }
 
 RunStats run_bt_point(const BtPoint& p) {
-  const int n = p.seeds > 0 ? p.seeds : 1;
-  std::vector<RunStats> per_seed(static_cast<std::size_t>(n));
-  support::parallel_for_each(
-      static_cast<std::size_t>(n),
-      [&](std::size_t s) {
-        BtPoint q = p;
-        q.host_threads = 1;
-        q.seed = p.seed + static_cast<std::uint64_t>(s) * 0x9E3779B9ULL;
-        per_seed[s] = run_bt_point_once(q);
-      },
-      p.host_threads);
-  RunStats total;
-  for (int s = 0; s < n; ++s) {
-    total.accumulate(per_seed[static_cast<std::size_t>(s)]);
-  }
-  return total;
+  return run_seeds(p.seeds, p.seed, p.host_threads,
+                   [&](std::size_t, std::uint64_t seed) {
+                     BtPoint q = p;
+                     q.host_threads = 1;
+                     q.seed = seed;
+                     return run_bt_point_once(q);
+                   });
 }
 
 }  // namespace elision::harness

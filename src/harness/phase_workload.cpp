@@ -1,14 +1,11 @@
 #include "harness/phase_workload.hpp"
 
-#include <vector>
-
 #include "ds/rbtree.hpp"
 #include "locks/clh_lock.hpp"
 #include "locks/mcs_lock.hpp"
 #include "locks/schemes.hpp"
 #include "locks/ticket_lock.hpp"
 #include "locks/ttas_lock.hpp"
-#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace elision::harness {
@@ -89,25 +86,15 @@ RunStats run_phase_point_once(const PhasePoint& p) {
 }
 
 RunStats run_phase_point(const PhasePoint& p) {
-  const int n = p.seeds > 0 ? p.seeds : 1;
-  // Seeds are independent simulations; fan out, then merge in seed order
-  // (RunStats::accumulate adds timelines slot-wise, so phase attribution
-  // survives the merge byte-identically at any host_threads).
-  std::vector<RunStats> per_seed(static_cast<std::size_t>(n));
-  support::parallel_for_each(
-      static_cast<std::size_t>(n),
-      [&](std::size_t s) {
-        PhasePoint q = p;
-        q.host_threads = 1;
-        q.seed = p.seed + static_cast<std::uint64_t>(s) * 0x9E3779B9ULL;
-        per_seed[s] = run_phase_point_once(q);
-      },
-      p.host_threads);
-  RunStats total;
-  for (int s = 0; s < n; ++s) {
-    total.accumulate(per_seed[static_cast<std::size_t>(s)]);
-  }
-  return total;
+  // RunStats::accumulate adds timelines slot-wise, so phase attribution
+  // survives the seed merge byte-identically at any host_threads.
+  return run_seeds(p.seeds, p.seed, p.host_threads,
+                   [&](std::size_t, std::uint64_t seed) {
+                     PhasePoint q = p;
+                     q.host_threads = 1;
+                     q.seed = seed;
+                     return run_phase_point_once(q);
+                   });
 }
 
 }  // namespace elision::harness

@@ -4,8 +4,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "support/parallel.hpp"
-
 #include "ds/rbtree.hpp"
 #include "locks/clh_lock.hpp"
 #include "locks/mcs_lock.hpp"
@@ -111,29 +109,18 @@ RunStats run_rb_point_once(const RbPoint& p) {
 
 RunStats run_rb_point(const RbPoint& p) {
   const int n = p.seeds > 0 ? p.seeds : 1;
-  // Each seed is an independent simulation; fan them out across host
-  // threads, then merge in seed order — RunStats::accumulate runs over the
-  // per-seed slots sequentially, so the result is byte-identical to a
-  // host_threads=1 run no matter which thread ran which seed when.
-  std::vector<RunStats> per_seed(static_cast<std::size_t>(n));
   std::vector<double> arrivals(static_cast<std::size_t>(n), 0.0);
-  support::parallel_for_each(
-      static_cast<std::size_t>(n),
-      [&](std::size_t s) {
+  RunStats total = run_seeds(
+      n, p.seed, p.host_threads, [&](std::size_t s, std::uint64_t seed) {
         RbPoint q = p;
         q.host_threads = 1;
-        q.seed = p.seed + static_cast<std::uint64_t>(s) * 0x9E3779B9ULL;
+        q.seed = seed;
         q.arrival_held_frac =
             p.arrival_held_frac != nullptr ? &arrivals[s] : nullptr;
-        per_seed[s] = run_rb_point_once(q);
-      },
-      p.host_threads);
-  RunStats total;
+        return run_rb_point_once(q);
+      });
   double arrival_sum = 0.0;
-  for (int s = 0; s < n; ++s) {
-    total.accumulate(per_seed[static_cast<std::size_t>(s)]);
-    arrival_sum += arrivals[static_cast<std::size_t>(s)];
-  }
+  for (const double a : arrivals) arrival_sum += a;
   if (p.arrival_held_frac != nullptr) *p.arrival_held_frac = arrival_sum / n;
   return total;
 }

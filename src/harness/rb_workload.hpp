@@ -21,7 +21,6 @@ struct RbPoint {
   std::size_t size = 128;
   int update_pct = 20;  // split evenly between inserts and deletes
   int threads = 8;
-  // Accepts a bare locks::Scheme (implicit conversion) or a tuned policy.
   locks::ElisionPolicy scheme = locks::ElisionPolicy::standard();
   LockSel lock = LockSel::kTtas;
   double duration_sec = 0.003;
@@ -42,11 +41,6 @@ struct RbPoint {
   unsigned n_cores = 0;
   unsigned smt_per_core = 0;
   std::uint64_t yield_slack_cycles = 0;
-  // kMicro suite points only (the suite stores their shape in an RbPoint):
-  // fixed op count per thread and shared-line period overrides, 0 = the
-  // MicroPoint defaults.
-  std::uint64_t micro_ops = 0;
-  std::uint64_t micro_shared_period = 0;
 
   // Host threads the multi-seed fan-out may use (support/parallel.hpp).
   // Each seed is an independent simulation; results are merged in seed

@@ -221,6 +221,22 @@ RunStats run_workload(const BenchConfig& cfg_in, const OpFn& op) {
   return out;
 }
 
+RunStats run_seeds(
+    int seeds, std::uint64_t base_seed, int host_threads,
+    support::FunctionRef<RunStats(std::size_t s, std::uint64_t seed)> body) {
+  const std::size_t n = seeds > 0 ? static_cast<std::size_t>(seeds) : 1;
+  std::vector<RunStats> per_seed(n);
+  support::parallel_for_each(
+      n,
+      [&](std::size_t s) {
+        per_seed[s] = body(s, base_seed + s * 0x9E3779B9ULL);
+      },
+      host_threads);
+  RunStats total;
+  for (const RunStats& r : per_seed) total.accumulate(r);
+  return total;
+}
+
 RunStats run_workload(const BenchConfig& cfg, const OpFn& op,
                       MetricsRegistry& registry,
                       const std::string& lock_name) {

@@ -16,6 +16,7 @@
 #include "locks/region.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/scheduler.hpp"
+#include "support/function_ref.hpp"
 #include "tsx/config.hpp"
 #include "tsx/engine.hpp"
 #include "tsx/stats.hpp"
@@ -142,6 +143,17 @@ void validate_bench_config(const BenchConfig& cfg);
 // Runs `threads` copies of `op` in a loop until the virtual deadline.
 // Exits(2) on an invalid config (validate_bench_config).
 RunStats run_workload(const BenchConfig& cfg, const OpFn& op);
+
+// The multi-seed fan-out behind every run_*_point: runs body(s, seed_s) for
+// s in [0, max(seeds, 1)), seed_s being base_seed plus s steps of the 32-bit
+// golden-ratio constant, on up to `host_threads` host threads, and merges
+// the per-seed RunStats in seed order. Each seed is an independent simulation writing only its own slot,
+// so the result is byte-identical to host_threads=1 no matter which thread
+// ran which seed when. A body with per-seed out-params writes them to its
+// own slot s; the caller merges those in s order after the call.
+RunStats run_seeds(
+    int seeds, std::uint64_t base_seed, int host_threads,
+    support::FunctionRef<RunStats(std::size_t s, std::uint64_t seed)> body);
 
 // Same, and folds the result into `registry` under (policy name, lock name).
 RunStats run_workload(const BenchConfig& cfg, const OpFn& op,

@@ -1,28 +1,14 @@
 #include "harness/suite.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
-#include <cmath>
-#include <cstring>
+#include <limits>
 #include <thread>
 
-#include "harness/micro_point.hpp"
 #include "sim/machine_config.hpp"
 #include "tsx/telemetry.hpp"
 
 namespace elision::harness {
-
-const char* point_kind_name(PointKind k) {
-  switch (k) {
-    case PointKind::kRb: return "rb";
-    case PointKind::kMicro: return "micro";
-    case PointKind::kBtree: return "btree";
-    case PointKind::kPhase: return "phase";
-    case PointKind::kKv: return "kv";
-  }
-  return "?";
-}
 
 const char* suite_tier_name(SuiteTier t) {
   switch (t) {
@@ -40,193 +26,118 @@ std::optional<SuiteTier> suite_tier_from_name(const std::string& name) {
 
 namespace {
 
-const char* lock_slug(LockSel l) {
-  switch (l) {
-    case LockSel::kTtas: return "ttas";
-    case LockSel::kMcs: return "mcs";
-    case LockSel::kTicketAdj: return "ticket-adj";
-    case LockSel::kClhAdj: return "clh-adj";
-    case LockSel::kTicket: return "ticket";
-    case LockSel::kClh: return "clh";
-  }
-  return "?";
-}
-
-// Point ids and the JSON "scheme" field both use the policy's canonical
-// spec spelling (locks/policy.hpp). For the pre-existing points this equals
-// the lower-cased scheme name the ids historically used, so baselines keep
-// matching.
-std::string scheme_slug(const locks::ElisionPolicy& p) { return p.spec(); }
-
-SuitePoint make_point(SuiteTier tier, const char* figure, std::size_t size,
-                      int update_pct, int threads, LockSel lock,
-                      locks::ElisionPolicy scheme, bool telemetry = false) {
+SuitePoint point(SuiteTier tier, const char* figure, PointWorkload w) {
   SuitePoint sp;
+  sp.id = point_id(w);
   sp.tier = tier;
   sp.figure = figure;
-  sp.point.size = size;
-  sp.point.update_pct = update_pct;
-  sp.point.threads = threads;
-  sp.point.lock = lock;
-  sp.point.scheme = scheme;
-  sp.point.telemetry = telemetry;
-  sp.point.duration_sec = 0.003;
-  sp.point.seeds = threads == 1 ? 1 : 2;
-  sp.id = "rb-s" + std::to_string(size) + "-u" + std::to_string(update_pct) +
-          "-t" + std::to_string(threads) + "-" + lock_slug(lock) + "-" +
-          scheme_slug(scheme);
+  sp.workload = std::move(w);
   return sp;
 }
 
-SuitePoint make_bt_point(SuiteTier tier, const char* figure, std::size_t size,
-                         int update_pct, int scan_pct, std::size_t scan_len,
-                         int threads, SharedLockSel lock,
-                         locks::ElisionPolicy policy, bool telemetry = false) {
-  SuitePoint sp;
-  sp.tier = tier;
-  sp.figure = figure;
-  sp.kind = PointKind::kBtree;
-  sp.bt.size = size;
-  sp.bt.update_pct = update_pct;
-  sp.bt.scan_pct = scan_pct;
-  sp.bt.scan_len = scan_len;
-  sp.bt.threads = threads;
-  sp.bt.lock = lock;
-  sp.bt.policy = policy;
-  sp.bt.telemetry = telemetry;
-  sp.bt.duration_sec = 0.003;
-  sp.bt.seeds = threads == 1 ? 1 : 2;
-  sp.id = "bt-s" + std::to_string(size) + "-u" + std::to_string(update_pct) +
-          "-c" + std::to_string(scan_pct) + "-l" + std::to_string(scan_len) +
-          "-t" + std::to_string(threads) + "-" + shared_lock_sel_name(lock) +
-          "-" + policy.spec();
-  return sp;
+RbPoint rb(std::size_t size, int update_pct, int threads, LockSel lock,
+           locks::ElisionPolicy scheme, bool telemetry = false) {
+  RbPoint p;
+  p.size = size;
+  p.update_pct = update_pct;
+  p.threads = threads;
+  p.lock = lock;
+  p.scheme = scheme;
+  p.telemetry = telemetry;
+  p.seeds = threads == 1 ? 1 : 2;
+  return p;
 }
 
-// Sharded-KV service points. The id encodes the shard/domain/skew/mix shape
-// (z = zipf theta x100) next to the policy, like every other kind.
-SuitePoint make_kv_point(SuiteTier tier, const char* figure, int shards,
-                         std::size_t keys, int clients, double zipf_theta,
-                         int put_pct, int multi_put_pct, int transfer_pct,
-                         int threads, locks::ElisionPolicy policy,
-                         bool telemetry = false) {
-  SuitePoint sp;
-  sp.tier = tier;
-  sp.figure = figure;
-  sp.kind = PointKind::kKv;
-  sp.kv.shards = shards;
-  sp.kv.keys = keys;
-  sp.kv.clients = clients;
-  sp.kv.zipf_theta = zipf_theta;
-  sp.kv.put_pct = put_pct;
-  sp.kv.multi_put_pct = multi_put_pct;
-  sp.kv.transfer_pct = transfer_pct;
-  sp.kv.threads = threads;
-  sp.kv.policy = policy;
-  sp.kv.telemetry = telemetry;
-  sp.kv.duration_sec = 0.003;
-  sp.kv.seeds = threads == 1 ? 1 : 2;
-  sp.id = "kv-sh" + std::to_string(shards) + "-k" + std::to_string(keys) +
-          "-z" + std::to_string(static_cast<int>(zipf_theta * 100 + 0.5)) +
-          "-u" + std::to_string(put_pct + multi_put_pct + transfer_pct) +
-          "-t" + std::to_string(threads) + "-" + scheme_slug(policy);
-  return sp;
+BtPoint bt(std::size_t size, int update_pct, int scan_pct,
+           std::size_t scan_len, SharedLockSel lock,
+           locks::ElisionPolicy policy, bool telemetry = false) {
+  BtPoint p;
+  p.size = size;
+  p.update_pct = update_pct;
+  p.scan_pct = scan_pct;
+  p.scan_len = scan_len;
+  p.lock = lock;
+  p.policy = policy;
+  p.telemetry = telemetry;
+  return p;
 }
 
-SuitePoint make_phase_point(SuiteTier tier, const char* figure,
-                            std::size_t size, int calm_pct, int storm_pct,
-                            int threads, LockSel lock,
-                            locks::ElisionPolicy policy) {
-  SuitePoint sp;
-  sp.tier = tier;
-  sp.figure = figure;
-  sp.kind = PointKind::kPhase;
-  sp.phase.size = size;
-  sp.phase.calm_update_pct = calm_pct;
-  sp.phase.storm_update_pct = storm_pct;
-  sp.phase.threads = threads;
-  sp.phase.lock = lock;
-  sp.phase.scheme = policy;
-  sp.phase.phase_sec = 0.001;
-  sp.phase.seeds = 2;
-  sp.id = "ph-s" + std::to_string(size) + "-u" + std::to_string(calm_pct) +
-          "-" + std::to_string(storm_pct) + "-t" + std::to_string(threads) +
-          "-" + lock_slug(lock) + "-" + scheme_slug(policy);
-  return sp;
+// Sharded-KV service points: shard/domain/skew/mix shape next to the policy.
+service::KvPoint kv(int clients, double zipf_theta, int put_pct,
+                    int multi_put_pct, int transfer_pct,
+                    locks::ElisionPolicy policy, bool telemetry = false) {
+  service::KvPoint p;
+  p.clients = clients;
+  p.zipf_theta = zipf_theta;
+  p.put_pct = put_pct;
+  p.multi_put_pct = multi_put_pct;
+  p.transfer_pct = transfer_pct;
+  p.policy = policy;
+  p.telemetry = telemetry;
+  return p;
+}
+
+PhasePoint phase(locks::ElisionPolicy policy) {
+  PhasePoint p;
+  p.size = 12;
+  p.calm_update_pct = 10;
+  p.storm_update_pct = 100;
+  p.threads = 16;
+  p.lock = LockSel::kTtas;
+  p.scheme = policy;
+  return p;
 }
 
 std::vector<SuitePoint> build_points() {
   using locks::ElisionPolicy;
   constexpr SuiteTier S = SuiteTier::kSmoke;
   constexpr SuiteTier F = SuiteTier::kFull;
+  constexpr LockSel kTtas = LockSel::kTtas;
+  constexpr LockSel kMcs = LockSel::kMcs;
+  constexpr SharedLockSel kShTtas = SharedLockSel::kSharedTtas;
+  constexpr SharedLockSel kShMcs = SharedLockSel::kSharedMcs;
   std::vector<SuitePoint> v;
+  auto add = [&](SuiteTier tier, const char* figure, PointWorkload w) {
+    v.push_back(point(tier, figure, std::move(w)));
+  };
 
   // --- smoke tier: the qualitative backbone of Ch. 3/5/6, < 30s wall ---
   // Contended small tree on TTAS (Fig 5.1/5.2 left edge).
-  v.push_back(make_point(S, "fig5.1", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::standard()));
-  v.push_back(
-      make_point(S, "fig5.1", 64, 20, 8, LockSel::kTtas, ElisionPolicy::hle()));
-  v.push_back(make_point(S, "fig5.2", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::hle_scm()));
-  v.push_back(make_point(S, "fig5.2", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::opt_slr_scm()));
+  add(S, "fig5.1", rb(64, 20, 8, kTtas, ElisionPolicy::standard()));
+  add(S, "fig5.1", rb(64, 20, 8, kTtas, ElisionPolicy::hle()));
+  add(S, "fig5.2", rb(64, 20, 8, kTtas, ElisionPolicy::hle_scm()));
+  add(S, "fig5.2", rb(64, 20, 8, kTtas, ElisionPolicy::opt_slr_scm()));
   // Contended MCS: the avalanche point (Fig 3.3) and its SCM rescue, with
   // telemetry so episode counts land in the results.
-  v.push_back(make_point(S, "fig3.3", 64, 20, 8, LockSel::kMcs,
-                         ElisionPolicy::hle(), /*telemetry=*/true));
-  v.push_back(make_point(S, "fig5.2", 64, 20, 8, LockSel::kMcs,
-                         ElisionPolicy::hle_scm(), /*telemetry=*/true));
+  add(S, "fig3.3", rb(64, 20, 8, kMcs, ElisionPolicy::hle(), true));
+  add(S, "fig5.2", rb(64, 20, 8, kMcs, ElisionPolicy::hle_scm(), true));
   // Low-contention big tree (Fig 3.4 right edge: elision pays off solo).
-  v.push_back(make_point(S, "fig3.4", 8192, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::hle()));
+  add(S, "fig3.4", rb(8192, 20, 8, kTtas, ElisionPolicy::hle()));
   // Ch. 6 fair locks, solo: adjusted ticket/CLH must elide, the unadjusted
   // ticket must not (XRELEASE mismatch on every attempt).
-  v.push_back(make_point(S, "ch6", 64, 20, 1, LockSel::kTicketAdj,
-                         ElisionPolicy::hle()));
-  v.push_back(
-      make_point(S, "ch6", 64, 20, 1, LockSel::kClhAdj, ElisionPolicy::hle()));
-  v.push_back(
-      make_point(S, "ch6", 64, 20, 1, LockSel::kTicket, ElisionPolicy::hle()));
+  add(S, "ch6", rb(64, 20, 1, LockSel::kTicketAdj, ElisionPolicy::hle()));
+  add(S, "ch6", rb(64, 20, 1, LockSel::kClhAdj, ElisionPolicy::hle()));
+  add(S, "ch6", rb(64, 20, 1, LockSel::kTicket, ElisionPolicy::hle()));
   // Simulator-speed canary: fixed-work RTM microbenchmark whose
   // sim_ops_per_sec (simulated ops per host second) gates host-side engine
   // performance. Its simulated metrics are deterministic like every other
   // point's.
-  {
-    SuitePoint sp;
-    sp.tier = S;
-    sp.figure = "sim-speed";
-    sp.kind = PointKind::kMicro;
-    sp.id = "micro-engine-rtm-t8";
-    sp.point.threads = 8;
-    sp.point.size = 1024;  // array words
-    sp.point.update_pct = 0;
-    sp.point.seeds = 1;
-    sp.point.duration_sec = 0.0;  // fixed work, not fixed virtual time
-    v.push_back(sp);
-  }
+  add(S, "sim-speed", MicroPoint{});
   // Big-machine simulator-speed canary: 64 threads on a 32-core / 2-SMT
   // machine, striped stripes with a sparser shared-line period (every 64th
   // op) and a little yield slack so the scheduler runs long bursts — the
   // configuration the O(log N) ready queue exists for. Gated like the t8
   // canary; the two together pin both ends of the machine-size range.
   {
-    SuitePoint sp;
-    sp.tier = S;
-    sp.figure = "sim-speed";
-    sp.kind = PointKind::kMicro;
-    sp.id = "micro-engine-rtm-t64";
-    sp.point.threads = 64;
-    sp.point.size = 16384;  // array words
-    sp.point.update_pct = 0;
-    sp.point.seeds = 1;
-    sp.point.duration_sec = 0.0;
-    sp.point.micro_ops = 8000;
-    sp.point.micro_shared_period = 64;
-    sp.point.n_cores = 32;
-    sp.point.smt_per_core = 2;
-    sp.point.yield_slack_cycles = 200;
-    v.push_back(sp);
+    MicroPoint p;
+    p.threads = 64;
+    p.array_words = 16384;
+    p.ops_per_thread = 8000;
+    p.shared_period = 64;
+    p.n_cores = 32;
+    p.smt_per_core = 2;
+    p.yield_slack_cycles = 200;
+    add(S, "sim-speed", p);
   }
 
   // Two-mode B+tree points (shared-mode elision). The read-mostly pair is
@@ -239,137 +150,88 @@ std::vector<SuitePoint> build_points() {
   // watches the reader-avalanche (a writer's real acquisition of the
   // reader-writer word aborts the whole subscribed reader crowd) through
   // telemetry.
-  v.push_back(make_bt_point(S, "shared-elision", 1024, 10, 100, 64, 8,
-                            SharedLockSel::kSharedTtas, ElisionPolicy::hle()));
-  v.push_back(make_bt_point(S, "shared-elision", 1024, 10, 100, 64, 8,
-                            SharedLockSel::kSharedTtas,
-                            ElisionPolicy::hle().shared()));
-  v.push_back(make_bt_point(S, "shared-avalanche", 128, 80, 30, 16, 8,
-                            SharedLockSel::kSharedTtas,
-                            ElisionPolicy::hle().shared(),
-                            /*telemetry=*/true));
+  add(S, "shared-elision",
+      bt(1024, 10, 100, 64, kShTtas, ElisionPolicy::hle()));
+  add(S, "shared-elision",
+      bt(1024, 10, 100, 64, kShTtas, ElisionPolicy::hle().shared()));
+  add(S, "shared-avalanche",
+      bt(128, 80, 30, 16, kShTtas, ElisionPolicy::hle().shared(), true));
 
-  // Phase-shifting adaptive headline (ROADMAP item 2): one read-mostly ->
-  // write-storm -> read-mostly run, adaptive against each of its four
-  // static modes. The adaptive invariants key on these ids: adaptive must
-  // stay within 10% of the per-phase winner in every phase while every
-  // static scheme loses at least one phase.
+  // Phase-shifting adaptive headline: one read-mostly -> write-storm ->
+  // read-mostly run, adaptive against each of its four static modes. The
+  // adaptive invariants key on these ids: adaptive must stay within 10% of
+  // the per-phase winner in every phase while every static scheme loses at
+  // least one phase.
   for (const ElisionPolicy& pol :
        {ElisionPolicy::adaptive(), ElisionPolicy::hle(),
         ElisionPolicy::hle_scm(), ElisionPolicy::hle_grouped_scm(),
         ElisionPolicy::standard()}) {
-    v.push_back(make_phase_point(S, "adaptive-phases", 12, 10, 100, 16,
-                                 LockSel::kTtas, pol));
+    add(S, "adaptive-phases", phase(pol));
   }
 
-  // Sharded KV service under Zipf-skewed open-loop traffic (ROADMAP item 1:
-  // the production-shaped workload). The headline pair runs the same
+  // Sharded KV service under Zipf-skewed open-loop traffic (the
+  // production-shaped workload). The headline pair runs the same
   // moderate-skew mix under per-shard adaptive elision vs the static HLE
   // baseline (plus plain locking for scale); the hot-shard point cranks the
   // skew until one shard saturates and — with telemetry on — must show the
   // avalanche signature there.
-  v.push_back(make_kv_point(S, "kv-service", 8, 8192, 2000, 0.99,
-                            20, 5, 5, 8, ElisionPolicy::standard()));
-  v.push_back(make_kv_point(S, "kv-service", 8, 8192, 2000, 0.99,
-                            20, 5, 5, 8, ElisionPolicy::hle()));
-  v.push_back(make_kv_point(S, "kv-service", 8, 8192, 2000, 0.99,
-                            20, 5, 5, 8, ElisionPolicy::adaptive()));
-  v.push_back(make_kv_point(S, "kv-hot-shard", 8, 8192, 4000, 1.20,
-                            40, 5, 5, 8, ElisionPolicy::hle(),
-                            /*telemetry=*/true));
+  add(S, "kv-service", kv(2000, 0.99, 20, 5, 5, ElisionPolicy::standard()));
+  add(S, "kv-service", kv(2000, 0.99, 20, 5, 5, ElisionPolicy::hle()));
+  add(S, "kv-service", kv(2000, 0.99, 20, 5, 5, ElisionPolicy::adaptive()));
+  add(S, "kv-hot-shard", kv(4000, 1.20, 40, 5, 5, ElisionPolicy::hle(), true));
 
   // --- full tier: wider scheme / size / mix / lock coverage ---
   // KV coverage: SCM-managed and grouped-SCM service variants on the
   // standard mix, and a cross-shard-heavy mix exercising the multi-lock
   // elision region and its ordered fallback.
-  v.push_back(make_kv_point(F, "kv-service", 8, 8192, 2000, 0.99,
-                            20, 5, 5, 8, ElisionPolicy::hle_scm()));
-  v.push_back(make_kv_point(F, "kv-service", 8, 8192, 2000, 0.99,
-                            20, 5, 5, 8, ElisionPolicy::hle_grouped_scm()));
-  v.push_back(make_kv_point(F, "kv-cross-shard", 8, 8192, 2000, 0.99,
-                            10, 25, 25, 8, ElisionPolicy::hle()));
+  add(F, "kv-service", kv(2000, 0.99, 20, 5, 5, ElisionPolicy::hle_scm()));
+  add(F, "kv-service",
+      kv(2000, 0.99, 20, 5, 5, ElisionPolicy::hle_grouped_scm()));
+  add(F, "kv-cross-shard", kv(2000, 0.99, 10, 25, 25, ElisionPolicy::hle()));
   // Shared-mode coverage: the fair family member, the SCM-managed pair
   // (fallbacks gated through the auxiliary lock never happen on this mix,
   // so the two run identically — speculation already admits everyone), and
   // the no-speculation shared baseline.
-  v.push_back(make_bt_point(F, "shared-elision", 1024, 10, 100, 64, 8,
-                            SharedLockSel::kSharedMcs,
-                            ElisionPolicy::hle().shared()));
-  v.push_back(make_bt_point(F, "shared-elision", 1024, 10, 100, 64, 8,
-                            SharedLockSel::kSharedMcs, ElisionPolicy::hle()));
-  v.push_back(make_bt_point(F, "shared-elision", 1024, 10, 100, 64, 8,
-                            SharedLockSel::kSharedTtas,
-                            ElisionPolicy::hle_scm().shared()));
-  v.push_back(make_bt_point(F, "shared-elision", 1024, 10, 100, 64, 8,
-                            SharedLockSel::kSharedTtas,
-                            ElisionPolicy::hle_scm()));
-  v.push_back(make_bt_point(F, "shared-elision", 1024, 10, 100, 64, 8,
-                            SharedLockSel::kSharedTtas,
-                            ElisionPolicy::standard().shared()));
-  v.push_back(make_point(F, "fig5.2", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::pes_slr()));
-  v.push_back(make_point(F, "fig5.2", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::opt_slr()));
-  v.push_back(make_point(F, "fig5.1", 64, 20, 8, LockSel::kMcs,
-                         ElisionPolicy::standard()));
-  v.push_back(make_point(F, "fig5.2", 64, 20, 8, LockSel::kMcs,
-                         ElisionPolicy::opt_slr_scm()));
-  v.push_back(make_point(F, "fig3.4", 512, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::hle()));
-  v.push_back(make_point(F, "fig3.4", 32768, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::hle()));
-  v.push_back(make_point(F, "fig5.1", 64, 0, 8, LockSel::kTtas,
-                         ElisionPolicy::hle_scm()));
-  v.push_back(make_point(F, "fig5.1", 64, 100, 8, LockSel::kTtas,
-                         ElisionPolicy::hle_scm()));
-  v.push_back(make_point(F, "tbl-fairlocks", 64, 20, 8, LockSel::kTicketAdj,
-                         ElisionPolicy::hle_scm()));
-  v.push_back(make_point(F, "tbl-fairlocks", 64, 20, 8, LockSel::kClhAdj,
-                         ElisionPolicy::hle_scm()));
-  v.push_back(make_point(F, "fig3.5", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::rtm_elide()));
-  v.push_back(make_point(F, "abl-scm-nested", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::hle_scm_nested()));
-  v.push_back(make_point(F, "abl-grouped-scm", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::hle_grouped_scm()));
-  // Big-machine scaling point: the fig5.1 shape at 64 threads on a 32-core /
-  // 2-SMT machine — the regime Fissile Locks / the HTM tree template report
-  // from and the reason the scheduler grew an O(log N) ready queue. A bit of
-  // yield slack keeps the 64-way interleaving from degenerating into
-  // access-granularity round-robin. The -m32x2 suffix encodes the machine
-  // shape in the id so future shapes at the same (size, threads) stay
-  // distinct.
-  {
-    SuitePoint sp = make_point(F, "fig5.1-big", 64, 20, 64, LockSel::kTtas,
-                               ElisionPolicy::hle_scm());
-    sp.point.n_cores = 32;
-    sp.point.smt_per_core = 2;
-    sp.point.yield_slack_cycles = 200;
-    sp.id += "-m32x2";
-    v.push_back(sp);
-  }
-  // Machine-scale extension of the same curve: 128 and 256 threads on
-  // proportionally wider 2-SMT machines (256 is the scheduler's
-  // kMaxSimThreads cap and exercises the ready queue's full two-level
-  // tournament). These exist because the per-access fast path bought the
-  // host headroom to simulate them in the full tier at all.
-  {
-    SuitePoint sp = make_point(F, "fig5.1-big", 64, 20, 128, LockSel::kTtas,
-                               ElisionPolicy::hle_scm());
-    sp.point.n_cores = 64;
-    sp.point.smt_per_core = 2;
-    sp.point.yield_slack_cycles = 200;
-    sp.id += "-m64x2";
-    v.push_back(sp);
-  }
-  {
-    SuitePoint sp = make_point(F, "fig5.1-big", 64, 20, 256, LockSel::kTtas,
-                               ElisionPolicy::hle_scm());
-    sp.point.n_cores = 128;
-    sp.point.smt_per_core = 2;
-    sp.point.yield_slack_cycles = 200;
-    sp.id += "-m128x2";
-    v.push_back(sp);
+  add(F, "shared-elision",
+      bt(1024, 10, 100, 64, kShMcs, ElisionPolicy::hle().shared()));
+  add(F, "shared-elision", bt(1024, 10, 100, 64, kShMcs, ElisionPolicy::hle()));
+  add(F, "shared-elision",
+      bt(1024, 10, 100, 64, kShTtas, ElisionPolicy::hle_scm().shared()));
+  add(F, "shared-elision",
+      bt(1024, 10, 100, 64, kShTtas, ElisionPolicy::hle_scm()));
+  add(F, "shared-elision",
+      bt(1024, 10, 100, 64, kShTtas, ElisionPolicy::standard().shared()));
+  add(F, "fig5.2", rb(64, 20, 8, kTtas, ElisionPolicy::pes_slr()));
+  add(F, "fig5.2", rb(64, 20, 8, kTtas, ElisionPolicy::opt_slr()));
+  add(F, "fig5.1", rb(64, 20, 8, kMcs, ElisionPolicy::standard()));
+  add(F, "fig5.2", rb(64, 20, 8, kMcs, ElisionPolicy::opt_slr_scm()));
+  add(F, "fig3.4", rb(512, 20, 8, kTtas, ElisionPolicy::hle()));
+  add(F, "fig3.4", rb(32768, 20, 8, kTtas, ElisionPolicy::hle()));
+  add(F, "fig5.1", rb(64, 0, 8, kTtas, ElisionPolicy::hle_scm()));
+  add(F, "fig5.1", rb(64, 100, 8, kTtas, ElisionPolicy::hle_scm()));
+  add(F, "tbl-fairlocks",
+      rb(64, 20, 8, LockSel::kTicketAdj, ElisionPolicy::hle_scm()));
+  add(F, "tbl-fairlocks",
+      rb(64, 20, 8, LockSel::kClhAdj, ElisionPolicy::hle_scm()));
+  add(F, "fig3.5", rb(64, 20, 8, kTtas, ElisionPolicy::rtm_elide()));
+  add(F, "abl-scm-nested",
+      rb(64, 20, 8, kTtas, ElisionPolicy::hle_scm_nested()));
+  add(F, "abl-grouped-scm",
+      rb(64, 20, 8, kTtas, ElisionPolicy::hle_grouped_scm()));
+  // Big-machine scaling points: the fig5.1 shape at 64, 128 and 256 threads
+  // on 2-SMT machines of half as many cores — the regime Fissile Locks / the
+  // HTM tree template report from and the reason the scheduler grew an
+  // O(log N) ready queue (256 is its kMaxSimThreads cap and exercises the
+  // full two-level tournament). A bit of yield slack keeps the wide
+  // interleaving from degenerating into access-granularity round-robin.
+  // Their ids end in the machine shape (-m<cores>x<smt>), so future shapes
+  // at the same (size, threads) stay distinct.
+  for (const int threads : {64, 128, 256}) {
+    RbPoint p = rb(64, 20, threads, kTtas, ElisionPolicy::hle_scm());
+    p.n_cores = static_cast<unsigned>(threads / 2);
+    p.smt_per_core = 2;
+    p.yield_slack_cycles = 200;
+    add(F, "fig5.1-big", p);
   }
   return v;
 }
@@ -435,48 +297,55 @@ const PointRecord* SuiteResult::find(const std::string& id) const {
 
 namespace {
 
-// Dispatches to the point's workload and fills the host-speed metrics.
-PointMetrics run_point_metrics(const SuitePoint& sp) {
-  const auto t0 = std::chrono::steady_clock::now();
-  RunStats stats;
-  if (sp.kind == PointKind::kMicro) {
-    MicroPoint mp;
-    mp.threads = sp.point.threads;
-    mp.array_words = sp.point.size;
-    mp.seed = sp.point.seed;
-    if (sp.point.micro_ops != 0) mp.ops_per_thread = sp.point.micro_ops;
-    if (sp.point.micro_shared_period != 0) {
-      mp.shared_period = sp.point.micro_shared_period;
-    }
-    mp.n_cores = sp.point.n_cores;
-    mp.smt_per_core = sp.point.smt_per_core;
-    mp.yield_slack_cycles = sp.point.yield_slack_cycles;
-    stats = run_micro_point(mp);
-  } else if (sp.kind == PointKind::kBtree) {
-    stats = run_bt_point(sp.bt);
-  } else if (sp.kind == PointKind::kPhase) {
-    stats = run_phase_point(sp.phase);
-  } else if (sp.kind == PointKind::kKv) {
-    stats = service::run_kv_point(sp.kv);
-  } else {
-    stats = run_rb_point(sp.point);
+// Runs a point's workload, its multi-seed fan-out spread over host_threads.
+// Phase points also report their per-phase commits.
+struct RunWorkload {
+  int host_threads;
+  std::vector<std::uint64_t>& phase_ops;
+
+  RunStats operator()(RbPoint p) const {
+    p.host_threads = host_threads;
+    return run_rb_point(p);
   }
+  RunStats operator()(const MicroPoint& p) const {
+    return run_micro_point(p);
+  }
+  RunStats operator()(BtPoint p) const {
+    p.host_threads = host_threads;
+    return run_bt_point(p);
+  }
+  RunStats operator()(PhasePoint p) const {
+    p.host_threads = host_threads;
+    RunStats stats = run_phase_point(p);
+    const auto per_phase = phase_ops_of(stats);
+    phase_ops.assign(per_phase.begin(), per_phase.end());
+    return stats;
+  }
+  RunStats operator()(service::KvPoint p) const {
+    p.host_threads = host_threads;
+    return service::run_kv_point(p);
+  }
+};
+
+}  // namespace
+
+PointRecord run_suite_point(const SuitePoint& sp, int host_threads) {
+  std::vector<std::uint64_t> phase_ops;
+  const auto t0 = std::chrono::steady_clock::now();
+  const RunStats stats = std::visit(
+      RunWorkload{host_threads > 0 ? host_threads : 1, phase_ops},
+      sp.workload);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
           .count();
   PointMetrics m = PointMetrics::derive(stats);
-  if (sp.kind == PointKind::kPhase) {
-    const auto per_phase = phase_ops_of(stats);
-    m.phase_ops.assign(per_phase.begin(), per_phase.end());
-  }
+  m.phase_ops = std::move(phase_ops);
   m.wall_ms = wall_ms;
   m.sim_ops_per_sec =
       wall_ms > 0 ? static_cast<double>(m.ops) / (wall_ms / 1e3) : 0.0;
-  return m;
+  return {sp, std::move(m)};
 }
-
-}  // namespace
 
 SuiteResult run_suite(SuiteTier tier, const SuiteRunOptions& opts) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -491,528 +360,17 @@ SuiteResult run_suite(SuiteTier tier, const SuiteRunOptions& opts) {
   result.host_cores = std::thread::hardware_concurrency();
   result.jobs = 1;
   result.host_threads = opts.host_threads > 0 ? opts.host_threads : 1;
-  for (auto sp : suite_points_for(tier)) {
-    sp.point.host_threads = result.host_threads;
-    sp.bt.host_threads = result.host_threads;
-    sp.phase.host_threads = result.host_threads;
-    sp.kv.host_threads = result.host_threads;
-    PointMetrics m = run_point_metrics(sp);
-    m.throughput_ops_per_sec *= opts.plant_throughput_factor;
-    m.sim_ops_per_sec *= opts.plant_simops_factor;
-    if (opts.on_point) opts.on_point(sp, m);
-    result.points.push_back({sp, m});
+  for (const auto& sp : suite_points_for(tier)) {
+    PointRecord rec = run_suite_point(sp, result.host_threads);
+    rec.metrics.throughput_ops_per_sec *= opts.plant_throughput_factor;
+    rec.metrics.sim_ops_per_sec *= opts.plant_simops_factor;
+    if (opts.on_point) opts.on_point(rec.def, rec.metrics);
+    result.points.push_back(std::move(rec));
   }
   result.total_wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - t0)
                              .count();
   return result;
-}
-
-PointRecord run_suite_point(const SuitePoint& sp, int host_threads) {
-  SuitePoint p = sp;
-  p.point.host_threads = host_threads > 0 ? host_threads : 1;
-  p.bt.host_threads = p.point.host_threads;
-  p.phase.host_threads = p.point.host_threads;
-  p.kv.host_threads = p.point.host_threads;
-  PointRecord rec{sp, run_point_metrics(p)};
-  return rec;
-}
-
-// ---- canonical JSON results ----
-
-namespace {
-
-void write_point_json(const PointRecord& r, std::FILE* out) {
-  const auto& d = r.def;
-  const auto& m = r.metrics;
-  if (d.kind == PointKind::kBtree) {
-    std::fprintf(
-        out,
-        "    {\"id\":\"%s\",\"tier\":\"%s\",\"figure\":\"%s\","
-        "\"kind\":\"%s\",\"lock\":\"%s\",\"scheme\":\"%s\",\"size\":%zu,"
-        "\"update_pct\":%d,\"scan_pct\":%d,\"scan_len\":%zu,\"threads\":%d,"
-        "\"seeds\":%d,\"duration_sec\":%g,\"seed\":%llu,\"telemetry\":%s,\n",
-        support::json::escape(d.id).c_str(), suite_tier_name(d.tier),
-        support::json::escape(d.figure).c_str(), point_kind_name(d.kind),
-        shared_lock_sel_name(d.bt.lock),
-        support::json::escape(d.bt.policy.spec()).c_str(), d.bt.size,
-        d.bt.update_pct, d.bt.scan_pct, d.bt.scan_len, d.bt.threads,
-        d.bt.seeds, d.bt.duration_sec,
-        static_cast<unsigned long long>(d.bt.seed),
-        d.bt.telemetry ? "true" : "false");
-  } else if (d.kind == PointKind::kPhase) {
-    std::fprintf(
-        out,
-        "    {\"id\":\"%s\",\"tier\":\"%s\",\"figure\":\"%s\","
-        "\"kind\":\"%s\",\"lock\":\"%s\",\"scheme\":\"%s\",\"size\":%zu,"
-        "\"calm_update_pct\":%d,\"storm_update_pct\":%d,\"threads\":%d,"
-        "\"seeds\":%d,\"phase_sec\":%g,\"seed\":%llu,\"telemetry\":%s,\n",
-        support::json::escape(d.id).c_str(), suite_tier_name(d.tier),
-        support::json::escape(d.figure).c_str(), point_kind_name(d.kind),
-        lock_sel_name(d.phase.lock),
-        support::json::escape(d.phase.scheme.spec()).c_str(), d.phase.size,
-        d.phase.calm_update_pct, d.phase.storm_update_pct, d.phase.threads,
-        d.phase.seeds, d.phase.phase_sec,
-        static_cast<unsigned long long>(d.phase.seed),
-        d.phase.telemetry ? "true" : "false");
-  } else if (d.kind == PointKind::kKv) {
-    std::fprintf(
-        out,
-        "    {\"id\":\"%s\",\"tier\":\"%s\",\"figure\":\"%s\","
-        "\"kind\":\"%s\",\"scheme\":\"%s\",\"shards\":%d,\"keys\":%zu,"
-        "\"clients\":%d,\"client_rate_hz\":%g,\"zipf_theta\":%g,"
-        "\"put_pct\":%d,\"multi_put_pct\":%d,\"transfer_pct\":%d,"
-        "\"multi_put_keys\":%d,\"threads\":%d,\"seeds\":%d,"
-        "\"duration_sec\":%g,\"seed\":%llu,\"telemetry\":%s,\n",
-        support::json::escape(d.id).c_str(), suite_tier_name(d.tier),
-        support::json::escape(d.figure).c_str(), point_kind_name(d.kind),
-        support::json::escape(d.kv.policy.spec()).c_str(), d.kv.shards,
-        d.kv.keys, d.kv.clients, d.kv.client_rate_hz, d.kv.zipf_theta,
-        d.kv.put_pct, d.kv.multi_put_pct, d.kv.transfer_pct,
-        d.kv.multi_put_keys, d.kv.threads, d.kv.seeds, d.kv.duration_sec,
-        static_cast<unsigned long long>(d.kv.seed),
-        d.kv.telemetry ? "true" : "false");
-  } else {
-    std::fprintf(
-        out,
-        "    {\"id\":\"%s\",\"tier\":\"%s\",\"figure\":\"%s\","
-        "\"kind\":\"%s\",\"lock\":\"%s\",\"scheme\":\"%s\",\"size\":%zu,"
-        "\"update_pct\":%d,\"threads\":%d,\"seeds\":%d,\"duration_sec\":%g,"
-        "\"seed\":%llu,\"telemetry\":%s,\n",
-        support::json::escape(d.id).c_str(), suite_tier_name(d.tier),
-        support::json::escape(d.figure).c_str(), point_kind_name(d.kind),
-        lock_sel_name(d.point.lock),
-        support::json::escape(d.point.scheme.spec()).c_str(), d.point.size,
-        d.point.update_pct, d.point.threads, d.point.seeds,
-        d.point.duration_sec,
-        static_cast<unsigned long long>(d.point.seed),
-        d.point.telemetry ? "true" : "false");
-    // Machine-shape / micro-shape overrides of the big-machine points,
-    // emitted only when set: pre-existing baseline lines must stay
-    // byte-identical across this addition.
-    if (d.point.n_cores != 0 || d.point.smt_per_core != 0 ||
-        d.point.yield_slack_cycles != 0 || d.point.micro_ops != 0 ||
-        d.point.micro_shared_period != 0) {
-      std::fprintf(out, "     ");
-      if (d.point.n_cores != 0) {
-        std::fprintf(out, "\"n_cores\":%u,", d.point.n_cores);
-      }
-      if (d.point.smt_per_core != 0) {
-        std::fprintf(out, "\"smt_per_core\":%u,", d.point.smt_per_core);
-      }
-      if (d.point.yield_slack_cycles != 0) {
-        std::fprintf(out, "\"yield_slack_cycles\":%llu,",
-                     static_cast<unsigned long long>(d.point.yield_slack_cycles));
-      }
-      if (d.point.micro_ops != 0) {
-        std::fprintf(out, "\"micro_ops\":%llu,",
-                     static_cast<unsigned long long>(d.point.micro_ops));
-      }
-      if (d.point.micro_shared_period != 0) {
-        std::fprintf(out, "\"micro_shared_period\":%llu,",
-                     static_cast<unsigned long long>(d.point.micro_shared_period));
-      }
-      std::fprintf(out, "\n");
-    }
-  }
-  std::fprintf(
-      out,
-      "     \"metrics\":{\"throughput_ops_per_sec\":%.3f,"
-      "\"spec_fraction\":%.6f,\"nonspec_fraction\":%.6f,"
-      "\"attempts_per_op\":%.6f,\"ops\":%llu,\"attempts\":%llu,"
-      "\"elapsed_cycles\":%llu,\"tx\":{\"begins\":%llu,\"commits\":%llu,"
-      "\"aborts\":%llu},",
-      m.throughput_ops_per_sec, m.spec_fraction, m.nonspec_fraction,
-      m.attempts_per_op, static_cast<unsigned long long>(m.ops),
-      static_cast<unsigned long long>(m.attempts),
-      static_cast<unsigned long long>(m.elapsed_cycles),
-      static_cast<unsigned long long>(m.tx_begins),
-      static_cast<unsigned long long>(m.tx_commits),
-      static_cast<unsigned long long>(m.tx_aborts));
-  std::fprintf(out, "\"aborts_by_cause\":{");
-  for (std::size_t c = 0; c < m.aborts_by_cause.size(); ++c) {
-    std::fprintf(out, "%s\"%s\":%llu", c == 0 ? "" : ",",
-                 tsx::to_string(static_cast<tsx::AbortCause>(c)),
-                 static_cast<unsigned long long>(m.aborts_by_cause[c]));
-  }
-  std::fprintf(out,
-               "},\"avalanche_episodes\":%llu,\"avalanche_victims\":%llu,",
-               static_cast<unsigned long long>(m.avalanche_episodes),
-               static_cast<unsigned long long>(m.avalanche_victims));
-  if (!m.phase_ops.empty()) {
-    std::fprintf(out, "\"phase_ops\":[");
-    for (std::size_t p = 0; p < m.phase_ops.size(); ++p) {
-      std::fprintf(out, "%s%llu", p == 0 ? "" : ",",
-                   static_cast<unsigned long long>(m.phase_ops[p]));
-    }
-    std::fprintf(out, "],");
-  }
-  if (!m.latency.empty()) {
-    std::fprintf(out, "\"latency\":{");
-    for (std::size_t l = 0; l < m.latency.size(); ++l) {
-      const auto& ol = m.latency[l];
-      std::fprintf(out,
-                   "%s\"%s\":{\"samples\":%llu,\"p50_cycles\":%llu,"
-                   "\"p99_cycles\":%llu,\"p999_cycles\":%llu,"
-                   "\"max_cycles\":%llu}",
-                   l == 0 ? "" : ",", support::json::escape(ol.op).c_str(),
-                   static_cast<unsigned long long>(ol.samples),
-                   static_cast<unsigned long long>(ol.p50_cycles),
-                   static_cast<unsigned long long>(ol.p99_cycles),
-                   static_cast<unsigned long long>(ol.p999_cycles),
-                   static_cast<unsigned long long>(ol.max_cycles));
-    }
-    std::fprintf(out, "},");
-  }
-  if (m.fp_owned_hits != 0 || m.fp_probe_skips != 0 ||
-      m.fp_bound_recomputes != 0) {
-    // Optional: points run with the fast path disabled (ELISION_FASTPATH=0)
-    // produce all-zero counters and stay byte-identical to the pre-fastpath
-    // schema.
-    std::fprintf(out,
-                 "\"fastpath\":{\"owned_hits\":%llu,\"probe_skips\":%llu,"
-                 "\"bound_recomputes\":%llu},",
-                 static_cast<unsigned long long>(m.fp_owned_hits),
-                 static_cast<unsigned long long>(m.fp_probe_skips),
-                 static_cast<unsigned long long>(m.fp_bound_recomputes));
-  }
-  std::fprintf(out, "\"sim_ops_per_sec\":%.3f,\"wall_ms\":%.3f}}",
-               m.sim_ops_per_sec, m.wall_ms);
-}
-
-}  // namespace
-
-void write_results_json(const SuiteResult& result, std::FILE* out) {
-  std::fprintf(out,
-               "{\n  \"schema_version\":%d,\n  \"suite\":\"elision-bench\",\n"
-               "  \"tier\":\"%s\",\n  \"run\":{\"duration_scale\":%g,"
-               "\"telemetry_compiled\":%s,"
-               "\"machine\":{\"n_cores\":%u,\"smt_per_core\":%u,"
-               "\"ghz\":%g},"
-               "\"host\":{\"cores\":%u,\"jobs\":%d,"
-               "\"jobs_mode\":\"%s\",\"host_threads\":%d,"
-               "\"total_wall_ms\":%.3f}},\n  \"points\":[\n",
-               kSuiteSchemaVersion, suite_tier_name(result.tier),
-               result.duration_scale,
-               result.telemetry_compiled ? "true" : "false", result.n_cores,
-               result.smt_per_core, result.ghz, result.host_cores,
-               result.jobs,
-               support::json::escape(result.jobs_mode).c_str(),
-               result.host_threads, result.total_wall_ms);
-  for (std::size_t i = 0; i < result.points.size(); ++i) {
-    write_point_json(result.points[i], out);
-    std::fprintf(out, "%s\n", i + 1 < result.points.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-}
-
-namespace {
-
-LockSel lock_from_name(const std::string& name) {
-  for (const LockSel l : {LockSel::kTtas, LockSel::kMcs, LockSel::kTicketAdj,
-                          LockSel::kClhAdj, LockSel::kTicket, LockSel::kClh}) {
-    if (name == lock_sel_name(l)) return l;
-  }
-  return LockSel::kTtas;
-}
-
-}  // namespace
-
-std::optional<SuiteResult> parse_results_json(
-    const support::json::Value& doc) {
-  using support::json::Value;
-  if (!doc.is_object()) return std::nullopt;
-  const Value* version = doc.find("schema_version");
-  if (version == nullptr ||
-      static_cast<int>(version->as_double()) != kSuiteSchemaVersion) {
-    return std::nullopt;
-  }
-  SuiteResult out;
-  if (const Value* tier = doc.find("tier")) {
-    const auto t = suite_tier_from_name(tier->as_string());
-    if (!t) return std::nullopt;
-    out.tier = *t;
-  }
-  if (const Value* run = doc.find("run")) {
-    out.duration_scale = run->find("duration_scale") != nullptr
-                             ? run->find("duration_scale")->as_double(1.0)
-                             : 1.0;
-    if (const Value* tc = run->find("telemetry_compiled")) {
-      out.telemetry_compiled = tc->as_bool();
-    }
-    if (const Value* machine = run->find("machine")) {
-      if (const Value* v = machine->find("n_cores")) {
-        out.n_cores = static_cast<unsigned>(v->as_u64());
-      }
-      if (const Value* v = machine->find("smt_per_core")) {
-        out.smt_per_core = static_cast<unsigned>(v->as_u64());
-      }
-      if (const Value* v = machine->find("ghz")) out.ghz = v->as_double();
-    }
-    if (const Value* host = run->find("host")) {
-      if (const Value* v = host->find("cores")) {
-        out.host_cores = static_cast<unsigned>(v->as_u64());
-      }
-      if (const Value* v = host->find("jobs")) {
-        out.jobs = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = host->find("jobs_mode")) {
-        out.jobs_mode = v->as_string();
-      }
-      if (const Value* v = host->find("host_threads")) {
-        out.host_threads = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = host->find("total_wall_ms")) {
-        out.total_wall_ms = v->as_double();
-      }
-    }
-  }
-  const Value* points = doc.find("points");
-  if (points == nullptr || !points->is_array()) return std::nullopt;
-  for (const Value& p : points->items()) {
-    if (!p.is_object()) return std::nullopt;
-    const Value* id = p.find("id");
-    const Value* metrics = p.find("metrics");
-    if (id == nullptr || metrics == nullptr || !metrics->is_object()) {
-      return std::nullopt;
-    }
-    PointRecord rec;
-    rec.def.id = id->as_string();
-    if (const Value* tier = p.find("tier")) {
-      if (const auto t = suite_tier_from_name(tier->as_string())) {
-        rec.def.tier = *t;
-      }
-    }
-    if (const Value* fig = p.find("figure")) rec.def.figure = fig->as_string();
-    if (const Value* v = p.find("kind")) {
-      rec.def.kind = v->as_string() == "micro"   ? PointKind::kMicro
-                     : v->as_string() == "btree" ? PointKind::kBtree
-                     : v->as_string() == "phase" ? PointKind::kPhase
-                     : v->as_string() == "kv"    ? PointKind::kKv
-                                                 : PointKind::kRb;
-    }
-    if (rec.def.kind == PointKind::kPhase) {
-      if (const Value* v = p.find("lock")) {
-        rec.def.phase.lock = lock_from_name(v->as_string());
-      }
-      if (const Value* v = p.find("scheme")) {
-        if (const auto pol = locks::ElisionPolicy::parse(v->as_string())) {
-          rec.def.phase.scheme = *pol;
-        }
-      }
-      if (const Value* v = p.find("size")) {
-        rec.def.phase.size = static_cast<std::size_t>(v->as_u64());
-      }
-      if (const Value* v = p.find("calm_update_pct")) {
-        rec.def.phase.calm_update_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("storm_update_pct")) {
-        rec.def.phase.storm_update_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("threads")) {
-        rec.def.phase.threads = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("seeds")) {
-        rec.def.phase.seeds = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("phase_sec")) {
-        rec.def.phase.phase_sec = v->as_double();
-      }
-      if (const Value* v = p.find("telemetry")) {
-        rec.def.phase.telemetry = v->as_bool();
-      }
-    } else if (rec.def.kind == PointKind::kBtree) {
-      if (const Value* v = p.find("lock")) {
-        rec.def.bt.lock = v->as_string() == "shared-mcs"
-                              ? SharedLockSel::kSharedMcs
-                              : SharedLockSel::kSharedTtas;
-      }
-      if (const Value* v = p.find("scheme")) {
-        if (const auto pol = locks::ElisionPolicy::parse(v->as_string())) {
-          rec.def.bt.policy = *pol;
-        }
-      }
-      if (const Value* v = p.find("size")) {
-        rec.def.bt.size = static_cast<std::size_t>(v->as_u64());
-      }
-      if (const Value* v = p.find("update_pct")) {
-        rec.def.bt.update_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("scan_pct")) {
-        rec.def.bt.scan_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("scan_len")) {
-        rec.def.bt.scan_len = static_cast<std::size_t>(v->as_u64());
-      }
-      if (const Value* v = p.find("threads")) {
-        rec.def.bt.threads = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("seeds")) {
-        rec.def.bt.seeds = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("telemetry")) {
-        rec.def.bt.telemetry = v->as_bool();
-      }
-    } else if (rec.def.kind == PointKind::kKv) {
-      if (const Value* v = p.find("scheme")) {
-        if (const auto pol = locks::ElisionPolicy::parse(v->as_string())) {
-          rec.def.kv.policy = *pol;
-        }
-      }
-      if (const Value* v = p.find("shards")) {
-        rec.def.kv.shards = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("keys")) {
-        rec.def.kv.keys = static_cast<std::size_t>(v->as_u64());
-      }
-      if (const Value* v = p.find("clients")) {
-        rec.def.kv.clients = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("client_rate_hz")) {
-        rec.def.kv.client_rate_hz = v->as_double();
-      }
-      if (const Value* v = p.find("zipf_theta")) {
-        rec.def.kv.zipf_theta = v->as_double();
-      }
-      if (const Value* v = p.find("put_pct")) {
-        rec.def.kv.put_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("multi_put_pct")) {
-        rec.def.kv.multi_put_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("transfer_pct")) {
-        rec.def.kv.transfer_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("multi_put_keys")) {
-        rec.def.kv.multi_put_keys = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("threads")) {
-        rec.def.kv.threads = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("seeds")) {
-        rec.def.kv.seeds = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("duration_sec")) {
-        rec.def.kv.duration_sec = v->as_double();
-      }
-      if (const Value* v = p.find("telemetry")) {
-        rec.def.kv.telemetry = v->as_bool();
-      }
-    } else {
-      if (const Value* v = p.find("lock")) {
-        rec.def.point.lock = lock_from_name(v->as_string());
-      }
-      if (const Value* v = p.find("size")) {
-        rec.def.point.size = static_cast<std::size_t>(v->as_u64());
-      }
-      if (const Value* v = p.find("update_pct")) {
-        rec.def.point.update_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("threads")) {
-        rec.def.point.threads = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("seeds")) {
-        rec.def.point.seeds = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("telemetry")) {
-        rec.def.point.telemetry = v->as_bool();
-      }
-      if (const Value* v = p.find("n_cores")) {
-        rec.def.point.n_cores = static_cast<unsigned>(v->as_u64());
-      }
-      if (const Value* v = p.find("smt_per_core")) {
-        rec.def.point.smt_per_core = static_cast<unsigned>(v->as_u64());
-      }
-      if (const Value* v = p.find("yield_slack_cycles")) {
-        rec.def.point.yield_slack_cycles = v->as_u64();
-      }
-      if (const Value* v = p.find("micro_ops")) {
-        rec.def.point.micro_ops = v->as_u64();
-      }
-      if (const Value* v = p.find("micro_shared_period")) {
-        rec.def.point.micro_shared_period = v->as_u64();
-      }
-    }
-    auto& m = rec.metrics;
-    auto num = [&](const char* key, double fallback = 0.0) {
-      const Value* v = metrics->find(key);
-      return v != nullptr ? v->as_double(fallback) : fallback;
-    };
-    m.throughput_ops_per_sec = num("throughput_ops_per_sec");
-    m.spec_fraction = num("spec_fraction");
-    m.nonspec_fraction = num("nonspec_fraction");
-    m.attempts_per_op = num("attempts_per_op");
-    m.ops = static_cast<std::uint64_t>(num("ops"));
-    m.attempts = static_cast<std::uint64_t>(num("attempts"));
-    m.elapsed_cycles = static_cast<std::uint64_t>(num("elapsed_cycles"));
-    if (const Value* tx = metrics->find("tx")) {
-      if (const Value* v = tx->find("begins")) m.tx_begins = v->as_u64();
-      if (const Value* v = tx->find("commits")) m.tx_commits = v->as_u64();
-      if (const Value* v = tx->find("aborts")) m.tx_aborts = v->as_u64();
-    }
-    const auto n_causes =
-        static_cast<std::size_t>(tsx::AbortCause::kCauseCount);
-    m.aborts_by_cause.assign(n_causes, 0);
-    if (const Value* causes = metrics->find("aborts_by_cause")) {
-      for (std::size_t c = 0; c < n_causes; ++c) {
-        const Value* v =
-            causes->find(tsx::to_string(static_cast<tsx::AbortCause>(c)));
-        if (v != nullptr) m.aborts_by_cause[c] = v->as_u64();
-      }
-    }
-    if (const Value* v = metrics->find("avalanche_episodes")) {
-      m.avalanche_episodes = v->as_u64();
-    }
-    if (const Value* v = metrics->find("avalanche_victims")) {
-      m.avalanche_victims = v->as_u64();
-    }
-    if (const Value* v = metrics->find("phase_ops")) {
-      for (const Value& item : v->items()) {
-        m.phase_ops.push_back(item.as_u64());
-      }
-    }
-    if (const Value* lat = metrics->find("latency")) {
-      for (const auto& mem : lat->members()) {
-        PointMetrics::OpLatencySummary s;
-        s.op = mem.key;
-        if (const Value* v = mem.value.find("samples")) {
-          s.samples = v->as_u64();
-        }
-        if (const Value* v = mem.value.find("p50_cycles")) {
-          s.p50_cycles = v->as_u64();
-        }
-        if (const Value* v = mem.value.find("p99_cycles")) {
-          s.p99_cycles = v->as_u64();
-        }
-        if (const Value* v = mem.value.find("p999_cycles")) {
-          s.p999_cycles = v->as_u64();
-        }
-        if (const Value* v = mem.value.find("max_cycles")) {
-          s.max_cycles = v->as_u64();
-        }
-        m.latency.push_back(std::move(s));
-      }
-    }
-    if (const Value* fp = metrics->find("fastpath")) {
-      if (const Value* v = fp->find("owned_hits")) m.fp_owned_hits = v->as_u64();
-      if (const Value* v = fp->find("probe_skips")) {
-        m.fp_probe_skips = v->as_u64();
-      }
-      if (const Value* v = fp->find("bound_recomputes")) {
-        m.fp_bound_recomputes = v->as_u64();
-      }
-    }
-    m.sim_ops_per_sec = num("sim_ops_per_sec");
-    m.wall_ms = num("wall_ms");
-    out.points.push_back(std::move(rec));
-  }
-  return out;
-}
-
-std::optional<SuiteResult> load_results_file(const std::string& path) {
-  const auto doc = support::json::parse_file(path.c_str());
-  if (!doc) return std::nullopt;
-  return parse_results_json(*doc);
 }
 
 // ---- regression gate ----
@@ -1108,15 +466,8 @@ GateReport compare_to_baseline(const SuiteResult& current,
            "baseline"});
     }
 
-    const bool cur_telemetry = cur.def.kind == PointKind::kBtree
-                                   ? cur.def.bt.telemetry
-                               : cur.def.kind == PointKind::kPhase
-                                   ? cur.def.phase.telemetry
-                               : cur.def.kind == PointKind::kKv
-                                   ? cur.def.kv.telemetry
-                                   : cur.def.point.telemetry;
     if (current.telemetry_compiled && baseline.telemetry_compiled &&
-        cur_telemetry &&
+        point_telemetry(cur.def) &&
         cm.avalanche_episodes != bm.avalanche_episodes) {
       report.notes.push_back(
           "point " + cur.def.id + ": avalanche episodes changed (" +
@@ -1319,7 +670,8 @@ std::vector<InvariantResult> check_invariants(const SuiteResult& result) {
   // (docs/adaptive.md): per phase, adaptive must commit at least 90% of the
   // best static scheme's ops — while each static scheme must itself fall
   // below that bar in at least one phase (i.e. no static scheme dominates;
-  // only the controller tracks the per-phase winner).
+  // only the controller tracks the per-phase winner) — and in total it must
+  // beat the worst static scheme.
   {
     const char* adaptive_id = "ph-s12-u10-100-t16-ttas-adaptive";
     const char* static_ids[] = {
@@ -1341,6 +693,8 @@ std::vector<InvariantResult> check_invariants(const SuiteResult& result) {
       out.push_back(skipped("adaptive-tracks-phase-winner",
                             "phase points not in this tier"));
       out.push_back(skipped("every-static-scheme-loses-a-phase",
+                            "phase points not in this tier"));
+      out.push_back(skipped("adaptive-beats-worst-static-total",
                             "phase points not in this tier"));
     } else {
       // Per-phase best among the static schemes.
@@ -1402,6 +756,23 @@ std::vector<InvariantResult> check_invariants(const SuiteResult& result) {
         if (ok) detail = "each static scheme trails in at least one phase";
         out.push_back({name, ok, false, detail});
       }
+      {
+        // The headline in one number: over the whole phase shift, adaptive
+        // commits more than the worst static scheme.
+        const char* name = "adaptive-beats-worst-static-total";
+        auto total = [](const PointRecord* p) {
+          std::uint64_t sum = 0;
+          for (const std::uint64_t ops : p->metrics.phase_ops) sum += ops;
+          return sum;
+        };
+        std::uint64_t worst = std::numeric_limits<std::uint64_t>::max();
+        for (const auto* p : statics) worst = std::min(worst, total(p));
+        std::snprintf(buf, sizeof buf,
+                      "adaptive %llu total commits vs worst static %llu",
+                      static_cast<unsigned long long>(total(ad)),
+                      static_cast<unsigned long long>(worst));
+        out.push_back({name, total(ad) > worst, false, buf});
+      }
     }
   }
 
@@ -1415,7 +786,7 @@ std::vector<InvariantResult> check_invariants(const SuiteResult& result) {
     bool ok = true;
     std::string detail;
     for (const auto& rec : result.points) {
-      if (rec.def.kind != PointKind::kKv) continue;
+      if (rec.def.kind() != PointKind::kKv) continue;
       ++kv_points;
       const auto& lat = rec.metrics.latency;
       if (lat.size() != static_cast<std::size_t>(service::kKvOpKinds)) {

@@ -1,11 +1,15 @@
 // Benchmark-suite orchestration: a curated, tiered set of (scheme x lock x
-// workload) points drawn from the figure/table/ablation benches, run through
-// the shared RB-tree workload, with
+// workload) points drawn from the figure/table/ablation benches. Each point
+// holds exactly one workload definition — RB-tree, engine microbenchmark,
+// B+tree, phase-shifting RB-tree or sharded KV service — and runs through
+// that workload's library entry point, with
 //
 //   - canonical machine-readable results (BENCH_results.json) carrying
 //     per-point throughput, spec/nonspec fractions, attempts-per-op, the
 //     abort-cause matrix and avalanche episode counts, plus run metadata
-//     (seeds, duration scale, machine config, telemetry availability);
+//     (seeds, duration scale, machine config, telemetry availability),
+//     written and parsed through one field table per workload kind
+//     (suite_schema.cpp);
 //   - regression gating against a committed baseline with per-metric
 //     relative tolerances; and
 //   - the paper's qualitative invariants (Ch. 5/6) checked on every run,
@@ -22,9 +26,12 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "harness/bt_workload.hpp"
+#include "harness/micro_point.hpp"
 #include "harness/phase_workload.hpp"
 #include "harness/rb_workload.hpp"
 #include "service/kv_workload.hpp"
@@ -46,21 +53,37 @@ std::optional<SuiteTier> suite_tier_from_name(const std::string& name);
 // (harness/micro_point.hpp) whose sim_ops_per_sec tracks simulator speed
 // itself, the phase-shifting RB-tree benchmark behind the adaptive
 // headline (harness/phase_workload.hpp), or the sharded KV service under
-// Zipf-skewed open-loop traffic (service/kv_workload.hpp).
+// Zipf-skewed open-loop traffic (service/kv_workload.hpp). The enumerators
+// follow the PointWorkload alternatives.
 enum class PointKind { kRb, kMicro, kBtree, kPhase, kKv };
+using PointWorkload = std::variant<RbPoint, MicroPoint, BtPoint, PhasePoint,
+                                   service::KvPoint>;
 
 const char* point_kind_name(PointKind k);
 
 struct SuitePoint {
   std::string id;      // stable key used for baseline matching
-  SuiteTier tier;      // smoke points are a subset of the full tier
+  SuiteTier tier = SuiteTier::kSmoke;  // smoke is a subset of the full tier
   std::string figure;  // paper figure/table the point reproduces
-  PointKind kind = PointKind::kRb;
-  RbPoint point;       // for kMicro only threads/size/seed are meaningful
-  BtPoint bt;          // kBtree only
-  PhasePoint phase;    // kPhase only
-  service::KvPoint kv; // kKv only
+  PointWorkload workload;
+
+  PointKind kind() const { return static_cast<PointKind>(workload.index()); }
 };
+
+// ---- the point schema (suite_schema.cpp): one field table per kind ----
+
+// The id a workload is registered under, e.g. rb-s64-u20-t8-mcs-hle; a
+// big-machine point ends in its shape, -m<cores>x<smt>.
+std::string point_id(const PointWorkload& w);
+
+// bench_suite --list: the point's fields that fill `column`, as their JSON
+// values joined with '/', or "-" when its kind lists none there.
+inline constexpr const char* kPointListColumns[] = {"lock", "scheme", "size",
+                                                    "upd%", "thr",    "seeds"};
+std::string point_column(const SuitePoint& sp, std::string_view column);
+
+// Whether the point records telemetry (its "telemetry" field).
+bool point_telemetry(const SuitePoint& sp);
 
 // The curated list, smoke points first. Ids are unique.
 const std::vector<SuitePoint>& suite_points();
@@ -159,8 +182,8 @@ struct SuiteRunOptions {
   // Same for sim_ops_per_sec: the planted-slowdown self-check proving the
   // simulator-speed gate fires.
   double plant_simops_factor = 1.0;
-  // Host threads each point's multi-seed fan-out may use
-  // (RbPoint::host_threads; support/parallel.hpp). Simulated metrics are
+  // Host threads each point's multi-seed fan-out may use (run_seeds in
+  // harness/runner.hpp). Simulated metrics are
   // byte-identical at any value — only wall_ms / sim_ops_per_sec change.
   int host_threads = 1;
   // Progress callback, called after each point completes. May be null.
@@ -181,7 +204,9 @@ PointRecord run_suite_point(const SuitePoint& sp, int host_threads = 1);
 void write_results_json(const SuiteResult& result, std::FILE* out);
 
 // Parses a document produced by write_results_json (e.g. the committed
-// baseline). Nullopt on schema mismatch or malformed input.
+// baseline). Nullopt on schema mismatch or malformed input — including a
+// point whose kind, lock, scheme or tier does not parse. Absent point
+// fields keep their defaults. write(parse(write(r))) == write(r).
 std::optional<SuiteResult> parse_results_json(const support::json::Value& doc);
 std::optional<SuiteResult> load_results_file(const std::string& path);
 

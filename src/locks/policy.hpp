@@ -120,13 +120,6 @@ struct ElisionPolicy {
 
   ElisionPolicy() = default;
 
-  // Compatibility shim: a bare Scheme converts to the policy the old
-  // switch-based dispatch would have built for it.
-  [[deprecated(
-      "construct via a named constructor (ElisionPolicy::hle_scm()), "
-      "ElisionPolicy::from_scheme(s), or ElisionPolicy::parse(spec)")]]
-  ElisionPolicy(Scheme s) : ElisionPolicy(from_scheme(s)) {}  // NOLINT
-
   // --- named constructors (the paper's six schemes + extras) ---
   static ElisionPolicy standard() { return with(Scheme::kStandard); }
   static ElisionPolicy hle() { return with(Scheme::kHle); }

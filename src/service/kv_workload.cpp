@@ -4,7 +4,6 @@
 
 #include "service/sharded_kv.hpp"
 #include "service/traffic.hpp"
-#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace elision::service {
@@ -128,34 +127,23 @@ RunStats run_kv_point_once(const KvPoint& p) {
 }
 
 RunStats run_kv_point(const KvPoint& p) {
-  const int n = p.seeds > 0 ? p.seeds : 1;
-  // Independent simulations fanned out over host threads, merged in seed
-  // order — byte-identical to host_threads=1 (see run_rb_point).
-  std::vector<RunStats> per_seed(static_cast<std::size_t>(n));
   std::vector<std::vector<std::uint64_t>> shard_reqs(
-      static_cast<std::size_t>(n));
-  support::parallel_for_each(
-      static_cast<std::size_t>(n),
-      [&](std::size_t s) {
+      static_cast<std::size_t>(p.seeds > 0 ? p.seeds : 1));
+  RunStats total = harness::run_seeds(
+      p.seeds, p.seed, p.host_threads, [&](std::size_t s, std::uint64_t seed) {
         KvPoint q = p;
         q.host_threads = 1;
-        q.seed = p.seed + static_cast<std::uint64_t>(s) * 0x9E3779B9ULL;
+        q.seed = seed;
         q.shard_requests =
             p.shard_requests != nullptr ? &shard_reqs[s] : nullptr;
-        per_seed[s] = run_kv_point_once(q);
-      },
-      p.host_threads);
-  RunStats total;
+        return run_kv_point_once(q);
+      });
   if (p.shard_requests != nullptr) {
     p.shard_requests->assign(static_cast<std::size_t>(p.shards), 0);
-  }
-  for (int s = 0; s < n; ++s) {
-    total.accumulate(per_seed[static_cast<std::size_t>(s)]);
-    if (p.shard_requests != nullptr) {
+    for (const auto& reqs : shard_reqs) {
       for (int i = 0; i < p.shards; ++i) {
         (*p.shard_requests)[static_cast<std::size_t>(i)] +=
-            shard_reqs[static_cast<std::size_t>(s)]
-                      [static_cast<std::size_t>(i)];
+            reqs[static_cast<std::size_t>(i)];
       }
     }
   }

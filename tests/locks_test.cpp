@@ -513,16 +513,5 @@ TEST(PolicySpec, ParseRejectsOutOfRangeKnobValues) {
   EXPECT_FALSE(ElisionPolicy::parse("adaptive:window=+3").has_value());
 }
 
-TEST(PolicySpec, DeprecatedSchemeConversionStillWorks) {
-  // The implicit Scheme conversion is deprecated but must keep functioning
-  // until the last out-of-tree caller migrates.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const ElisionPolicy p = Scheme::kHleScm;
-#pragma GCC diagnostic pop
-  EXPECT_EQ(p.scheme, Scheme::kHleScm);
-  EXPECT_EQ(p.spec(), "hle-scm");
-}
-
 }  // namespace
 }  // namespace elision::locks

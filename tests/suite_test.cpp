@@ -6,8 +6,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <string>
+#include <utility>
+#include <variant>
 
 #include "harness/micro_point.hpp"
 #include "harness/rb_workload.hpp"
@@ -40,23 +43,52 @@ TEST(SuitePoints, MicroEngineCanariesAreRegisteredInSmoke) {
   const SuitePoint* t64 = nullptr;
   int micros = 0;
   for (const auto& sp : smoke) {
-    if (sp.kind != PointKind::kMicro) continue;
+    if (sp.kind() != PointKind::kMicro) continue;
     ++micros;
-    EXPECT_STREQ(point_kind_name(sp.kind), "micro");
+    EXPECT_STREQ(point_kind_name(sp.kind()), "micro");
     if (sp.id == "micro-engine-rtm-t8") t8 = &sp;
     if (sp.id == "micro-engine-rtm-t64") t64 = &sp;
   }
   EXPECT_EQ(micros, 2);
   ASSERT_NE(t8, nullptr);
   ASSERT_NE(t64, nullptr);
-  // The t8 canary keeps the seed's machine shape (no overrides emitted, so
-  // its baseline line is byte-identical to the pre-ready-queue one).
-  EXPECT_EQ(t8->point.n_cores, 0u);
-  EXPECT_EQ(t8->point.micro_ops, 0u);
+  // The t8 canary keeps the seed's machine shape and op count (no overrides
+  // emitted, so its baseline line is byte-identical to the
+  // pre-ready-queue one).
+  const auto& m8 = std::get<MicroPoint>(t8->workload);
+  EXPECT_EQ(m8.n_cores, 0u);
+  EXPECT_EQ(m8.ops_per_thread, MicroPoint{}.ops_per_thread);
   // The t64 canary runs the 32-core / 2-SMT big machine.
-  EXPECT_EQ(t64->point.threads, 64);
-  EXPECT_EQ(t64->point.n_cores, 32u);
-  EXPECT_EQ(t64->point.smt_per_core, 2u);
+  const auto& m64 = std::get<MicroPoint>(t64->workload);
+  EXPECT_EQ(m64.threads, 64);
+  EXPECT_EQ(m64.n_cores, 32u);
+  EXPECT_EQ(m64.smt_per_core, 2u);
+}
+
+TEST(SuitePoints, ListColumnsComeFromTheFieldTables) {
+  auto find = [](const char* id) {
+    for (const auto& sp : suite_points()) {
+      if (sp.id == id) return sp;
+    }
+    ADD_FAILURE() << id;
+    return SuitePoint{};
+  };
+  const SuitePoint micro = find("micro-engine-rtm-t64");
+  EXPECT_EQ(point_column(micro, "lock"), "TTAS");
+  EXPECT_EQ(point_column(micro, "scheme"), "standard");
+  EXPECT_EQ(point_column(micro, "size"), "16384");
+  const SuitePoint kv = find("kv-sh8-k8192-z99-u30-t8-hle");
+  EXPECT_EQ(point_column(kv, "lock"), "-");  // not a kv field
+  EXPECT_EQ(point_column(kv, "upd%"), "20/5/5");
+  EXPECT_EQ(point_column(kv, "size"), "8192");
+  const SuitePoint ph = find("ph-s12-u10-100-t16-ttas-hle-scm");
+  EXPECT_EQ(point_column(ph, "upd%"), "10/100");
+  EXPECT_EQ(point_column(ph, "scheme"), "hle-scm");
+  EXPECT_EQ(point_column(ph, "thr"), "16");
+  EXPECT_TRUE(point_telemetry(find("kv-sh8-k8192-z120-u50-t8-hle")));
+  EXPECT_FALSE(point_telemetry(micro));
+  EXPECT_EQ(point_id(find("rb-s64-u20-t128-ttas-hle-scm-m64x2").workload),
+            "rb-s64-u20-t128-ttas-hle-scm-m64x2");
 }
 
 // The micro point is the simulator-speed canary: its simulated metrics must
@@ -202,15 +234,6 @@ TEST(SuiteJson, ResultsRoundTrip) {
     const auto& b = parsed->points[i];
     EXPECT_EQ(b.def.id, a.def.id);  // insertion order preserved
     EXPECT_EQ(b.def.tier, a.def.tier);
-    // Machine-shape / micro-shape overrides survive the round trip (emitted
-    // only when set; the t64 canary in this grid sets all of them).
-    EXPECT_EQ(b.def.point.n_cores, a.def.point.n_cores) << a.def.id;
-    EXPECT_EQ(b.def.point.smt_per_core, a.def.point.smt_per_core) << a.def.id;
-    EXPECT_EQ(b.def.point.yield_slack_cycles, a.def.point.yield_slack_cycles)
-        << a.def.id;
-    EXPECT_EQ(b.def.point.micro_ops, a.def.point.micro_ops) << a.def.id;
-    EXPECT_EQ(b.def.point.micro_shared_period, a.def.point.micro_shared_period)
-        << a.def.id;
     EXPECT_NEAR(b.metrics.throughput_ops_per_sec,
                 a.metrics.throughput_ops_per_sec, 1.0);
     EXPECT_NEAR(b.metrics.nonspec_fraction, a.metrics.nonspec_fraction, 1e-6);
@@ -245,8 +268,100 @@ TEST(SuiteJson, HostMetadataAndSimSpeedRoundTrip) {
   EXPECT_NEAR(parsed->points[0].metrics.wall_ms, 42.125, 1e-3);
   // Point kinds survive the round trip.
   for (std::size_t i = 0; i < orig.points.size(); ++i) {
-    EXPECT_EQ(parsed->points[i].def.kind, orig.points[i].def.kind)
+    EXPECT_EQ(parsed->points[i].def.kind(), orig.points[i].def.kind())
         << orig.points[i].def.id;
+  }
+}
+
+// Every full-tier point — all five kinds, the t64 canary's overrides and
+// the big-machine shapes — with every optional metrics object present,
+// written, parsed and written again must come back as the same text. Seeds
+// and durations are moved off their defaults first: a parser that dropped
+// one of them would otherwise still reproduce the default.
+TEST(SuiteJson, WriteParseWriteIsByteIdentical) {
+  SuiteResult orig = tiny_result();
+  orig.tier = SuiteTier::kFull;
+  orig.points.clear();
+  std::uint64_t i = 0;
+  for (const auto& sp : suite_points_for(SuiteTier::kFull)) {
+    PointRecord rec = tiny_result().points[0];
+    rec.def = sp;
+    std::visit(
+        [&](auto& p) {
+          p.seed += i;
+          if constexpr (requires { p.duration_sec; }) p.duration_sec *= 2;
+        },
+        rec.def.workload);
+    rec.metrics.ops += i++;
+    rec.metrics.phase_ops = {i, 2 * i, 3 * i};
+    rec.metrics.latency = {{"get", 10, 1, 2, 3, 4}, {"put", 5, 6, 7, 8, 9}};
+    rec.metrics.fp_owned_hits = i;
+    rec.metrics.fp_bound_recomputes = 7;
+    rec.metrics.sim_ops_per_sec = 1234.5;
+    rec.metrics.wall_ms = 6.789;
+    orig.points.push_back(std::move(rec));
+  }
+  std::set<PointKind> kinds;
+  for (const auto& p : orig.points) kinds.insert(p.def.kind());
+  ASSERT_EQ(kinds.size(), 5u);
+
+  const std::string text = to_json_string(orig);
+  const auto doc = support::json::parse(text);
+  ASSERT_TRUE(doc.has_value()) << text;
+  const auto parsed = parse_results_json(*doc);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(to_json_string(*parsed), text);
+}
+
+// The committed baseline parses and rewrites byte for byte, and so does the
+// registry's own definition of every point carrying the baseline's metrics:
+// the field tables reproduce every historical point line.
+TEST(SuiteJson, CommittedBaselineRewritesByteIdentical) {
+  std::string committed;
+  {
+    std::FILE* f = std::fopen(ELISION_BASELINE_JSON, "rb");
+    ASSERT_NE(f, nullptr);
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
+      committed.append(buf, n);
+    }
+    std::fclose(f);
+  }
+  const auto base = load_results_file(ELISION_BASELINE_JSON);
+  ASSERT_TRUE(base.has_value());
+  EXPECT_EQ(to_json_string(*base), committed);
+
+  const auto full = suite_points_for(SuiteTier::kFull);
+  ASSERT_EQ(full.size(), base->points.size());
+  SuiteResult regen = *base;
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    EXPECT_EQ(full[i].id, base->points[i].def.id);
+    regen.points[i].def = full[i];
+  }
+  EXPECT_EQ(to_json_string(regen), committed);
+}
+
+TEST(SuiteJson, RejectsMalformedPointFields) {
+  const std::string good = to_json_string(tiny_result());
+  ASSERT_TRUE(parse_results_json(*support::json::parse(good)).has_value());
+  const std::pair<const char*, const char*> corruptions[] = {
+      {"\"kind\":\"rb\"", "\"kind\":\"rbx\""},
+      {"\"lock\":\"MCS\"", "\"lock\":\"MCSX\""},
+      {"\"lock\":\"shared-ttas\"", "\"lock\":\"shared-mcsx\""},
+      {"\"scheme\":\"hle-scm\"", "\"scheme\":\"hle-scmx\""},
+      {"\"tier\":\"smoke\",\"figure\"", "\"tier\":\"smokey\",\"figure\""},
+      {"\"seeds\":2", "\"seeds\":-2"},
+      {"\"telemetry\":true", "\"telemetry\":1"},
+  };
+  for (const auto& [from, to] : corruptions) {
+    std::string bad = good;
+    const auto at = bad.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    bad.replace(at, std::strlen(from), to);
+    const auto doc = support::json::parse(bad);
+    ASSERT_TRUE(doc.has_value()) << to;
+    EXPECT_FALSE(parse_results_json(*doc).has_value()) << to;
   }
 }
 
@@ -392,7 +507,7 @@ TEST(SuiteInvariants, MissingPointsAreSkippedNotFailed) {
 TEST(SuiteRun, PointIsDeterministic) {
   const auto points = suite_points_for(SuiteTier::kSmoke);
   ASSERT_FALSE(points.empty());
-  RbPoint p = points[1].point;  // ttas-hle
+  RbPoint p = std::get<RbPoint>(points[1].workload);  // ttas-hle
   p.duration_sec = 0.0005;
   const PointMetrics a = PointMetrics::derive(run_rb_point(p));
   const PointMetrics b = PointMetrics::derive(run_rb_point(p));

@@ -30,6 +30,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -288,9 +290,9 @@ int run_parallel(const Options& o, const char* argv0,
                    frags[i].c_str());
       return 2;
     }
-    // Keep the registry's point definition (the fragment's survives a JSON
-    // round-trip, but the registry is the source of truth) and the child's
-    // measured metrics.
+    // Keep the registry's point definition (the source of truth; the
+    // fragment's parses back to the same fields) and the child's measured
+    // metrics.
     out.points.push_back({pts[i], frag->points[0].metrics});
     std::remove(frags[i].c_str());
   }
@@ -332,48 +334,36 @@ int main(int argc, char** argv) {
   Options o = parse(argc, argv);
 
   if (o.list) {
-    harness::Table table({"id", "tier", "figure", "kind", "lock", "scheme",
-                          "size", "upd%", "thr", "seeds"});
+    std::vector<std::string> header = {"id", "tier", "figure", "kind"};
+    header.insert(header.end(), std::begin(harness::kPointListColumns),
+                  std::end(harness::kPointListColumns));
+    harness::Table table(header);
     for (const auto& sp : harness::suite_points_for(o.tier)) {
-      const bool rb = sp.kind == harness::PointKind::kRb;
-      const bool ph = sp.kind == harness::PointKind::kPhase;
-      const bool kv = sp.kind == harness::PointKind::kKv;
-      // Phase points show their calm/storm mix as "calm-storm"; kv points
-      // show the total update share (put + multi_put + transfer).
-      const std::string upd =
-          rb   ? std::to_string(sp.point.update_pct)
-          : ph ? std::to_string(sp.phase.calm_update_pct) + "-" +
-                     std::to_string(sp.phase.storm_update_pct)
-          : kv ? std::to_string(sp.kv.put_pct + sp.kv.multi_put_pct +
-                                sp.kv.transfer_pct)
-               : "-";
-      table.add_row(
-          {sp.id, harness::suite_tier_name(sp.tier), sp.figure,
-           harness::point_kind_name(sp.kind),
-           rb   ? harness::lock_sel_name(sp.point.lock)
-           : ph ? harness::lock_sel_name(sp.phase.lock)
-           : kv ? "ttas"
-                : "-",
-           rb   ? sp.point.scheme.name()
-           : ph ? sp.phase.scheme.name()
-           : kv ? sp.kv.policy.name()
-                : "-",
-           harness::fmt_int(ph   ? sp.phase.size
-                            : kv ? sp.kv.keys
-                                 : sp.point.size),
-           upd,
-           std::to_string(ph   ? sp.phase.threads
-                          : kv ? sp.kv.threads
-                               : sp.point.threads),
-           std::to_string(ph   ? sp.phase.seeds
-                          : kv ? sp.kv.seeds
-                               : sp.point.seeds)});
+      std::vector<std::string> row = {sp.id, harness::suite_tier_name(sp.tier),
+                                      sp.figure,
+                                      harness::point_kind_name(sp.kind())};
+      for (const char* column : harness::kPointListColumns) {
+        row.push_back(harness::point_column(sp, column));
+      }
+      table.add_row(std::move(row));
     }
     table.print();
     return 0;
   }
 
   if (!o.point_id.empty()) return run_child(o);
+
+  // Parse the baseline before running anything, so a malformed one fails
+  // fast (exit 2) instead of after the whole tier.
+  std::optional<harness::SuiteResult> baseline;
+  if (o.gate) {
+    baseline = harness::load_results_file(o.baseline_file);
+    if (!baseline) {
+      std::fprintf(stderr, "bench_suite: cannot parse baseline %s\n",
+                   o.baseline_file.c_str());
+      return 2;
+    }
+  }
 
 #if !ELISION_SUITE_HAS_SUBPROCESS
   if (o.jobs > 1 && o.jobs_mode == "fork") {
@@ -475,13 +465,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (o.gate) {
-    const auto baseline = harness::load_results_file(o.baseline_file);
-    if (!baseline) {
-      std::fprintf(stderr, "bench_suite: cannot parse baseline %s\n",
-                   o.baseline_file.c_str());
-      return 2;
-    }
+  if (baseline) {
     const auto report =
         harness::compare_to_baseline(result, *baseline, o.tol);
     harness::print_gate_report(report, report.ok() ? stdout : stderr);
