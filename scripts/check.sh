@@ -326,12 +326,15 @@ for cli_bad in \
     "elide --size 99999999999999999999999" \
     "trace_dump --window 0" \
     "trace_dump --threads ''" \
+    "trace_dump --threads 257" \
+    "trace_dump --lock bogus" \
     "stress_cli --seeds 1e9junk" \
     "stress_cli --threads 1x" \
     "stress_cli --prob 1.5" \
     "stress_cli --first-seed -2" \
     "elide tree --threads 0" \
     "elide tree --threads 257" \
+    "elide tree --lock bogus" \
     "stress_cli --threads 0" \
     "stress_cli --threads 300" \
     "bench_suite --point no-such-point-id --out /dev/null"

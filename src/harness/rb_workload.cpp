@@ -1,6 +1,7 @@
 #include "harness/rb_workload.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <type_traits>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "locks/schemes.hpp"
 #include "locks/ticket_lock.hpp"
 #include "locks/ttas_lock.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace elision::harness {
@@ -26,12 +28,96 @@ const char* lock_sel_name(LockSel s) {
   return "?";
 }
 
+std::string lock_sel_slug(LockSel s) {
+  std::string out = lock_sel_name(s);
+  for (char& c : out) c = static_cast<char>(std::tolower(c));
+  return out;
+}
+
+std::optional<LockSel> parse_lock_sel(std::string_view slug) {
+  for (const LockSel s : kAllLockSels) {
+    if (lock_sel_slug(s) == slug) return s;
+  }
+  return std::nullopt;
+}
+
+namespace detail {
 namespace {
 
 template <typename Lock>
-RunStats run_rb_with_lock(const RbPoint& p, ds::RbTree& tree) {
+RunStats run_tree_with_lock(const BenchConfig& cfg, const TreeRun& run,
+                            ds::RbTree& tree) {
   Lock lock;
-  locks::CriticalSection<Lock> cs(p.scheme, lock);
+  locks::CriticalSection<Lock> cs(cfg.policy, lock);
+  const std::uint64_t domain = run.size * 2;
+  auto stats = run_workload(cfg, [&](tsx::Ctx& ctx) {
+    auto& st = ctx.thread();
+    const int update_pct =
+        run.phase_cycles != 0 && st.now() / run.phase_cycles == 1
+            ? run.storm_update_pct
+            : run.update_pct;
+    const int half_updates = update_pct / 2;
+    auto& rng = st.rng();
+    const std::uint64_t key = rng.next_below(domain);
+    const auto dice = static_cast<int>(rng.next_below(100));
+    return cs.run(ctx, [&] {
+      if (dice < half_updates) {
+        tree.insert(ctx, key);
+      } else if (dice < update_pct) {
+        tree.erase(ctx, key);
+      } else {
+        tree.contains(ctx, key);
+      }
+    });
+  });
+  if constexpr (std::is_same_v<Lock, locks::TtasLock>) {
+    if (run.arrival_held_frac != nullptr) {
+      *run.arrival_held_frac =
+          lock.arrivals() > 0
+              ? static_cast<double>(lock.arrivals_lock_held()) /
+                    static_cast<double>(lock.arrivals())
+              : 0.0;
+    }
+  }
+  if (run.adaptive_out != nullptr) *run.adaptive_out = cs.adaptive();
+  return stats;
+}
+
+}  // namespace
+
+RunStats run_tree(const BenchConfig& cfg, const TreeRun& run) {
+  // max_threads stays at the default for every historical point (the free
+  // array's shape feeds the simulated access stream, so changing it would
+  // shift baselines); the 128/256-thread machine-scale points need the
+  // per-thread free lists sized to match.
+  ds::RbTree tree(run.size * 4 + 256,
+                  std::max(cfg.threads, tsx::kDefaultPoolThreads));
+  support::Xoshiro256 fill(cfg.machine.seed);
+  std::size_t filled = 0;
+  while (filled < run.size) {
+    if (tree.unsafe_insert(fill.next_below(run.size * 2))) ++filled;
+  }
+  tree.unsafe_distribute_free_lists(cfg.threads);
+  switch (run.lock) {
+    case LockSel::kTtas:
+      return run_tree_with_lock<locks::TtasLock>(cfg, run, tree);
+    case LockSel::kMcs:
+      return run_tree_with_lock<locks::McsLock>(cfg, run, tree);
+    case LockSel::kTicketAdj:
+      return run_tree_with_lock<locks::TicketLockAdjusted>(cfg, run, tree);
+    case LockSel::kClhAdj:
+      return run_tree_with_lock<locks::ClhLockAdjusted>(cfg, run, tree);
+    case LockSel::kTicket:
+      return run_tree_with_lock<locks::TicketLock>(cfg, run, tree);
+    case LockSel::kClh:
+      return run_tree_with_lock<locks::ClhLock>(cfg, run, tree);
+  }
+  return {};
+}
+
+}  // namespace detail
+
+RunStats run_rb_point_once(const RbPoint& p) {
   BenchConfig cfg;
   cfg.threads = p.threads;
   cfg.duration_sec = p.duration_sec;
@@ -46,68 +132,19 @@ RunStats run_rb_with_lock(const RbPoint& p, ds::RbTree& tree) {
   cfg.timeline_slot_cycles = p.timeline_slot_cycles;
   cfg.policy = p.scheme;
   cfg.telemetry = p.telemetry;
+  cfg.telemetry_sink = p.telemetry_sink;
   cfg.avalanche = p.avalanche;
-  const std::uint64_t domain = p.size * 2;
-  const int half_updates = p.update_pct / 2;
-  auto stats = run_workload(cfg, [&](tsx::Ctx& ctx) {
-    auto& rng = ctx.thread().rng();
-    const std::uint64_t key = rng.next_below(domain);
-    const auto dice = static_cast<int>(rng.next_below(100));
-    return cs.run(ctx, [&] {
-      if (dice < half_updates) {
-        tree.insert(ctx, key);
-      } else if (dice < p.update_pct) {
-        tree.erase(ctx, key);
-      } else {
-        tree.contains(ctx, key);
-      }
-    });
-  });
-  if constexpr (std::is_same_v<Lock, locks::TtasLock>) {
-    if (p.arrival_held_frac != nullptr) {
-      *p.arrival_held_frac =
-          lock.arrivals() > 0
-              ? static_cast<double>(lock.arrivals_lock_held()) /
-                    static_cast<double>(lock.arrivals())
-              : 0.0;
-    }
-  }
-  return stats;
-}
-
-}  // namespace
-
-RunStats run_rb_point_once(const RbPoint& p) {
-  // max_threads stays at the default for every historical point (the free
-  // array's shape feeds the simulated access stream, so changing it would
-  // shift baselines); the 128/256-thread machine-scale points need the
-  // per-thread free lists sized to match.
-  ds::RbTree tree(p.size * 4 + 256,
-                  std::max(p.threads, tsx::kDefaultPoolThreads));
-  support::Xoshiro256 fill(p.seed);
-  std::size_t filled = 0;
-  while (filled < p.size) {
-    if (tree.unsafe_insert(fill.next_below(p.size * 2))) ++filled;
-  }
-  tree.unsafe_distribute_free_lists(p.threads);
-  switch (p.lock) {
-    case LockSel::kTtas:
-      return run_rb_with_lock<locks::TtasLock>(p, tree);
-    case LockSel::kMcs:
-      return run_rb_with_lock<locks::McsLock>(p, tree);
-    case LockSel::kTicketAdj:
-      return run_rb_with_lock<locks::TicketLockAdjusted>(p, tree);
-    case LockSel::kClhAdj:
-      return run_rb_with_lock<locks::ClhLockAdjusted>(p, tree);
-    case LockSel::kTicket:
-      return run_rb_with_lock<locks::TicketLock>(p, tree);
-    case LockSel::kClh:
-      return run_rb_with_lock<locks::ClhLock>(p, tree);
-  }
-  return {};
+  return detail::run_tree(cfg, {.size = p.size,
+                                .lock = p.lock,
+                                .update_pct = p.update_pct,
+                                .arrival_held_frac = p.arrival_held_frac,
+                                .adaptive_out = p.adaptive_out});
 }
 
 RunStats run_rb_point(const RbPoint& p) {
+  ELISION_CHECK_MSG(p.telemetry_sink == nullptr && p.adaptive_out == nullptr,
+                    "run_rb_point merges seeds; observe one run with "
+                    "run_rb_point_once");
   const int n = p.seeds > 0 ? p.seeds : 1;
   std::vector<double> arrivals(static_cast<std::size_t>(n), 0.0);
   RunStats total = run_seeds(

@@ -8,14 +8,27 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
 
 #include "harness/runner.hpp"
+#include "locks/adaptive.hpp"
 
 namespace elision::harness {
 
 enum class LockSel { kTtas, kMcs, kTicketAdj, kClhAdj, kTicket, kClh };
 
+inline constexpr LockSel kAllLockSels[] = {
+    LockSel::kTtas,   LockSel::kMcs, LockSel::kTicketAdj,
+    LockSel::kClhAdj, LockSel::kTicket, LockSel::kClh};
+
 const char* lock_sel_name(LockSel s);
+
+// Lower-case lock_sel_name ("ttas", "ticket-adj", ...): the spelling of
+// suite point ids and of every CLI's --lock flag.
+std::string lock_sel_slug(LockSel s);
+std::optional<LockSel> parse_lock_sel(std::string_view slug);
 
 struct RbPoint {
   std::size_t size = 128;
@@ -48,9 +61,18 @@ struct RbPoint {
   // — only host wall time changes. Never affects a point with seeds <= 1.
   int host_threads = 1;
 
-  // Out-param: fraction of TTAS lock arrivals that found the lock held
-  // (the boxed series of Fig 3.1). Only filled for LockSel::kTtas.
+  // Observation out-params. None of them changes a simulated result, and
+  // none is part of the point schema.
+  //
+  // Fraction of TTAS lock arrivals that found the lock held (the boxed
+  // series of Fig 3.1). Only filled for LockSel::kTtas.
   double* arrival_held_frac = nullptr;
+  // Caller-owned event sink (BenchConfig::telemetry_sink; implies
+  // `telemetry`), so the raw event stream outlives the run.
+  tsx::Telemetry* telemetry_sink = nullptr;
+  // Receives a copy of the critical section's adaptive controller after the
+  // run (its decision trace and final mode; docs/adaptive.md).
+  locks::AdaptiveController* adaptive_out = nullptr;
 };
 
 // Builds the tree (random keys from a domain of 2*size, as in Ch. 3) and
@@ -59,8 +81,30 @@ RunStats run_rb_point_once(const RbPoint& p);
 
 // Accumulates `p.seeds` independent runs (the paper averages 10 three-second
 // runs per point). Every RunStats field is merged, including per-slot
-// timelines.
+// timelines. arrival_held_frac receives the seed average; telemetry_sink
+// and adaptive_out describe a single run, so they must be null here.
 RunStats run_rb_point(const RbPoint& p);
+
+namespace detail {
+
+// The one RB-tree run behind run_rb_point_once and run_phase_point_once:
+// prefills a tree from cfg.machine.seed, guards it with `lock` elided by
+// cfg.policy, and runs the random insert/erase/contains mix under cfg.
+struct TreeRun {
+  std::size_t size = 0;
+  LockSel lock = LockSel::kTtas;
+  int update_pct = 0;  // split evenly between inserts and deletes
+  // The phase workload's write storm: when phase_cycles > 0, the second
+  // phase (virtual time now / phase_cycles == 1) uses storm_update_pct.
+  std::uint64_t phase_cycles = 0;
+  int storm_update_pct = 0;
+  double* arrival_held_frac = nullptr;
+  locks::AdaptiveController* adaptive_out = nullptr;
+};
+
+RunStats run_tree(const BenchConfig& cfg, const TreeRun& run);
+
+}  // namespace detail
 
 // The paper's tree-size sweep (Fig 3.1/3.4/5.2 x-axis).
 inline const std::size_t kTreeSizes[] = {2,    8,    32,   128,   512,

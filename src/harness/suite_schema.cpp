@@ -5,7 +5,6 @@
 // writing, JSON parsing, the gate's telemetry lookup and the --list table.
 // Adding a point field is one row. The results document around the points
 // (run metadata, per-point metrics) is written and parsed here too.
-#include <cctype>
 #include <cmath>
 #include <concepts>
 #include <functional>
@@ -97,10 +96,7 @@ bool get_named(const Value& v, E& out, const E (&all)[N],
   return false;
 }
 bool get(const Value& v, LockSel& out) {
-  constexpr LockSel kAll[] = {LockSel::kTtas,      LockSel::kMcs,
-                              LockSel::kTicketAdj, LockSel::kClhAdj,
-                              LockSel::kTicket,    LockSel::kClh};
-  return get_named(v, out, kAll, lock_sel_name);
+  return get_named(v, out, kAllLockSels, lock_sel_name);
 }
 bool get(const Value& v, SharedLockSel& out) {
   constexpr SharedLockSel kAll[] = {SharedLockSel::kSharedTtas,
@@ -158,12 +154,6 @@ struct Kind {
   std::string (*id)(const P&);
 };
 
-std::string lower(const char* s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(c));
-  return out;
-}
-
 // Big-machine points name their shape: -m<cores>x<smt>.
 std::string machine_suffix(unsigned n_cores, unsigned smt_per_core) {
   if (n_cores == 0) return "";
@@ -194,7 +184,7 @@ const Kind<RbPoint>& schema() {
       [](const P& p) {
         return "rb-s" + to_string(p.size) + "-u" + to_string(p.update_pct) +
                "-t" + to_string(p.threads) + "-" +
-               lower(lock_sel_name(p.lock)) + "-" + p.scheme.spec() +
+               lock_sel_slug(p.lock) + "-" + p.scheme.spec() +
                machine_suffix(p.n_cores, p.smt_per_core);
       }};
   return k;
@@ -264,7 +254,7 @@ const Kind<PhasePoint>& schema() {
         return "ph-s" + to_string(p.size) + "-u" +
                to_string(p.calm_update_pct) + "-" +
                to_string(p.storm_update_pct) + "-t" + to_string(p.threads) +
-               "-" + lower(lock_sel_name(p.lock)) + "-" + p.scheme.spec();
+               "-" + lock_sel_slug(p.lock) + "-" + p.scheme.spec();
       }};
   return k;
 }

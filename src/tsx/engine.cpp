@@ -116,14 +116,6 @@ void Engine::rollback_and_throw(Ctx& ctx, AbortCause cause,
   ctx.pending_conflict_thread_ = -1;
   ctx.last_abort_cause_ = cause;
   ctx.stats_.record_abort(cause);
-  if (trace_ != nullptr) [[unlikely]] {
-    trace_->record({.timestamp = ctx.thread().now(),
-                    .thread = ctx.id(),
-                    .kind = TraceEvent::Kind::kAbort,
-                    .cause = cause,
-                    .conflict_line = ctx.last_conflict_line_,
-                    .conflict_thread = ctx.last_conflict_thread_});
-  }
   if constexpr (kTelemetryCompiled) {
     if (telemetry_ != nullptr) [[unlikely]] {
       telemetry_->record(
@@ -457,11 +449,6 @@ void Engine::begin_tx(Ctx& ctx) {
   ctx.nest_depth_ = 1;
   ctx.begin_time_ = ctx.thread().now();
   ++ctx.stats_.begins;
-  if (trace_ != nullptr) [[unlikely]] {
-    trace_->record({.timestamp = ctx.thread().now(),
-                    .thread = ctx.id(),
-                    .kind = TraceEvent::Kind::kBegin});
-  }
   note_event(ctx, EventKind::kTxBegin);
   ctx.thread().tick(cost_.xbegin);
   spurious_check(ctx, config_.spurious_per_begin);
@@ -486,11 +473,6 @@ void Engine::commit(Ctx& ctx) {
   ctx.nest_depth_ = 0;
   ctx.state_ = TxState::kInactive;
   ++ctx.stats_.commits;
-  if (trace_ != nullptr) [[unlikely]] {
-    trace_->record({.timestamp = ctx.thread().now(),
-                    .thread = ctx.id(),
-                    .kind = TraceEvent::Kind::kCommit});
-  }
   note_event(ctx, EventKind::kTxCommit);
 }
 

@@ -19,7 +19,6 @@
 #include "tsx/config.hpp"
 #include "tsx/line_table.hpp"
 #include "tsx/telemetry.hpp"
-#include "tsx/trace.hpp"
 #include "tsx/tx_context.hpp"
 
 namespace elision::tsx {
@@ -89,12 +88,6 @@ class Engine {
   // that hash a conflict line (grouped-SCM's group selection) reproduce
   // bit-identically across processes. See LineTable::seq_of.
   std::uint64_t line_seq(support::LineId line) { return table_.seq_of(line); }
-
-  // Optional event tracing (nullptr disables; no cost when off).
-  // Deprecated in favour of the Telemetry sink below; kept for existing
-  // tests and tools.
-  void set_trace(Trace* trace) { trace_ = trace; }
-  Trace* trace() { return trace_; }
 
   // Abort-telemetry sink (nullptr disables; the hot path then pays one
   // predictable branch per protocol event, and nothing when compiled out
@@ -186,7 +179,6 @@ class Engine {
   TsxConfig config_;
   const sim::CostModel& cost_;
   LineTable table_;
-  Trace* trace_ = nullptr;
   Telemetry* telemetry_ = nullptr;
   std::vector<std::unique_ptr<TxContext>> contexts_;  // indexed by thread id
 };

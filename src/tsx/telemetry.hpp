@@ -16,9 +16,6 @@
 //  * The simulator is single-host-threaded (fibers), so recording needs no
 //    synchronization; "per-thread" rings exist to bound memory fairly and
 //    to keep per-thread event order trivially reconstructible.
-//
-// The older tsx::Trace (trace.hpp) remains as a thin, unbounded event log
-// for existing tests; new code should prefer Telemetry.
 #pragma once
 
 #include <cstddef>

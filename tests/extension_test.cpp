@@ -1,10 +1,12 @@
 // Tests for the extensions beyond the paper's evaluated artifacts: abort
 // feedback (conflict line/thread), the grouped-SCM future-work scheme, the
-// execution trace, and the backoff TTAS lock.
+// engine's telemetry event log, and the backoff TTAS lock.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "locks/backoff_lock.hpp"
@@ -13,7 +15,7 @@
 #include "locks/schemes.hpp"
 #include "locks/ttas_lock.hpp"
 #include "tsx/shared.hpp"
-#include "tsx/trace.hpp"
+#include "tsx/telemetry.hpp"
 
 namespace elision {
 namespace {
@@ -193,15 +195,28 @@ TEST(GroupedScm, AvailableThroughSchemeRunner) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace
+// Telemetry driven by the engine
 // ---------------------------------------------------------------------------
 
-TEST(Trace, RecordsBeginCommitAbort) {
-  tsx::Trace trace;
+class EngineTelemetry : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!tsx::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
+    eng.set_telemetry(&telemetry);
+  }
+  std::size_t count(tsx::EventKind kind) const {
+    std::size_t n = 0;
+    for (const auto& e : telemetry.merged()) n += e.kind == kind ? 1 : 0;
+    return n;
+  }
+
+  tsx::Telemetry telemetry;
+  sim::Scheduler sched{quiet_machine()};
+  tsx::Engine eng{sched, quiet_tsx()};
+};
+
+TEST_F(EngineTelemetry, RecordsBeginCommitAbort) {
   tsx::Shared<std::uint64_t> x(0);
-  sim::Scheduler sched(quiet_machine());
-  tsx::Engine eng(sched, quiet_tsx());
-  eng.set_trace(&trace);
   sched.spawn([&](sim::SimThread& st) {
     auto& ctx = eng.context(st);
     for (int i = 0; i < 5; ++i) {
@@ -210,18 +225,17 @@ TEST(Trace, RecordsBeginCommitAbort) {
     eng.run_transaction(ctx, [&] { eng.xabort(ctx, 2); });
   });
   sched.run();
-  EXPECT_EQ(trace.count(tsx::TraceEvent::Kind::kBegin), 6u);
-  EXPECT_EQ(trace.count(tsx::TraceEvent::Kind::kCommit), 5u);
-  EXPECT_EQ(trace.count(tsx::TraceEvent::Kind::kAbort), 1u);
-  EXPECT_EQ(trace.count_aborts(tsx::AbortCause::kExplicit), 1u);
+  EXPECT_EQ(count(tsx::EventKind::kTxBegin), 6u);
+  EXPECT_EQ(count(tsx::EventKind::kTxCommit), 5u);
+  ASSERT_EQ(count(tsx::EventKind::kTxAbort), 1u);
+  for (const auto& e : telemetry.merged()) {
+    if (e.kind != tsx::EventKind::kTxAbort) continue;
+    EXPECT_EQ(e.cause, tsx::AbortCause::kExplicit);
+  }
 }
 
-TEST(Trace, TimestampsAreMonotonicPerThread) {
-  tsx::Trace trace;
+TEST_F(EngineTelemetry, TimestampsAreMonotonicPerThread) {
   tsx::Shared<std::uint64_t> x(0);
-  sim::Scheduler sched(quiet_machine());
-  tsx::Engine eng(sched, quiet_tsx());
-  eng.set_trace(&trace);
   for (int t = 0; t < 3; ++t) {
     sched.spawn([&](sim::SimThread& st) {
       auto& ctx = eng.context(st);
@@ -231,21 +245,23 @@ TEST(Trace, TimestampsAreMonotonicPerThread) {
     });
   }
   sched.run();
-  std::vector<std::uint64_t> last(3, 0);
-  for (const auto& e : trace.events()) {
-    ASSERT_GE(e.thread, 0);
-    ASSERT_LT(e.thread, 3);
-    EXPECT_GE(e.timestamp, last[e.thread]);
-    last[e.thread] = e.timestamp;
+  EXPECT_EQ(telemetry.total_recorded(), 3u * 20u * 2u);  // begin + commit
+  // Walk each ring in recording order: merged() sorts by timestamp, so it
+  // would hide an engine that stamps a thread's events out of order.
+  for (int t = 0; t < 3; ++t) {
+    const auto events = telemetry.ring(t).snapshot();
+    EXPECT_EQ(events.size(), 20u * 2u);
+    std::uint64_t last = 0;
+    for (const auto& e : events) {
+      EXPECT_EQ(e.thread, t);
+      EXPECT_GE(e.timestamp, last);
+      last = e.timestamp;
+    }
   }
 }
 
-TEST(Trace, AbortEventsCarryConflictLocation) {
-  tsx::Trace trace;
+TEST_F(EngineTelemetry, AbortEventsCarryConflictLocation) {
   support::CacheAligned<tsx::Shared<std::uint64_t>> hot;
-  sim::Scheduler sched(quiet_machine());
-  tsx::Engine eng(sched, quiet_tsx());
-  eng.set_trace(&trace);
   sched.spawn([&](sim::SimThread& st) {
     auto& ctx = eng.context(st);
     eng.run_transaction(ctx, [&] {
@@ -260,30 +276,35 @@ TEST(Trace, AbortEventsCarryConflictLocation) {
     hot.value.store(ctx, 1);
   });
   sched.run();
-  ASSERT_EQ(trace.count(tsx::TraceEvent::Kind::kAbort), 1u);
-  for (const auto& e : trace.events()) {
-    if (e.kind != tsx::TraceEvent::Kind::kAbort) continue;
+  ASSERT_EQ(count(tsx::EventKind::kTxAbort), 1u);
+  for (const auto& e : telemetry.merged()) {
+    if (e.kind != tsx::EventKind::kTxAbort) continue;
+    EXPECT_EQ(e.thread, 0);
     EXPECT_EQ(e.cause, tsx::AbortCause::kConflict);
-    EXPECT_EQ(e.conflict_line, support::line_of(&hot.value));
-    EXPECT_EQ(e.conflict_thread, 1);
+    EXPECT_EQ(e.line, support::line_of(&hot.value));
+    EXPECT_EQ(e.other_thread, 1);
   }
 }
 
-TEST(Trace, CsvDumpHasHeaderAndRows) {
-  tsx::Trace trace;
-  trace.record({.timestamp = 5,
-                .thread = 0,
-                .kind = tsx::TraceEvent::Kind::kBegin});
+TEST_F(EngineTelemetry, CsvDumpHasHeaderAndRows) {
+  tsx::Shared<std::uint64_t> x(0);
+  sched.spawn([&](sim::SimThread& st) {
+    auto& ctx = eng.context(st);
+    eng.run_transaction(ctx, [&] { x.store(ctx, 1); });
+  });
+  sched.run();
+  const auto events = telemetry.merged();
+  ASSERT_EQ(events.size(), 2u);
   std::FILE* f = std::tmpfile();
   ASSERT_NE(f, nullptr);
-  trace.dump_csv(f);
+  telemetry.dump_csv(f);
   std::rewind(f);
   char line[128] = {};
   ASSERT_NE(std::fgets(line, sizeof line, f), nullptr);
-  EXPECT_STREQ(line,
-               "timestamp,thread,kind,cause,conflict_line,conflict_thread\n");
+  EXPECT_STREQ(line, "timestamp,thread,kind,cause,line,other_thread\n");
   ASSERT_NE(std::fgets(line, sizeof line, f), nullptr);
-  EXPECT_STREQ(line, "5,0,begin,none,0,-1\n");
+  EXPECT_EQ(std::string(line),
+            std::to_string(events[0].timestamp) + ",0,tx-begin,none,0,-1\n");
   std::fclose(f);
 }
 

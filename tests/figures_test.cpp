@@ -8,91 +8,71 @@
 #include <memory>
 
 #include "ds/hashtable.hpp"
-#include "ds/rbtree.hpp"
-#include "harness/runner.hpp"
+#include "harness/rb_workload.hpp"
 #include "locks/mcs_lock.hpp"
 #include "locks/schemes.hpp"
-#include "locks/ttas_lock.hpp"
 #include "support/rng.hpp"
 
 namespace elision {
 namespace {
 
+using harness::LockSel;
+using locks::Scheme;
+
 // One tree measurement (default machine/TSX config — spurious aborts on,
 // as in the real experiments).
-template <typename Lock>
-harness::RunStats tree_run(locks::Scheme scheme, std::size_t size,
-                           int update_pct, std::uint64_t seed = 42) {
-  ds::RbTree tree(size * 4 + 256);
-  support::Xoshiro256 fill(seed);
-  std::size_t filled = 0;
-  while (filled < size) {
-    if (tree.unsafe_insert(fill.next_below(size * 2))) ++filled;
-  }
-  tree.unsafe_distribute_free_lists(8);
-  Lock lock;
-  locks::CriticalSection<Lock> cs(locks::ElisionPolicy::from_scheme(scheme), lock);
-  harness::BenchConfig cfg;
-  cfg.duration_sec = 0.002;
-  cfg.machine.seed = seed;
-  const int half = update_pct / 2;
-  return harness::run_workload(cfg, [&, half, update_pct](tsx::Ctx& ctx) {
-    auto& rng = ctx.thread().rng();
-    const std::uint64_t key = rng.next_below(size * 2);
-    const auto dice = static_cast<int>(rng.next_below(100));
-    return cs.run(ctx, [&] {
-      if (dice < half) {
-        tree.insert(ctx, key);
-      } else if (dice < update_pct) {
-        tree.erase(ctx, key);
-      } else {
-        tree.contains(ctx, key);
-      }
-    });
-  });
+harness::RunStats tree_run(LockSel lock, Scheme scheme, std::size_t size,
+                           int update_pct) {
+  harness::RbPoint p;
+  p.size = size;
+  p.update_pct = update_pct;
+  p.threads = 8;
+  p.scheme = locks::ElisionPolicy::from_scheme(scheme);
+  p.lock = lock;
+  p.duration_sec = 0.002;
+  return harness::run_rb_point_once(p);
 }
 
 TEST(Figures, Fig31_McsGoesFullyNonSpeculative) {
-  const auto hle = tree_run<locks::McsLock>(locks::Scheme::kHle, 128, 20);
+  const auto hle = tree_run(LockSel::kMcs, Scheme::kHle, 128, 20);
   EXPECT_GT(hle.nonspec_fraction(), 0.9);
   EXPECT_NEAR(hle.attempts_per_op(), 2.0, 0.15);
 }
 
 TEST(Figures, Fig31_McsGainsNothingFromHle) {
-  const auto std_ = tree_run<locks::McsLock>(locks::Scheme::kStandard, 128, 20);
-  const auto hle = tree_run<locks::McsLock>(locks::Scheme::kHle, 128, 20);
+  const auto std_ = tree_run(LockSel::kMcs, Scheme::kStandard, 128, 20);
+  const auto hle = tree_run(LockSel::kMcs, Scheme::kHle, 128, 20);
   EXPECT_NEAR(hle.throughput() / std_.throughput(), 1.0, 0.25);
 }
 
 TEST(Figures, Fig31_TtasRecoversAndGains) {
-  const auto std_ = tree_run<locks::TtasLock>(locks::Scheme::kStandard, 128, 20);
-  const auto hle = tree_run<locks::TtasLock>(locks::Scheme::kHle, 128, 20);
+  const auto std_ = tree_run(LockSel::kTtas, Scheme::kStandard, 128, 20);
+  const auto hle = tree_run(LockSel::kTtas, Scheme::kHle, 128, 20);
   EXPECT_LT(hle.nonspec_fraction(), 0.5);
   EXPECT_GT(hle.throughput() / std_.throughput(), 1.5);
 }
 
 TEST(Figures, Fig31_TtasConvergesToSpeculativeOnLargeTrees) {
-  const auto hle = tree_run<locks::TtasLock>(locks::Scheme::kHle, 8192, 20);
+  const auto hle = tree_run(LockSel::kTtas, Scheme::kHle, 8192, 20);
   EXPECT_LT(hle.nonspec_fraction(), 0.1);
   EXPECT_LT(hle.attempts_per_op(), 1.4);
 }
 
 TEST(Figures, Fig52_ScmRescuesTheMcsLock) {
-  const auto hle = tree_run<locks::McsLock>(locks::Scheme::kHle, 512, 20);
-  const auto scm = tree_run<locks::McsLock>(locks::Scheme::kHleScm, 512, 20);
+  const auto hle = tree_run(LockSel::kMcs, Scheme::kHle, 512, 20);
+  const auto scm = tree_run(LockSel::kMcs, Scheme::kHleScm, 512, 20);
   EXPECT_GT(scm.throughput() / hle.throughput(), 1.5);
   EXPECT_LT(scm.nonspec_fraction(), 0.05);
 }
 
 TEST(Figures, Fig52_PessimisticSlrIsPoorOnTtas) {
-  const auto hle = tree_run<locks::TtasLock>(locks::Scheme::kHle, 512, 20);
-  const auto pes = tree_run<locks::TtasLock>(locks::Scheme::kPesSlr, 512, 20);
+  const auto hle = tree_run(LockSel::kTtas, Scheme::kHle, 512, 20);
+  const auto pes = tree_run(LockSel::kTtas, Scheme::kPesSlr, 512, 20);
   EXPECT_LT(pes.throughput(), hle.throughput());
 }
 
 TEST(Figures, Fig53_ScmConvergesToOneAttempt) {
-  const auto scm =
-      tree_run<locks::McsLock>(locks::Scheme::kHleScm, 8192, 100);
+  const auto scm = tree_run(LockSel::kMcs, Scheme::kHleScm, 8192, 100);
   EXPECT_LT(scm.attempts_per_op(), 1.15);
   EXPECT_LT(scm.nonspec_fraction(), 0.02);
 }
@@ -130,8 +110,8 @@ TEST(Figures, HashTable_ScmLargeFactorOverHleMcs) {
 }
 
 TEST(Figures, Fig35_HleAndRtmElisionComparable) {
-  const auto hle = tree_run<locks::TtasLock>(locks::Scheme::kHle, 512, 20);
-  const auto rtm = tree_run<locks::TtasLock>(locks::Scheme::kRtmElide, 512, 20);
+  const auto hle = tree_run(LockSel::kTtas, Scheme::kHle, 512, 20);
+  const auto rtm = tree_run(LockSel::kTtas, Scheme::kRtmElide, 512, 20);
   const double ratio = rtm.throughput() / hle.throughput();
   EXPECT_GT(ratio, 0.7);
   EXPECT_LT(ratio, 1.4);

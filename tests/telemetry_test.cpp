@@ -7,11 +7,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "ds/rbtree.hpp"
-#include "harness/runner.hpp"
-#include "locks/mcs_lock.hpp"
-#include "locks/schemes.hpp"
-#include "support/rng.hpp"
+#include "harness/rb_workload.hpp"
 #include "tsx/telemetry.hpp"
 
 namespace elision::tsx {
@@ -234,38 +230,20 @@ TEST(RejoinLatencies, PairsEnterWithExitPerThread) {
 
 // --- end-to-end: the Chapter 3 avalanche on a real workload ---
 
-harness::RunStats run_rb(locks::ElisionPolicy policy, bool telemetry) {
-  constexpr std::size_t kSize = 64;
-  ds::RbTree tree(kSize * 4 + 256);
-  support::Xoshiro256 fill(42);
-  std::size_t filled = 0;
-  while (filled < kSize) {
-    if (tree.unsafe_insert(fill.next_below(kSize * 2))) ++filled;
-  }
-  harness::BenchConfig cfg;
-  cfg.threads = 8;
-  cfg.duration_sec = 0.001;
-  cfg.machine.seed = 42;
-  cfg.policy = policy;
-  cfg.telemetry = telemetry;
-  tree.unsafe_distribute_free_lists(cfg.threads);
-
-  locks::McsLock lock;
-  locks::CriticalSection<locks::McsLock> cs(policy, lock);
-  return harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
-    auto& rng = ctx.thread().rng();
-    const std::uint64_t key = rng.next_below(kSize * 2);
-    const auto dice = static_cast<int>(rng.next_below(100));
-    return cs.run(ctx, [&] {
-      if (dice < 10) {
-        tree.insert(ctx, key);
-      } else if (dice < 20) {
-        tree.erase(ctx, key);
-      } else {
-        tree.contains(ctx, key);
-      }
-    });
-  });
+harness::RunStats run_rb(locks::ElisionPolicy policy, bool telemetry,
+                         Telemetry* sink = nullptr,
+                         locks::AdaptiveController* adaptive = nullptr) {
+  harness::RbPoint p;
+  p.size = 64;
+  p.update_pct = 20;
+  p.threads = 8;
+  p.scheme = policy;
+  p.lock = harness::LockSel::kMcs;
+  p.duration_sec = 0.001;
+  p.telemetry = telemetry;
+  p.telemetry_sink = sink;
+  p.adaptive_out = adaptive;
+  return harness::run_rb_point_once(p);
 }
 
 int max_victims(const harness::RunStats& stats) {
@@ -296,8 +274,12 @@ TEST(AvalancheIntegration, HleOverMcsCascadesScmContainsIt) {
 TEST(AvalancheIntegration, TelemetryDoesNotPerturbVirtualTime) {
   // Telemetry records host-side only; the simulated run must be bit-for-bit
   // identical with it on or off.
+  // The caller-owned observation sinks must not perturb it either.
+  Telemetry sink;
+  locks::AdaptiveController adaptive;
   const auto off = run_rb(locks::ElisionPolicy::hle(), false);
-  const auto on = run_rb(locks::ElisionPolicy::hle(), true);
+  const auto on =
+      run_rb(locks::ElisionPolicy::hle(), true, &sink, &adaptive);
   EXPECT_EQ(off.ops, on.ops);
   EXPECT_EQ(off.spec_ops, on.spec_ops);
   EXPECT_EQ(off.attempts, on.attempts);
@@ -305,6 +287,7 @@ TEST(AvalancheIntegration, TelemetryDoesNotPerturbVirtualTime) {
   EXPECT_EQ(off.tx.aborts, on.tx.aborts);
   EXPECT_EQ(off.telemetry_events, 0u);
   EXPECT_GT(on.telemetry_events, 0u);
+  EXPECT_EQ(sink.total_recorded(), on.telemetry_events);
 }
 
 }  // namespace

@@ -10,34 +10,30 @@
 // Locks: ttas mcs ticket ticket-adj clh clh-adj
 // Schemes: standard hle hle-scm pes-slr opt-slr opt-slr-scm rtm-elide
 //          hle-scm-nested hle-gscm
-#include <algorithm>
+//
+// --trace FILE attaches abort telemetry (tsx/telemetry.hpp) and writes its
+// event CSV, the same file `trace_dump --events FILE` writes.
+//
+// tree and schemes run harness::run_rb_point_once, so ELISION_BENCH_SCALE
+// multiplies their --ms as it does for every RB-tree point.
 #include <cstdio>
-#include <cstring>
-#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "ds/rbtree.hpp"
+#include "harness/rb_workload.hpp"
 #include "harness/report.hpp"
-#include "harness/runner.hpp"
-#include "locks/clh_lock.hpp"
-#include "locks/mcs_lock.hpp"
 #include "locks/policy.hpp"
-#include "locks/schemes.hpp"
-#include "locks/ticket_lock.hpp"
-#include "locks/ttas_lock.hpp"
 #include "sim/machine_config.hpp"
 #include "stamp/common.hpp"
 #include "support/parse.hpp"
-#include "tsx/trace.hpp"
+#include "tsx/telemetry.hpp"
 
 namespace {
 
 using namespace elision;
 
 struct Options {
-  std::string lock = "ttas";
+  harness::LockSel lock = harness::LockSel::kTtas;
   std::string scheme = "hle-scm";
   int threads = 8;
   std::size_t size = 1024;
@@ -56,6 +52,7 @@ struct Options {
       "usage:\n"
       "  elide tree    [--lock L] [--scheme S] [--threads N] [--size K]\n"
       "                [--updates PCT] [--ms MS] [--hwext] [--trace FILE]\n"
+      "                (--trace writes the abort-telemetry event CSV)\n"
       "  elide stamp   APP [--lock ttas|mcs] [--scheme S] [--threads N]\n"
       "                [--scale X]\n"
       "  elide schemes [--size K] [--updates PCT] [--threads N] [--ms MS]\n"
@@ -77,7 +74,10 @@ Options parse(int argc, char** argv, int first, std::string* positional) {
       return argv[++i];
     };
     if (a == "--lock") {
-      o.lock = next();
+      const std::string v = next();
+      const auto lock = harness::parse_lock_sel(v);
+      if (!lock) usage(("unknown lock " + v).c_str());
+      o.lock = *lock;
     } else if (a == "--scheme") {
       o.scheme = next();
     } else if (a == "--threads") {
@@ -129,74 +129,53 @@ locks::ElisionPolicy parse_policy(const std::string& s) {
   return *p;
 }
 
-template <typename Lock>
-int run_tree_with(const Options& o, const locks::ElisionPolicy& policy) {
-  ds::RbTree tree(o.size * 4 + 256,
-                  std::max(o.threads, tsx::kDefaultPoolThreads));
-  support::Xoshiro256 fill(42);
-  std::size_t filled = 0;
-  while (filled < o.size) {
-    if (tree.unsafe_insert(fill.next_below(o.size * 2))) ++filled;
+// The tree the `tree` and `schemes` flags describe (tree fill and machine
+// RNG both seeded with RbPoint's default seed, 42).
+harness::RbPoint tree_point(const Options& o) {
+  harness::RbPoint p;
+  p.size = o.size;
+  p.update_pct = o.updates;
+  p.threads = o.threads;
+  p.duration_sec = o.ms / 1e3;
+  return p;
+}
+
+int cmd_tree(const Options& o) {
+  harness::RbPoint p = tree_point(o);
+  p.scheme = parse_policy(o.scheme);
+  p.lock = o.lock;
+  p.hardware_extension = o.hwext;
+  tsx::Telemetry telemetry;
+  if (!o.trace_file.empty()) {
+    if (!tsx::kTelemetryCompiled) {
+      std::fprintf(stderr,
+                   "telemetry was compiled out (ELISION_TELEMETRY=OFF); "
+                   "--trace has nothing to record\n");
+      return 1;
+    }
+    p.telemetry_sink = &telemetry;
   }
-  tree.unsafe_distribute_free_lists(o.threads);
+  const harness::RunStats stats = harness::run_rb_point_once(p);
 
-  Lock lock;
-  locks::CriticalSection<Lock> cs(policy, lock);
-  harness::BenchConfig cfg;
-  cfg.threads = o.threads;
-  cfg.duration_sec = o.ms / 1e3;
-  cfg.tsx.hardware_extension = o.hwext;
-
-  // Tracing requires driving the scheduler ourselves.
-  tsx::Trace trace;
-  sim::Scheduler sched(cfg.machine);
-  tsx::Engine eng(sched, cfg.tsx);
-  if (!o.trace_file.empty()) eng.set_trace(&trace);
-  std::uint64_t ops = 0, nonspec = 0, attempts = 0;
-  const int half = o.updates / 2;
-  for (int t = 0; t < o.threads; ++t) {
-    sched.spawn([&](sim::SimThread& st) {
-      auto& ctx = eng.context(st);
-      while (!st.stop_requested()) {
-        const std::uint64_t key = st.rng().next_below(o.size * 2);
-        const auto dice = static_cast<int>(st.rng().next_below(100));
-        const auto r = cs.run(ctx, [&] {
-          if (dice < half) {
-            tree.insert(ctx, key);
-          } else if (dice < o.updates) {
-            tree.erase(ctx, key);
-          } else {
-            tree.contains(ctx, key);
-          }
-        });
-        ++ops;
-        attempts += static_cast<std::uint64_t>(r.attempts);
-        if (!r.speculative) ++nonspec;
-      }
-    });
-  }
-  sched.run_for(cfg.duration_cycles());
-
-  const double secs = cfg.machine.seconds(sched.elapsed_cycles());
-  const auto tx = eng.total_stats();
   std::printf("workload:   red-black tree, size %zu, %d%% updates, %d threads\n",
               o.size, o.updates, o.threads);
-  std::printf("scheme:     %s on %s%s\n", policy.spec().c_str(),
-              Lock::kName, o.hwext ? " + Ch.7 hardware extension" : "");
+  std::printf("scheme:     %s on %s%s\n", p.scheme.spec().c_str(),
+              harness::lock_sel_name(o.lock),
+              o.hwext ? " + Ch.7 hardware extension" : "");
   std::printf("throughput: %.2f Mops/s  (%llu ops in %.2f simulated ms)\n",
-              ops / secs / 1e6, static_cast<unsigned long long>(ops),
-              secs * 1e3);
+              stats.throughput() / 1e6,
+              static_cast<unsigned long long>(stats.ops),
+              stats.seconds() * 1e3);
   std::printf("attempts/op %.2f   non-speculative %.1f%%\n",
-              ops ? static_cast<double>(attempts) / ops : 0.0,
-              ops ? 100.0 * nonspec / ops : 0.0);
+              stats.attempts_per_op(), 100 * stats.nonspec_fraction());
   std::printf("tx: %llu begun, %llu committed, %llu aborted",
-              static_cast<unsigned long long>(tx.begins),
-              static_cast<unsigned long long>(tx.commits),
-              static_cast<unsigned long long>(tx.aborts));
+              static_cast<unsigned long long>(stats.tx.begins),
+              static_cast<unsigned long long>(stats.tx.commits),
+              static_cast<unsigned long long>(stats.tx.aborts));
   for (int c = 0; c < static_cast<int>(tsx::AbortCause::kCauseCount); ++c) {
-    if (tx.aborts_by_cause[c] == 0) continue;
+    if (stats.tx.aborts_by_cause[c] == 0) continue;
     std::printf("  %s=%llu", to_string(static_cast<tsx::AbortCause>(c)),
-                static_cast<unsigned long long>(tx.aborts_by_cause[c]));
+                static_cast<unsigned long long>(stats.tx.aborts_by_cause[c]));
   }
   std::printf("\n");
   if (!o.trace_file.empty()) {
@@ -205,27 +184,14 @@ int run_tree_with(const Options& o, const locks::ElisionPolicy& policy) {
       std::fprintf(stderr, "cannot open %s\n", o.trace_file.c_str());
       return 1;
     }
-    trace.dump_csv(f);
+    telemetry.dump_csv(f);
     std::fclose(f);
-    std::printf("trace: %zu events -> %s\n", trace.size(),
+    std::printf("events: %llu recorded (%llu dropped) -> %s\n",
+                static_cast<unsigned long long>(telemetry.total_recorded()),
+                static_cast<unsigned long long>(telemetry.total_dropped()),
                 o.trace_file.c_str());
   }
   return 0;
-}
-
-int cmd_tree(const Options& o) {
-  const locks::ElisionPolicy scheme = parse_policy(o.scheme);
-  if (o.lock == "ttas") return run_tree_with<locks::TtasLock>(o, scheme);
-  if (o.lock == "mcs") return run_tree_with<locks::McsLock>(o, scheme);
-  if (o.lock == "ticket") return run_tree_with<locks::TicketLock>(o, scheme);
-  if (o.lock == "ticket-adj") {
-    return run_tree_with<locks::TicketLockAdjusted>(o, scheme);
-  }
-  if (o.lock == "clh") return run_tree_with<locks::ClhLock>(o, scheme);
-  if (o.lock == "clh-adj") {
-    return run_tree_with<locks::ClhLockAdjusted>(o, scheme);
-  }
-  usage(("unknown lock " + o.lock).c_str());
 }
 
 int cmd_stamp(const Options& o, const std::string& app) {
@@ -239,9 +205,9 @@ int cmd_stamp(const Options& o, const std::string& app) {
   cfg.threads = o.threads;
   cfg.scale = o.scale;
   cfg.scheme = parse_policy(o.scheme).scheme;  // STAMP is scheme-only
-  if (o.lock == "ttas") {
+  if (o.lock == harness::LockSel::kTtas) {
     cfg.lock = stamp::LockKind::kTtas;
-  } else if (o.lock == "mcs") {
+  } else if (o.lock == harness::LockSel::kMcs) {
     cfg.lock = stamp::LockKind::kMcs;
   } else {
     usage("stamp supports --lock ttas|mcs");
@@ -270,40 +236,14 @@ int cmd_schemes(const Options& o) {
   harness::Table table({"scheme", "TTAS Mops/s", "MCS Mops/s"});
   for (const locks::Scheme s : locks::kAllSchemes) {
     if (s == locks::Scheme::kHleScmNested) continue;  // needs hw flag
-    const locks::ElisionPolicy scheme = locks::ElisionPolicy::from_scheme(s);
-    auto run = [&](auto lock_tag) {
-      using Lock = decltype(lock_tag);
-      ds::RbTree tree(o.size * 4 + 256,
-                  std::max(o.threads, tsx::kDefaultPoolThreads));
-      support::Xoshiro256 fill(42);
-      std::size_t filled = 0;
-      while (filled < o.size) {
-        if (tree.unsafe_insert(fill.next_below(o.size * 2))) ++filled;
-      }
-      tree.unsafe_distribute_free_lists(o.threads);
-      Lock lock;
-      locks::CriticalSection<Lock> cs(scheme, lock);
-      harness::BenchConfig cfg;
-      cfg.threads = o.threads;
-      cfg.duration_sec = o.ms / 1e3;
-      const int half = o.updates / 2;
-      const auto stats = harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
-        const std::uint64_t key = ctx.thread().rng().next_below(o.size * 2);
-        const auto dice = static_cast<int>(ctx.thread().rng().next_below(100));
-        return cs.run(ctx, [&] {
-          if (dice < half) {
-            tree.insert(ctx, key);
-          } else if (dice < o.updates) {
-            tree.erase(ctx, key);
-          } else {
-            tree.contains(ctx, key);
-          }
-        });
-      });
-      return stats.throughput() / 1e6;
-    };
-    table.add_row({scheme.spec(), harness::fmt(run(locks::TtasLock{}), 2),
-                   harness::fmt(run(locks::McsLock{}), 2)});
+    harness::RbPoint p = tree_point(o);
+    p.scheme = locks::ElisionPolicy::from_scheme(s);
+    p.lock = harness::LockSel::kTtas;
+    const double ttas = harness::run_rb_point_once(p).throughput() / 1e6;
+    p.lock = harness::LockSel::kMcs;
+    const double mcs = harness::run_rb_point_once(p).throughput() / 1e6;
+    table.add_row({p.scheme.spec(), harness::fmt(ttas, 2),
+                   harness::fmt(mcs, 2)});
   }
   table.print();
   return 0;

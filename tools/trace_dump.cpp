@@ -18,24 +18,21 @@
 // --all-schemes runs the paper's six schemes (Sec. 5.1) back to back and
 // aggregates all of them into one metrics export; --scheme is ignored.
 //
+// ELISION_BENCH_SCALE multiplies --ms, as it does for every RB-tree point;
+// the header line prints the scaled duration.
+//
 // To reproduce the Fig 3.3 avalanche timeline: run HLE over MCS on a small
 // tree and inspect the episode table / event dump (see docs/telemetry.md).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "ds/rbtree.hpp"
 #include "harness/metrics.hpp"
+#include "harness/rb_workload.hpp"
 #include "harness/report.hpp"
-#include "support/parse.hpp"
-#include "harness/runner.hpp"
-#include "locks/clh_lock.hpp"
-#include "locks/mcs_lock.hpp"
 #include "locks/schemes.hpp"
-#include "locks/ticket_lock.hpp"
-#include "locks/ttas_lock.hpp"
-#include "support/rng.hpp"
+#include "sim/machine_config.hpp"
+#include "support/parse.hpp"
 #include "tsx/telemetry.hpp"
 
 namespace {
@@ -43,7 +40,7 @@ namespace {
 using namespace elision;
 
 struct Options {
-  std::string lock = "mcs";
+  harness::LockSel lock = harness::LockSel::kMcs;
   std::string scheme = "hle";
   int threads = 8;
   std::size_t size = 128;
@@ -90,7 +87,10 @@ Options parse(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--lock") {
-      o.lock = next();
+      const std::string v = next();
+      const auto lock = harness::parse_lock_sel(v);
+      if (!lock) usage(("unknown lock " + v).c_str());
+      o.lock = *lock;
     } else if (a == "--scheme") {
       o.scheme = next();
     } else if (a == "--threads") {
@@ -135,7 +135,11 @@ Options parse(int argc, char** argv) {
       usage(("unknown argument " + a).c_str());
     }
   }
-  if (o.threads < 1 || o.threads > 64) usage("--threads must be in [1,64]");
+  if (o.threads < 1 || o.threads > sim::kMaxSimThreads) {
+    usage(("--threads must be in [1," + std::to_string(sim::kMaxSimThreads) +
+           "] (kMaxSimThreads)")
+              .c_str());
+  }
   if (o.updates < 0 || o.updates > 100) usage("--updates must be in [0,100]");
   if (o.events_format != "csv" && o.events_format != "json") {
     usage("--events-format must be csv or json");
@@ -153,107 +157,26 @@ locks::ElisionPolicy parse_policy(const std::string& s) {
   usage(("unknown scheme spec " + s).c_str());
 }
 
-// Adaptive-controller state salvaged from the CriticalSection before
-// run_with tears it down: the bounded decision trace plus the mode the run
-// ended in.
-struct AdaptiveTrace {
-  bool valid = false;
-  std::vector<locks::AdaptiveDecision> decisions;
-  std::uint64_t dropped = 0;
-  locks::AdaptiveMode final_mode = locks::AdaptiveMode::kHle;
-};
-
-template <typename Lock>
-harness::RunStats run_with(const Options& o, locks::ElisionPolicy policy,
-                           tsx::Telemetry* sink, AdaptiveTrace* adaptive) {
-  ds::RbTree tree(o.size * 4 + 256);
-  support::Xoshiro256 fill(o.seed);
-  std::size_t filled = 0;
-  while (filled < o.size) {
-    if (tree.unsafe_insert(fill.next_below(o.size * 2))) ++filled;
-  }
-  tree.unsafe_distribute_free_lists(o.threads);
-
-  Lock lock;
-  locks::CriticalSection<Lock> cs(policy, lock);
-  harness::BenchConfig cfg;
-  cfg.threads = o.threads;
-  cfg.duration_sec = o.ms / 1e3;
-  cfg.machine.seed = o.seed;
-  cfg.policy = policy;
-  cfg.telemetry = true;
-  cfg.telemetry_sink = sink;
-  cfg.avalanche = o.avalanche;
-  const std::uint64_t domain = o.size * 2;
-  const int half = o.updates / 2;
-  auto stats = harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
-    auto& rng = ctx.thread().rng();
-    const std::uint64_t key = rng.next_below(domain);
-    const auto dice = static_cast<int>(rng.next_below(100));
-    return cs.run(ctx, [&] {
-      if (dice < half) {
-        tree.insert(ctx, key);
-      } else if (dice < o.updates) {
-        tree.erase(ctx, key);
-      } else {
-        tree.contains(ctx, key);
-      }
-    });
-  });
-  if (adaptive != nullptr && policy.scheme == locks::Scheme::kAdaptive) {
-    adaptive->valid = true;
-    adaptive->decisions = cs.adaptive().decisions();
-    adaptive->dropped = cs.adaptive().decisions_dropped();
-    adaptive->final_mode = cs.adaptive().mode();
-  }
-  return stats;
-}
-
-harness::RunStats run_policy(const Options& o, locks::ElisionPolicy policy,
-                             tsx::Telemetry* sink,
-                             AdaptiveTrace* adaptive = nullptr) {
-  if (o.lock == "ttas") {
-    return run_with<locks::TtasLock>(o, policy, sink, adaptive);
-  }
-  if (o.lock == "mcs") {
-    return run_with<locks::McsLock>(o, policy, sink, adaptive);
-  }
-  if (o.lock == "ticket") {
-    return run_with<locks::TicketLock>(o, policy, sink, adaptive);
-  }
-  if (o.lock == "ticket-adj") {
-    return run_with<locks::TicketLockAdjusted>(o, policy, sink, adaptive);
-  }
-  if (o.lock == "clh") {
-    return run_with<locks::ClhLock>(o, policy, sink, adaptive);
-  }
-  if (o.lock == "clh-adj") {
-    return run_with<locks::ClhLockAdjusted>(o, policy, sink, adaptive);
-  }
-  usage(("unknown lock " + o.lock).c_str());
-}
-
 // Prints the controller's migration history: one line per recorded
 // decision, oldest first (docs/adaptive.md documents the columns).
 void print_adaptive_trace(const locks::ElisionPolicy& policy,
-                          const AdaptiveTrace& t) {
-  if (!t.valid) return;
+                          const locks::AdaptiveController& ctl) {
   std::printf(
       "adaptive controller (window=%d up=%d down=%d dwell=%d): "
       "%llu migration(s), final mode %s\n",
       policy.adapt.window, policy.adapt.up_pct, policy.adapt.down_pct,
       policy.adapt.dwell,
-      static_cast<unsigned long long>(t.decisions.size() + t.dropped),
-      locks::adaptive_mode_name(t.final_mode));
-  for (const auto& d : t.decisions) {
+      static_cast<unsigned long long>(ctl.total_migrations()),
+      locks::adaptive_mode_name(ctl.mode()));
+  for (const auto& d : ctl.decisions()) {
     std::printf("  at=%-12llu %-8s -> %-8s rate=%3d%%  %s\n",
                 static_cast<unsigned long long>(d.at),
                 locks::adaptive_mode_name(d.from),
                 locks::adaptive_mode_name(d.to), d.abort_rate_pct, d.reason);
   }
-  if (t.dropped != 0) {
+  if (ctl.decisions_dropped() != 0) {
     std::printf("  ... %llu earlier migration(s) beyond the trace bound\n",
-                static_cast<unsigned long long>(t.dropped));
+                static_cast<unsigned long long>(ctl.decisions_dropped()));
   }
   std::printf("\n");
 }
@@ -267,22 +190,12 @@ std::FILE* open_or_die(const std::string& path) {
   return f;
 }
 
-const char* lock_display_name(const std::string& l) {
-  if (l == "ttas") return locks::TtasLock::kName;
-  if (l == "mcs") return locks::McsLock::kName;
-  if (l == "ticket") return locks::TicketLock::kName;
-  if (l == "ticket-adj") return locks::TicketLockAdjusted::kName;
-  if (l == "clh") return locks::ClhLock::kName;
-  if (l == "clh-adj") return locks::ClhLockAdjusted::kName;
-  return l.c_str();
-}
-
 void report_run(const Options& o, locks::ElisionPolicy policy,
                 const harness::RunStats& stats) {
   std::printf("scheme:     %s on %s  (%d threads, %zu-node tree, %d%% "
               "updates, %.2f ms)\n",
-              policy.name(), lock_display_name(o.lock), o.threads, o.size,
-              o.updates, o.ms);
+              policy.name(), harness::lock_sel_name(o.lock), o.threads, o.size,
+              o.updates, o.ms * harness::env_duration_scale());
   std::printf("throughput: %.2f Mops/s   attempts/op %.2f   "
               "non-speculative %.1f%%\n",
               stats.throughput() / 1e6, stats.attempts_per_op(),
@@ -305,6 +218,16 @@ int main(int argc, char** argv) {
 
   harness::MetricsRegistry registry;
   tsx::Telemetry telemetry;
+  harness::RbPoint p;
+  p.size = o.size;
+  p.update_pct = o.updates;
+  p.threads = o.threads;
+  p.lock = o.lock;
+  p.duration_sec = o.ms / 1e3;
+  p.telemetry = true;
+  p.avalanche = o.avalanche;
+  p.seed = o.seed;
+  p.telemetry_sink = &telemetry;
 
   if (o.all_schemes) {
     if (!o.events_file.empty()) {
@@ -314,18 +237,19 @@ int main(int argc, char** argv) {
     }
     for (const auto scheme : locks::kAllSixSchemes) {
       telemetry.clear();
-      const locks::ElisionPolicy policy = locks::ElisionPolicy::from_scheme(scheme);
-      const auto stats = run_policy(o, policy, &telemetry);
-      registry.record(policy.name(), lock_display_name(o.lock), stats);
-      report_run(o, policy, stats);
+      p.scheme = locks::ElisionPolicy::from_scheme(scheme);
+      const auto stats = harness::run_rb_point_once(p);
+      registry.record(p.scheme.name(), harness::lock_sel_name(o.lock), stats);
+      report_run(o, p.scheme, stats);
     }
   } else {
-    const locks::ElisionPolicy policy = parse_policy(o.scheme);
-    AdaptiveTrace adaptive;
-    const auto stats = run_policy(o, policy, &telemetry, &adaptive);
-    registry.record(policy.name(), lock_display_name(o.lock), stats);
-    report_run(o, policy, stats);
-    print_adaptive_trace(policy, adaptive);
+    p.scheme = parse_policy(o.scheme);
+    locks::AdaptiveController ctl;
+    if (p.scheme.scheme == locks::Scheme::kAdaptive) p.adaptive_out = &ctl;
+    const auto stats = harness::run_rb_point_once(p);
+    registry.record(p.scheme.name(), harness::lock_sel_name(o.lock), stats);
+    report_run(o, p.scheme, stats);
+    if (p.adaptive_out != nullptr) print_adaptive_trace(p.scheme, ctl);
     if (!o.events_file.empty()) {
       std::FILE* f = open_or_die(o.events_file);
       if (o.events_format == "json") {
