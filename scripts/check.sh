@@ -37,6 +37,7 @@
 # deliberately stale cached line ref must be caught by the generation
 # stamp, not silently served), and a gated full-tier run that must carry
 # the 128- and 256-thread fig5.1 machine-scale points.
+# The suite also runs in an ELISION_TELEMETRY=OFF build (build-check-notel/).
 # Uses its own build trees (build-check*/) so it never dirties build/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,6 +57,15 @@ SAN_BUILD=build-check-san
 cmake -B "$SAN_BUILD" -S . -DELISION_WERROR=ON -DELISION_SANITIZE=ON
 cmake --build "$SAN_BUILD" -j
 ctest --test-dir "$SAN_BUILD" --output-on-failure -j
+
+# The same suite with telemetry compiled out: tests that need the event
+# rings skip themselves, everything else must pass, so a test that silently
+# depends on telemetry fails here instead of in a user's ELISION_TELEMETRY=OFF
+# build.
+NOTEL_BUILD=build-check-notel
+cmake -B "$NOTEL_BUILD" -S . -DELISION_WERROR=ON -DELISION_TELEMETRY=OFF
+cmake --build "$NOTEL_BUILD" -j
+ctest --test-dir "$NOTEL_BUILD" --output-on-failure -j
 
 # ThreadSanitizer over the in-process parallel paths: the pool itself, the
 # per-run simulations fanned out across host threads (fiber switches are

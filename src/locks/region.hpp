@@ -213,19 +213,20 @@ RegionResult hle_region(tsx::Ctx& ctx, Lock& lock, const RetryParams& params,
   int spec_failures = 0;
   for (;;) {
     ++r.attempts;
-    try {
+    // The XACQUIRE inside mode_lock begins the transaction; an abort
+    // resumes here with everything rolled back by the engine.
+    const unsigned st = ctx.engine().attempt(ctx, [&] {
       ctx.set_mode(tsx::ElisionMode::kSpeculative);
       detail::mode_lock(ctx, lock, mode);
       body();
       detail::mode_unlock(ctx, lock, mode);  // the XRELEASE commits
-      ctx.set_mode(tsx::ElisionMode::kStandard);
+    });
+    ctx.set_mode(tsx::ElisionMode::kStandard);
+    if (st == tsx::kCommitted) {
       r.speculative = true;
       return r;
-    } catch (const tsx::TxAbortException& e) {
-      // rolled back by the engine
-      r.last_abort = e.cause;
     }
-    ctx.set_mode(tsx::ElisionMode::kStandard);
+    r.last_abort = ctx.last_abort_cause();
     ++spec_failures;
     if (complete_standard(ctx, lock, r, body, mode)) return r;
     if (params.max_spec_attempts > 0 &&

@@ -10,7 +10,6 @@
 #include "locks/region.hpp"
 #include "locks/grouped_scm.hpp"
 #include "locks/scm.hpp"
-#include "locks/shared_guard.hpp"
 #include "locks/slr.hpp"
 #include "support/function_ref.hpp"
 

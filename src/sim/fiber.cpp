@@ -10,8 +10,9 @@
 
 // AddressSanitizer must be told about manual stack switches: it keeps
 // per-thread stack bounds (and a fake stack for use-after-return detection),
-// and an exception thrown on an unannounced fiber stack makes its no-return
-// handler unpoison the wrong memory — a crash inside the sanitizer runtime.
+// and an exception thrown or a longjmp taken (a transaction abort) on an
+// unannounced fiber stack makes its no-return handler unpoison the wrong
+// memory — a crash inside the sanitizer runtime.
 #if defined(__SANITIZE_ADDRESS__)
 #define ELISION_FIBER_ASAN 1
 #elif defined(__has_feature)

@@ -10,8 +10,10 @@
 //    other work (sanitizer stack-switch bookkeeping; free otherwise).
 //  * A fiber entry function must never return through the trampoline; the
 //    scheduler switches away from a finishing fiber (enforced with a trap).
-//  * Exceptions must be caught within the fiber that threw them; unwinding
-//    across a switch is undefined.
+//  * Exceptions must be caught within the fiber that threw them, and a
+//    longjmp must target a jmp_buf set on the same fiber (tsx::Checkpoint
+//    chains are per simulated thread); unwinding across a switch is
+//    undefined.
 #pragma once
 
 #include <cstddef>

@@ -58,7 +58,11 @@ StampResult run_labyrinth(const StampConfig& cfg) {
       sched.spawn([&, t](sim::SimThread& st) {
         auto& ctx = eng.context(st);
         const auto [lo, hi] = detail::partition(n_paths, t, cfg.threads);
+        // BFS scratch lives outside the region body: an abort discards the
+        // body's frames without running destructors, so a container local
+        // to the body would leak on every aborted routing attempt.
         std::vector<int> parent(kWidth * kHeight);
+        std::deque<int> frontier;
         for (std::size_t i = lo; i < hi; ++i) {
           const auto [src, dst] = endpoints[i];
           const auto path_id = static_cast<std::int64_t>(i + 1);
@@ -68,7 +72,8 @@ StampResult run_labyrinth(const StampConfig& cfg) {
             ok = false;
             std::fill(parent.begin(), parent.end(), -1);
             parent[src] = src;
-            std::deque<int> frontier{src};
+            frontier.clear();
+            frontier.push_back(src);
             while (!frontier.empty()) {
               const int cur = frontier.front();
               frontier.pop_front();

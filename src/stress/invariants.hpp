@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "support/check.hpp"
+#include "support/function_ref.hpp"
 #include "tsx/tx_context.hpp"
 
 namespace elision::stress {
@@ -20,36 +21,27 @@ namespace elision::stress {
 // Mutual exclusion: at most one thread may be inside a critical section
 // *non-speculatively* per lock. Speculative (transactional) executions
 // legitimately overlap — the TM layer arbitrates them and rolls losers
-// back — so only non-transactional occupancy counts. Scope a Guard over the
-// critical-section body:
+// back — so only non-transactional occupancy counts. Run the critical-
+// section body through occupy():
 //
 //   cs.run(ctx, [&] {
-//     MutualExclusionChecker::Guard g(checker, ctx);
-//     ... body ...
+//     checker.occupy(ctx, [&] { ... body ... });
 //   });
+//
+// Not an RAII guard: an abort restores the transaction's checkpoint without
+// running destructors (Engine::attempt).
 class MutualExclusionChecker {
  public:
-  // Counts the enclosing scope as a non-speculative critical-section
-  // occupancy unless the thread is in a transaction. The decision is
-  // latched at construction: an abort can only unwind a *transactional*
-  // scope (never counted), so a counted scope always runs its destructor
-  // exactly once.
-  class Guard {
-   public:
-    Guard(MutualExclusionChecker& checker, tsx::Ctx& ctx)
-        : checker_(checker), counted_(!ctx.in_tx()) {
-      if (counted_ && ++checker_.inside_ > 1) ++checker_.violations_;
-    }
-    ~Guard() {
-      if (counted_) --checker_.inside_;
-    }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-
-   private:
-    MutualExclusionChecker& checker_;
-    const bool counted_;
-  };
+  // Runs `body` as a non-speculative critical-section occupancy unless the
+  // thread is in a transaction. The decision is taken on entry: an abort
+  // can only discard a *transactional* occupancy (never counted), so a
+  // counted one always reaches its exit.
+  void occupy(tsx::Ctx& ctx, support::FunctionRef<void()> body) {
+    const bool counted = !ctx.in_tx();
+    if (counted && ++inside_ > 1) ++violations_;
+    body();
+    if (counted) --inside_;
+  }
 
   std::uint64_t violations() const { return violations_; }
   void reset() {
@@ -66,50 +58,27 @@ class MutualExclusionChecker {
 // non-speculative writer must exclude *everything*; non-speculative readers
 // may overlap each other but never a writer. As with MutualExclusionChecker,
 // speculative (transactional) occupancies legitimately overlap — the TM
-// layer rolls losers back — so only non-transactional scopes count, and the
-// decision is latched at construction. Scope a WriterGuard over exclusive
-// bodies and a ReaderGuard over shared ones.
+// layer rolls losers back — so only non-transactional occupancies count,
+// decided on entry as in MutualExclusionChecker::occupy. Run exclusive
+// bodies through as_writer() and shared ones through as_reader().
 class SharedMutualExclusionChecker {
  public:
-  class WriterGuard {
-   public:
-    WriterGuard(SharedMutualExclusionChecker& checker, tsx::Ctx& ctx)
-        : checker_(checker), counted_(!ctx.in_tx()) {
-      if (counted_ &&
-          (++checker_.writers_ > 1 || checker_.readers_ > 0)) {
-        ++checker_.violations_;
-      }
-    }
-    ~WriterGuard() {
-      if (counted_) --checker_.writers_;
-    }
-    WriterGuard(const WriterGuard&) = delete;
-    WriterGuard& operator=(const WriterGuard&) = delete;
+  void as_writer(tsx::Ctx& ctx, support::FunctionRef<void()> body) {
+    const bool counted = !ctx.in_tx();
+    if (counted && (++writers_ > 1 || readers_ > 0)) ++violations_;
+    body();
+    if (counted) --writers_;
+  }
 
-   private:
-    SharedMutualExclusionChecker& checker_;
-    const bool counted_;
-  };
-
-  class ReaderGuard {
-   public:
-    ReaderGuard(SharedMutualExclusionChecker& checker, tsx::Ctx& ctx)
-        : checker_(checker), counted_(!ctx.in_tx()) {
-      if (counted_) {
-        ++checker_.readers_;
-        if (checker_.writers_ > 0) ++checker_.violations_;
-      }
+  void as_reader(tsx::Ctx& ctx, support::FunctionRef<void()> body) {
+    const bool counted = !ctx.in_tx();
+    if (counted) {
+      ++readers_;
+      if (writers_ > 0) ++violations_;
     }
-    ~ReaderGuard() {
-      if (counted_) --checker_.readers_;
-    }
-    ReaderGuard(const ReaderGuard&) = delete;
-    ReaderGuard& operator=(const ReaderGuard&) = delete;
-
-   private:
-    SharedMutualExclusionChecker& checker_;
-    const bool counted_;
-  };
+    body();
+    if (counted) --readers_;
+  }
 
   std::uint64_t violations() const { return violations_; }
   void reset() {

@@ -139,9 +139,10 @@ RunOutcome run_counter(const StressOptions& o, const StressCase& c) {
   const harness::RunStats stats =
       harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
         return cs.run(ctx, [&] {
-          MutualExclusionChecker::Guard g(mutex, ctx);
-          counter.store(ctx, counter.load(ctx) + 1);
-          ctx.engine().compute(ctx, 20);
+          mutex.occupy(ctx, [&] {
+            counter.store(ctx, counter.load(ctx) + 1);
+            ctx.engine().compute(ctx, 20);
+          });
         });
       });
   dog.finish(stats.elapsed_cycles);
@@ -194,19 +195,20 @@ RunOutcome run_hashtable(const StressOptions& o, const StressCase& c) {
             ctx.thread().rng().next_below(o.hashtable_key_domain);
         const std::uint64_t dice = ctx.thread().rng().next_below(100);
         return cs.run(ctx, [&] {
-          MutualExclusionChecker::Guard g(mutex, ctx);
-          if (dice < 35) {
-            if (table.insert(ctx, key, key * 3)) {
-              net.store(ctx, net.load(ctx) + 1);
+          mutex.occupy(ctx, [&] {
+            if (dice < 35) {
+              if (table.insert(ctx, key, key * 3)) {
+                net.store(ctx, net.load(ctx) + 1);
+              }
+            } else if (dice < 70) {
+              if (table.erase(ctx, key)) {
+                net.store(ctx, net.load(ctx) - 1);
+              }
+            } else {
+              std::uint64_t v = 0;
+              if (table.lookup(ctx, key, &v) && v != key * 3) ++torn_values;
             }
-          } else if (dice < 70) {
-            if (table.erase(ctx, key)) {
-              net.store(ctx, net.load(ctx) - 1);
-            }
-          } else {
-            std::uint64_t v = 0;
-            if (table.lookup(ctx, key, &v) && v != key * 3) ++torn_values;
-          }
+          });
         });
       });
   dog.finish(stats.elapsed_cycles);
@@ -239,8 +241,8 @@ RunOutcome run_hashtable(const StressOptions& o, const StressCase& c) {
 // B+tree mix over the two-mode lock API: updates run exclusive, reads run
 // *shared* on shared-capable locks (and exclusive on single-mode ones, so
 // the workload still crosses the whole lock grid). On top of the structural
-// checks this is where the reader-writer invariants live: a WriterGuard
-// must exclude everything, ReaderGuards may overlap each other, and the
+// checks this is where the reader-writer invariants live: a writer
+// occupancy must exclude everything, readers may overlap each other, and the
 // RoleLockoutChecker watches for either role being locked out — the
 // writer-starvation hazard the planted GreedySharedLock self-test trips.
 template <typename Lock>
@@ -291,30 +293,32 @@ RunOutcome run_btree(const StressOptions& o, const StressCase& c) {
             ctx.engine().compute(ctx, o.btree_writer_gap_cycles);
           }
           const locks::RegionResult r = cs.run_exclusive(ctx, [&] {
-            SharedMutualExclusionChecker::WriterGuard g(rw_mutex, ctx);
-            if (dice < insert_below) {
-              if (tree.insert(ctx, key, key + 1)) {
-                net.store(ctx, net.load(ctx) + 1);
+            rw_mutex.as_writer(ctx, [&] {
+              if (dice < insert_below) {
+                if (tree.insert(ctx, key, key + 1)) {
+                  net.store(ctx, net.load(ctx) + 1);
+                }
+              } else if (tree.erase(ctx, key)) {
+                net.store(ctx, net.load(ctx) - 1);
               }
-            } else if (tree.erase(ctx, key)) {
-              net.store(ctx, net.load(ctx) - 1);
-            }
+            });
           });
           roles.note_writer(ctx.thread().now());
           return r;
         }
         const auto read_body = [&] {
-          SharedMutualExclusionChecker::ReaderGuard g(rw_mutex, ctx);
-          if (o.btree_read_dwell_cycles != 0) {
-            ctx.engine().compute(ctx, o.btree_read_dwell_cycles);
-          }
-          if (read_dice < static_cast<std::uint64_t>(o.btree_scan_pct)) {
-            std::uint64_t sum = 0;
-            tree.range_sum(ctx, key, o.btree_scan_len, &sum);
-            return;
-          }
-          std::uint64_t v = 0;
-          if (tree.lookup(ctx, key, &v) && v != key + 1) ++torn_values;
+          rw_mutex.as_reader(ctx, [&] {
+            if (o.btree_read_dwell_cycles != 0) {
+              ctx.engine().compute(ctx, o.btree_read_dwell_cycles);
+            }
+            if (read_dice < static_cast<std::uint64_t>(o.btree_scan_pct)) {
+              std::uint64_t sum = 0;
+              tree.range_sum(ctx, key, o.btree_scan_len, &sum);
+              return;
+            }
+            std::uint64_t v = 0;
+            if (tree.lookup(ctx, key, &v) && v != key + 1) ++torn_values;
+          });
         };
         locks::RegionResult r;
         if constexpr (locks::detail::kHasSharedMode<Lock>) {

@@ -78,14 +78,10 @@ inline unsigned status_of(AbortCause cause, std::uint8_t xabort_code) {
   }
 }
 
-// Thrown by the engine to unwind a speculative execution back to its region
-// driver. Never escapes the elision layer.
-struct TxAbortException {
-  unsigned status;
-  AbortCause cause;
-};
-
-// Return value of Engine::run_transaction when the body committed.
+// An abort never unwinds: the engine restores the innermost XBEGIN
+// checkpoint (tsx::Checkpoint, pushed by Engine::attempt), which returns the
+// status word above. Return value of Engine::attempt and
+// Engine::run_transaction when the body ran to completion instead.
 inline constexpr unsigned kCommitted = 0xFFFFFFFFu;
 
 }  // namespace elision::tsx

@@ -1,5 +1,6 @@
 #include "tsx/engine.hpp"
 
+#include <csetjmp>
 #include <utility>
 
 namespace elision::tsx {
@@ -86,8 +87,8 @@ void Engine::release_ownership(Ctx& ctx) {
   ++ctx.own_epoch_;
 }
 
-void Engine::rollback_and_throw(Ctx& ctx, AbortCause cause,
-                                std::uint8_t code) {
+void Engine::rollback_and_restore(Ctx& ctx, AbortCause cause,
+                                  std::uint8_t code) {
   // Speculatively written lines are discarded from the owner's cache, as a
   // hardware abort invalidates them.
   for (LineRecord* rec : ctx.write_lines_) {
@@ -128,12 +129,20 @@ void Engine::rollback_and_throw(Ctx& ctx, AbortCause cause,
     }
   }
   ctx.thread().tick(cost_.abort_penalty);
-  throw TxAbortException{st, cause};
+  // Resume at the innermost checkpoint, popping it on the way.
+  Checkpoint* cp = ctx.checkpoint_;
+  ELISION_CHECK_MSG(cp != nullptr,
+                    "transaction aborted outside any Engine::attempt: "
+                    "begin transactions through run_transaction or a "
+                    "region driver");
+  ctx.checkpoint_ = cp->prev;
+  cp->status = st;
+  std::longjmp(cp->env, 1);
 }
 
 void Engine::abort_self(Ctx& ctx, AbortCause cause, std::uint8_t code) {
   ELISION_DCHECK(ctx.in_tx());
-  rollback_and_throw(ctx, cause, code);
+  rollback_and_restore(ctx, cause, code);
 }
 
 void Engine::abort_remote(int victim_id, AbortCause cause,
@@ -316,7 +325,8 @@ void Engine::tx_store_slow(Ctx& ctx, std::uint64_t value, std::uintptr_t key,
     }
     if (config_.conflict_policy == ConflictPolicy::kOldestWins) {
       // Defer to the oldest conflicting reader, if any is older than us
-      // (abort_self throws, exiting the scan like the break it replaces).
+      // (abort_self does not return, exiting the scan like the break it
+      // replaces).
       ThreadSet older = rec->readers;
       older.reset(ctx.id());
       older.for_each([&](int r) {
@@ -480,21 +490,30 @@ unsigned Engine::run_transaction(Ctx& ctx,
                                  support::FunctionRef<void()> body) {
   if (ctx.in_tx()) {
     // Flat nesting: the inner transaction is subsumed; an abort anywhere
-    // unwinds to the outermost run_transaction.
+    // resumes at the outermost run_transaction's checkpoint.
     poll(ctx);
     ++ctx.nest_depth_;
     body();
     --ctx.nest_depth_;
     return kCommitted;
   }
-  try {
+  return attempt(ctx, [&] {
     begin_tx(ctx);
     body();
     commit(ctx);
-    return kCommitted;
-  } catch (const TxAbortException& e) {
-    return e.status;
-  }
+  });
+}
+
+unsigned Engine::attempt(Ctx& ctx, support::FunctionRef<void()> body) {
+  // Nothing in this frame is written after setjmp, so the restore sees
+  // every local as it was at the checkpoint. The restore pops `cp` itself.
+  Checkpoint cp;
+  cp.prev = ctx.checkpoint_;
+  ctx.checkpoint_ = &cp;
+  if (setjmp(cp.env) != 0) return cp.status;
+  body();
+  ctx.checkpoint_ = cp.prev;
+  return kCommitted;
 }
 
 void Engine::xabort(Ctx& ctx, std::uint8_t code) {

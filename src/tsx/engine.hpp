@@ -66,8 +66,18 @@ class Engine {
   // ------------------------------------------------------------------
   // Runs `body` transactionally. Returns kCommitted on success, otherwise
   // the Intel-style abort status. Nested calls flatten into the outer
-  // transaction (aborts unwind to the outermost caller).
+  // transaction (an abort resumes at the outermost caller).
   unsigned run_transaction(Ctx& ctx, support::FunctionRef<void()> body);
+
+  // The one XBEGIN checkpoint site. Pushes a checkpoint onto ctx's chain and
+  // runs `body`; returns kCommitted if the body returns, or the abort status
+  // if an abort of a transaction begun inside it restored the checkpoint
+  // (the innermost live attempt wins). Either way the checkpoint is popped.
+  //
+  // A restore discards the body's frames without running destructors, as
+  // the hardware discards them: no automatic object with a non-trivial
+  // destructor may be live in `body` (or anything it calls) at an abort.
+  unsigned attempt(Ctx& ctx, support::FunctionRef<void()> body);
   [[noreturn]] void xabort(Ctx& ctx, std::uint8_t code);
   bool xtest(Ctx& ctx) const { return ctx.in_tx(); }
 
@@ -147,8 +157,8 @@ class Engine {
   void abort_readers(LineRecord& rec, support::LineId line, int except_id,
                      int requester_id);
   void release_ownership(Ctx& ctx);
-  [[noreturn]] void rollback_and_throw(Ctx& ctx, AbortCause cause,
-                                       std::uint8_t code);
+  [[noreturn]] void rollback_and_restore(Ctx& ctx, AbortCause cause,
+                                         std::uint8_t code);
 
   void elide_begin(Ctx& ctx, void* addr, std::uint64_t illusion_value);
   bool elide_release(Ctx& ctx, std::uint64_t new_value);  // true: committed/ok
@@ -194,7 +204,7 @@ class Engine {
 
 inline void Engine::poll(Ctx& ctx) {
   if (ctx.state_ == TxState::kAbortMarked) [[unlikely]] {
-    rollback_and_throw(ctx, ctx.pending_cause_, 0);
+    rollback_and_restore(ctx, ctx.pending_cause_, 0);
   }
 }
 

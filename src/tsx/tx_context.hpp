@@ -2,6 +2,7 @@
 #pragma once
 
 #include <array>
+#include <csetjmp>
 #include <cstdint>
 #include <vector>
 
@@ -31,6 +32,17 @@ enum class TxState : std::uint8_t {
 enum class ElisionMode : std::uint8_t {
   kStandard,     // elidable ops execute as plain atomic RMWs
   kSpeculative,  // an XACQUIRE op begins a transaction and elides the store
+};
+
+// An XBEGIN checkpoint: where an abort resumes. Engine::attempt pushes one
+// onto its context's chain (linked through `prev`, innermost first) and an
+// abort restores the innermost, handing it the abort status — the simulated
+// counterpart of the hardware discarding the speculative frames and resuming
+// at the XBEGIN fallback address with the status in EAX.
+struct Checkpoint {
+  std::jmp_buf env;
+  Checkpoint* prev = nullptr;
+  unsigned status = 0;
 };
 
 // The per-thread transaction context. This is also the "ctx" handle that all
@@ -71,6 +83,10 @@ class TxContext {
   // The region drivers use it to attribute failed attempts in RegionResult.
   AbortCause last_abort_cause() const { return last_abort_cause_; }
 
+  // Whether an Engine::attempt is live on this thread (an abort has
+  // somewhere to resume).
+  bool has_checkpoint() const { return checkpoint_ != nullptr; }
+
  private:
   friend class Engine;
 
@@ -82,6 +98,7 @@ class TxContext {
   int nest_depth_ = 0;
   std::uint64_t begin_time_ = 0;  // virtual time of xbegin (age for TLR)
   AbortCause pending_cause_ = AbortCause::kNone;
+  Checkpoint* checkpoint_ = nullptr;  // innermost live Engine::attempt
   ElisionMode mode_ = ElisionMode::kStandard;
   support::LineId last_conflict_line_ = 0;
   int last_conflict_thread_ = -1;

@@ -149,22 +149,102 @@ TEST(Engine, FlatNestingCommitsAtOuter) {
   EXPECT_EQ(x.unsafe_get(), 2u);
 }
 
-TEST(Engine, NestedAbortUnwindsToOuter) {
+TEST(Engine, NestedAbortResumesAtOuter) {
   Shared<std::uint64_t> x(0);
   run_threads({[&](Ctx& ctx) {
     auto& eng = ctx.engine();
     bool after_inner = false;
     const unsigned st = eng.run_transaction(ctx, [&] {
       x.store(ctx, 1);
+      // Flat nesting pushes no checkpoint: the abort restores the outer one.
       eng.run_transaction(ctx, [&] { eng.xabort(ctx, 3); });
       after_inner = true;  // must never execute: flat nesting
     });
-    EXPECT_NE(st, kCommitted);
-    EXPECT_TRUE(st & status::kExplicit);
-    EXPECT_TRUE(st & status::kNested);
+    EXPECT_EQ(st, status::with_code(status::kExplicit | status::kRetry |
+                                        status::kNested,
+                                    3));
     EXPECT_FALSE(after_inner);
+    EXPECT_FALSE(eng.xtest(ctx));
+    EXPECT_FALSE(ctx.has_checkpoint());
   }});
   EXPECT_EQ(x.unsafe_get(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// XBEGIN checkpoints (Engine::attempt): where an abort resumes
+// ---------------------------------------------------------------------------
+
+TEST(Checkpoint, InnermostLiveCheckpointWins) {
+  Shared<std::uint64_t> x(0);
+  run_threads({[&](Ctx& ctx) {
+    auto& eng = ctx.engine();
+    unsigned inner = kCommitted;
+    bool resumed_in_outer = false;
+    const unsigned outer = eng.attempt(ctx, [&] {
+      inner = eng.run_transaction(ctx, [&] {
+        x.store(ctx, 1);
+        eng.xabort(ctx, 5);
+      });
+      // The restore popped only the inner checkpoint.
+      resumed_in_outer = true;
+      EXPECT_TRUE(ctx.has_checkpoint());
+    });
+    EXPECT_EQ(inner, status::with_code(status::kExplicit | status::kRetry, 5));
+    EXPECT_TRUE(resumed_in_outer);
+    EXPECT_EQ(outer, kCommitted);
+    EXPECT_FALSE(ctx.has_checkpoint());
+  }});
+  EXPECT_EQ(x.unsafe_get(), 0u);
+}
+
+TEST(Checkpoint, ChainIsEmptyAfterCommitAndAbort) {
+  Shared<std::uint64_t> lock(0);
+  run_threads({[&](Ctx& ctx) {
+    auto& eng = ctx.engine();
+    EXPECT_FALSE(ctx.has_checkpoint());
+    EXPECT_EQ(eng.run_transaction(
+                  ctx, [&] { EXPECT_TRUE(ctx.has_checkpoint()); }),
+              kCommitted);
+    EXPECT_FALSE(ctx.has_checkpoint());
+    // Many aborts in a row: each restore pops exactly its own checkpoint.
+    for (int i = 0; i < 100; ++i) {
+      EXPECT_NE(eng.run_transaction(ctx, [&] { eng.xabort(ctx, 1); }),
+                kCommitted);
+      EXPECT_FALSE(ctx.has_checkpoint());
+    }
+    // An HLE transaction begun inside a bare attempt, both ways.
+    ctx.set_mode(ElisionMode::kSpeculative);
+    EXPECT_EQ(eng.attempt(ctx, [&] {
+                lock.xacquire_exchange(ctx, 1);
+                lock.xrelease_store(ctx, 0);
+              }),
+              kCommitted);
+    EXPECT_FALSE(ctx.has_checkpoint());
+    EXPECT_NE(eng.attempt(ctx, [&] {
+                lock.xacquire_exchange(ctx, 1);
+                eng.pause(ctx);
+              }),
+              kCommitted);
+    EXPECT_EQ(ctx.last_abort_cause(), AbortCause::kPause);
+    EXPECT_FALSE(ctx.has_checkpoint());
+    ctx.set_mode(ElisionMode::kStandard);
+  }});
+  EXPECT_EQ(lock.unsafe_get(), 0u);
+}
+
+TEST(CheckpointDeathTest, AbortWithoutCheckpointDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Shared<std::uint64_t> lock(0);
+        run_threads({[&](Ctx& ctx) {
+          // An XACQUIRE begins a transaction with no attempt around it.
+          ctx.set_mode(ElisionMode::kSpeculative);
+          lock.xacquire_exchange(ctx, 1);
+          ctx.engine().xabort(ctx, 1);
+        }});
+      },
+      "aborted outside any Engine::attempt");
 }
 
 TEST(Engine, PauseAbortsTransaction) {

@@ -70,15 +70,13 @@ TEST(Hle, ReleaseMustRestoreOriginalValue) {
   sched.spawn([&](sim::SimThread& st) {
     auto& ctx = eng.context(st);
     ctx.set_mode(ElisionMode::kSpeculative);
-    bool aborted = false;
-    try {
+    const unsigned status = eng.attempt(ctx, [&] {
       lock.xacquire_exchange(ctx, 1);
       lock.xrelease_store(ctx, 2);  // wrong value: must abort
-    } catch (const TxAbortException& e) {
-      aborted = true;
-      EXPECT_EQ(e.cause, AbortCause::kHleMismatch);
-    }
-    EXPECT_TRUE(aborted);
+    });
+    // Like Haswell, an HLE-elision violation carries no status bits.
+    EXPECT_EQ(status, 0u);
+    EXPECT_EQ(ctx.last_abort_cause(), AbortCause::kHleMismatch);
     ctx.set_mode(ElisionMode::kStandard);
   });
   sched.run();
@@ -92,15 +90,12 @@ TEST(Hle, ReleaseToDifferentAddressAborts) {
   Shared<std::uint64_t> lock(0), other(0);
   run_threads({[&](Ctx& ctx) {
     ctx.set_mode(ElisionMode::kSpeculative);
-    bool aborted = false;
-    try {
+    const unsigned st = ctx.engine().attempt(ctx, [&] {
       lock.xacquire_exchange(ctx, 1);
       other.xrelease_store(ctx, 0);  // not the elided address
-    } catch (const TxAbortException& e) {
-      aborted = true;
-      EXPECT_EQ(e.cause, AbortCause::kHleMismatch);
-    }
-    EXPECT_TRUE(aborted);
+    });
+    EXPECT_EQ(st, 0u);
+    EXPECT_EQ(ctx.last_abort_cause(), AbortCause::kHleMismatch);
     ctx.set_mode(ElisionMode::kStandard);
   }});
 }

@@ -1,6 +1,6 @@
 // Two-mode lock family tests: reader-writer mutual exclusion, reader
 // concurrency, writer preference, elided-reader fast paths through
-// CriticalSection::run_shared, SharedGuard abort rollback, and the
+// CriticalSection::run_shared, abort rollback of a shared acquisition, and the
 // reader-avalanche telemetry attribution the writer-heavy bench points rely
 // on.
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "locks/schemes.hpp"
-#include "locks/shared_guard.hpp"
 #include "locks/ttas_lock.hpp"
 #include "locks/shared_mcs_lock.hpp"
 #include "locks/shared_ttas_lock.hpp"
@@ -157,20 +156,20 @@ TYPED_TEST(SharedLockTest, SharedReleaseLeavesWordFree) {
   sched.run();
 }
 
-TYPED_TEST(SharedLockTest, SharedGuardRollsBackWithAbortedTransaction) {
-  // An aborted transaction rolls the elided reader increment back; the
-  // guard's destructor must not decrement what was never really added.
+TYPED_TEST(SharedLockTest, SharedAcquireRollsBackWithAbortedTransaction) {
+  // An aborted transaction rolls the buffered reader increment back with
+  // it: nothing is left to release, and the lock works both ways after.
   TypeParam lock;
   sim::Scheduler sched(quiet_machine());
   tsx::Engine eng(sched, quiet_tsx());
   sched.spawn([&](sim::SimThread& st) {
     auto& ctx = eng.context(st);
     const unsigned status = ctx.engine().run_transaction(ctx, [&] {
-      SharedGuard<TypeParam> g(ctx, lock);
-      EXPECT_TRUE(g.was_speculative());
+      lock.lock_shared(ctx);
       ctx.engine().xabort(ctx, 7);
     });
-    EXPECT_NE(status, tsx::kCommitted);
+    EXPECT_EQ(status, tsx::status::with_code(
+                          tsx::status::kExplicit | tsx::status::kRetry, 7));
     EXPECT_FALSE(lock.is_held(ctx));
     // The lock must still work both ways afterwards.
     lock.lock(ctx);
@@ -320,29 +319,39 @@ TYPED_TEST(SharedLockTest, WriterAcquisitionAbortsEntireElidedReaderCrowd) {
       writer_cs.run(ctx, [&] { data.store(ctx, data.load(ctx) + 1); });
     }
   });
+  // Reader regions whose last failed attempt was a conflict abort by the
+  // writer (thread 0), read off the abort feedback every build carries.
+  int reader_regions_aborted_by_writer = 0;
   for (int t = 1; t < 7; ++t) {
     sched.spawn([&](sim::SimThread& st) {
       auto& ctx = eng.context(st);
       for (int k = 0; k < 200; ++k) {
-        readers_cs.run(ctx, [&] {
+        const RegionResult r = readers_cs.run(ctx, [&] {
           data.load(ctx);
           ctx.engine().compute(ctx, 200);
         });
+        if (r.last_abort == tsx::AbortCause::kConflict &&
+            ctx.last_conflict_thread() == 0) {
+          ++reader_regions_aborted_by_writer;
+        }
       }
     });
   }
   sched.run();
   EXPECT_EQ(data.unsafe_get(), 25u);
-  // Telemetry must attribute elided-reader aborts to the writer (thread 0):
-  // kTxAbort events on reader threads whose aborter is the writer.
-  int reader_aborts_by_writer = 0;
-  for (const auto& e : telemetry.merged()) {
-    if (e.kind == tsx::EventKind::kTxAbort && e.thread != 0 &&
-        e.other_thread == 0) {
-      ++reader_aborts_by_writer;
+  EXPECT_GT(reader_regions_aborted_by_writer, 0);
+  if constexpr (tsx::kTelemetryCompiled) {
+    // The event ring attributes the same aborts to the writer: at least one
+    // kTxAbort per such region (earlier failed attempts may add more).
+    int reader_aborts_by_writer = 0;
+    for (const auto& e : telemetry.merged()) {
+      if (e.kind == tsx::EventKind::kTxAbort && e.thread != 0 &&
+          e.other_thread == 0) {
+        ++reader_aborts_by_writer;
+      }
     }
+    EXPECT_GE(reader_aborts_by_writer, reader_regions_aborted_by_writer);
   }
-  EXPECT_GT(reader_aborts_by_writer, 0);
 }
 
 }  // namespace

@@ -255,6 +255,8 @@ int max_victims(const harness::RunStats& stats) {
 }
 
 TEST(AvalancheIntegration, HleOverMcsCascadesScmContainsIt) {
+  // Avalanche episodes are read off the event rings.
+  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   const auto hle = run_rb(locks::ElisionPolicy::hle(), true);
   const auto scm = run_rb(locks::ElisionPolicy::hle_scm(), true);
 
@@ -272,6 +274,7 @@ TEST(AvalancheIntegration, HleOverMcsCascadesScmContainsIt) {
 }
 
 TEST(AvalancheIntegration, TelemetryDoesNotPerturbVirtualTime) {
+  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // Telemetry records host-side only; the simulated run must be bit-for-bit
   // identical with it on or off.
   // The caller-owned observation sinks must not perturb it either.
