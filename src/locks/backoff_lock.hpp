@@ -22,7 +22,8 @@ class BackoffTtasLock {
   void lock(tsx::Ctx& ctx) {
     std::uint64_t delay = kMinDelay;
     for (;;) {
-      while (word_.value.load(ctx) != 0) ctx.engine().pause(ctx);
+      ctx.engine().spin_while(ctx, word_.value,
+                              [](std::uint64_t v) { return v != 0; });
       if (word_.value.xacquire_exchange(ctx, 1) == 0) return;
       backoff(ctx, &delay);
     }

@@ -40,7 +40,8 @@ class BasicClhLock {
     my->locked.store(ctx, 1);  // before the XACQUIRE: non-transactional
     QNode* pred = tail_.value.xacquire_exchange(ctx, my);
     pred_[id] = pred;
-    while (pred->locked.load(ctx) != 0) ctx.engine().pause(ctx);
+    ctx.engine().spin_while(ctx, pred->locked,
+                            [](std::uint64_t v) { return v != 0; });
   }
 
   void unlock(tsx::Ctx& ctx) {

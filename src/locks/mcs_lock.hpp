@@ -34,7 +34,8 @@ class McsLock {
     QNode* pred = tail_.value.xacquire_exchange(ctx, &my);
     if (pred != nullptr) {
       pred->next.store(ctx, &my);
-      while (my.locked.load(ctx) != 0) ctx.engine().pause(ctx);
+      ctx.engine().spin_while(ctx, my.locked,
+                              [](std::uint64_t v) { return v != 0; });
     }
   }
 
@@ -42,7 +43,8 @@ class McsLock {
     QNode& my = nodes_[static_cast<std::size_t>(ctx.id())];
     if (my.next.load(ctx) == nullptr) {
       if (tail_.value.xrelease_compare_exchange(ctx, &my, nullptr)) return;
-      while (my.next.load(ctx) == nullptr) ctx.engine().pause(ctx);
+      ctx.engine().spin_while(ctx, my.next,
+                              [](QNode* n) { return n == nullptr; });
     }
     my.next.load(ctx)->locked.store(ctx, 0);
   }

@@ -43,7 +43,8 @@ class SharedMcsLock {
     // fetch_adds suffice; transient reader entries (optimistic entries that
     // back out) only touch the reader-count line.
     word().fetch_add(ctx, rw::kPendingUnit);
-    while (readers().load(ctx) != 0) ctx.engine().pause(ctx);
+    ctx.engine().spin_while(ctx, readers(),
+                            [](std::uint64_t v) { return v != 0; });
     word().fetch_add(ctx, rw::kWriter - rw::kPendingUnit);
   }
 

@@ -54,6 +54,13 @@ inline constexpr std::uint64_t reader_count(std::uint64_t v) {
   return v >> kReaderShift;
 }
 
+// Spins until no writer holds or awaits the lock.
+inline void wait_readable(tsx::Ctx& ctx, tsx::Shared<std::uint64_t>& word) {
+  ctx.engine().spin_while(ctx, word, [](std::uint64_t v) {
+    return (v & kReaderBlockMask) != 0;
+  });
+}
+
 // Shared-mode acquisition; both shared locks use this reader protocol.
 //
 // Speculative mode: the XACQUIRE FETCH_ADD elides the increment and
@@ -70,14 +77,14 @@ inline void lock_shared(tsx::Ctx& ctx, tsx::Shared<std::uint64_t>& word,
                         tsx::Shared<std::uint64_t>& readers) {
   if (ctx.mode() == tsx::ElisionMode::kSpeculative) {
     for (;;) {
-      while ((word.load(ctx) & kReaderBlockMask) != 0) ctx.engine().pause(ctx);
+      wait_readable(ctx, word);
       const std::uint64_t old = word.xacquire_fetch_add(ctx, kReaderUnit);
       if ((old & kReaderBlockMask) == 0) return;
       ctx.engine().pause(ctx);  // doomed attempt: abort
     }
   }
   for (;;) {
-    while ((word.load(ctx) & kReaderBlockMask) != 0) ctx.engine().pause(ctx);
+    wait_readable(ctx, word);
     readers.fetch_add(ctx, 1);
     if ((word.load(ctx) & kReaderBlockMask) == 0) return;
     readers.fetch_add(ctx, std::uint64_t{0} - 1);  // writer won: back out

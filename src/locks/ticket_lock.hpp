@@ -33,7 +33,9 @@ class BasicTicketLock {
     // implementation the paper references.
     const std::uint64_t current = word_.value.next.xacquire_fetch_add(ctx, 1);
     current_[static_cast<std::size_t>(ctx.id())] = current;
-    while (word_.value.owner.load(ctx) != current) ctx.engine().pause(ctx);
+    ctx.engine().spin_while(ctx, word_.value.owner, [current](std::uint64_t v) {
+      return v != current;
+    });
   }
 
   void unlock(tsx::Ctx& ctx) {

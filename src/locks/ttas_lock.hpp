@@ -20,20 +20,16 @@ class TtasLock {
   static constexpr bool kIsFair = false;
 
   void lock(tsx::Ctx& ctx) {
-    bool first_observation = true;
-    for (;;) {
-      for (;;) {
-        const std::uint64_t v = word_.value.load(ctx);
-        if (first_observation) {
-          first_observation = false;
-          ++arrivals_;
-          if (v != 0) ++arrivals_lock_held_;
-        }
-        if (v == 0) break;
-        ctx.engine().pause(ctx);
-      }
-      if (word_.value.xacquire_exchange(ctx, 1) == 0) return;
+    // The first observation is a plain load: it feeds the arrival
+    // statistics.
+    const std::uint64_t first = word_.value.load(ctx);
+    ++arrivals_;
+    if (first != 0) {
+      ++arrivals_lock_held_;
+      ctx.engine().pause(ctx);
+      wait_free(ctx);
     }
+    while (word_.value.xacquire_exchange(ctx, 1) != 0) wait_free(ctx);
   }
 
   void unlock(tsx::Ctx& ctx) { word_.value.xrelease_store(ctx, 0); }
@@ -61,6 +57,11 @@ class TtasLock {
   void reset_arrival_stats() { arrivals_ = arrivals_lock_held_ = 0; }
 
  private:
+  void wait_free(tsx::Ctx& ctx) {
+    ctx.engine().spin_while(ctx, word_.value,
+                            [](std::uint64_t v) { return v != 0; });
+  }
+
   support::CacheAligned<tsx::Shared<std::uint64_t>> word_;
   // Host-side counters (not simulated state; they cost nothing).
   std::uint64_t arrivals_ = 0;

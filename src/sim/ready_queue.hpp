@@ -1,26 +1,31 @@
 // Incrementally-maintained min/argmin index over per-thread virtual clocks.
 //
-// The scheduler needs, once per simulated memory access, the smallest clock
+// The scheduler needs, once per scheduling decision, the smallest clock
 // among runnable threads and the id of its first holder (lowest tid wins
 // ties). The seed implementation swept all N clocks per access with a
 // data-dependent argmin branch — O(N) work and a mispredict-heavy loop that
 // dominated the profile on big simulated machines.
 //
-// This is a flat array-backed tournament tree of arity kGroupSize (16):
-// clocks live in one dense array padded to a multiple of the group size
-// with the finished sentinel; each group of 16 consecutive tids caches its
-// (min, argmin) pair, and the root caches the winner across groups. An
-// update rescans only the updated thread's group and the per-group minima —
-// two short contiguous scans with independent compares (at most
-// 16 + ceil(N/16) steps, so 32 for the 256-thread cap) instead of one long
-// serial sweep — and the root query is O(1).
+// Two shapes, split by thread count:
 //
 // Machines of at most one group (<= 16 threads, which covers the paper's
-// 8-hyperthread i7 and every historical bench point) skip the cached levels
-// entirely: set() is a plain store and min_entry() is the seed's fused
-// min/argmin sweep, computed on demand. At that size the sweep costs the
-// same as maintaining the caches would, and running the seed's exact
-// instruction sequence keeps the small-machine canaries at seed throughput.
+// 8-hyperthread i7 and every historical bench point) keep the live tids in
+// a small array sorted by (clock, tid). min_entry() reads the front, so the
+// pick and the preemption-bound recompute of a context switch are O(1);
+// the batching scheduler's switch is exchange() with the incoming thread at
+// the front, i.e. a pop-front fused with one forward insertion of the
+// outgoing thread. (clock, tid) order puts the lowest tid first among equal
+// clocks, which is exactly the seed sweep's first-index-wins tie-break.
+//
+// Larger machines use a flat array-backed tournament tree of arity
+// kGroupSize (16): clocks live in one dense array padded to a multiple of
+// the group size with the finished sentinel; each group of 16 consecutive
+// tids caches its (min, argmin) pair, and the root caches the winner across
+// groups. An update rescans only the updated thread's group and the
+// per-group minima — two short contiguous scans with independent compares
+// (at most 16 + ceil(N/16) steps, so 32 for the 256-thread cap) instead of
+// one long serial sweep — and the root query is O(1). (A sorted array at
+// every size loses here: its insertions grow linearly with N.)
 //
 // Tie-break equivalence: the group scan keeps the first (lowest-index)
 // holder of the group minimum, and the root scan keeps the first group
@@ -29,10 +34,12 @@
 // seed's linear sweep, so schedules are preserved bit-for-bit.
 //
 // Finished threads (and padding slots beyond size()) hold kFinishedClock,
-// so they lose every comparison against a live thread and min_clock()
-// degrades to the sentinel when nothing is runnable.
+// so they lose every comparison against a live thread (the sorted array
+// leaves them out altogether) and min_clock() degrades to the sentinel when
+// nothing is runnable.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -64,16 +71,20 @@ class ReadyQueue {
       group_tid_.push_back(tid);
     }
     clocks_[static_cast<std::size_t>(tid)] = 0;
-    // Rebuild every cached level from scratch: set() maintains only the
-    // levels above the updated tid and, on a one-level machine, skips the
-    // group caches entirely — growing the machine (including across the
-    // one-level/two-level boundary) must leave all of them coherent.
+    // Rebuild the index from scratch: set() maintains only the shape the
+    // machine currently has, so growing it (including across the
+    // sorted-array/tournament boundary) must leave the new shape coherent.
     rebuild();
     return tid;
   }
 
-  // Updates tid's clock and the cached tournament levels above it.
+  // Updates tid's clock and the index. On a one-group machine this moves
+  // tid's entry within the sorted array (removing it for the sentinel,
+  // inserting it when it leaves the sentinel). Callers: spawn, finish,
+  // the scheduler's park of an incoming thread, and the per-access path
+  // with switch-bound batching off.
   //
+  // Two-level machines update the cached tournament levels above tid.
   // Scheduler clocks are monotonic, which buys the O(1) fast path: when a
   // clock moves up and its holder was not the cached argmin of its level,
   // no cached winner can change and the update is two compares. Rescans
@@ -84,13 +95,12 @@ class ReadyQueue {
   // Must compile into SimThread::advance() (and from there into the engine's
   // charge functions) the way the seed's open-coded sweep did; the two-level
   // rescan stays out of line so it does not drag the caller over the
-  // inliner's size budget. On a one-group machine there are no cached
-  // levels and this is a plain store.
+  // inliner's size budget.
   ELISION_ALWAYS_INLINE void set(int tid, std::uint64_t clock) {
     ELISION_DCHECK(static_cast<std::size_t>(tid) < size_);
     const std::size_t ti = static_cast<std::size_t>(tid);
     if (size_ <= kGroupSize) {
-      clocks_[ti] = clock;
+      sorted_set(tid, clock);
       return;
     }
     const bool moved_up = clock >= clocks_[ti];
@@ -101,17 +111,25 @@ class ReadyQueue {
   }
 
   // Fused context-switch update for the batching scheduler: re-enters the
-  // outgoing thread at its final clock and parks the incoming thread at the
-  // sentinel, repairing each touched group once and the root once — instead
-  // of two set() calls, each of which would take the full decrease/argmin
-  // rescan path and repair the root twice. Runs once per context switch.
+  // outgoing thread (whose slot sits at the sentinel) at its final clock and
+  // parks the incoming thread — the current argmin — at the sentinel. On a
+  // one-group machine that is a pop-front fused with one forward insertion;
+  // on a two-level machine each touched group is repaired once and the root
+  // once, instead of two set() calls that would each take the full
+  // decrease/argmin rescan path. Runs once per context switch.
   void exchange(int out_tid, std::uint64_t out_clock, int in_tid) {
     ELISION_DCHECK(out_tid != in_tid);
     const std::size_t oi = static_cast<std::size_t>(out_tid);
     const std::size_t ii = static_cast<std::size_t>(in_tid);
+    ELISION_DCHECK(clocks_[oi] == kFinishedClock &&
+                   out_clock != kFinishedClock);
     clocks_[oi] = out_clock;
     clocks_[ii] = kFinishedClock;
-    if (size_ <= kGroupSize) return;  // no cached levels to repair
+    if (size_ <= kGroupSize) {
+      ELISION_DCHECK(live_ > 0 && order_[0].tid == in_tid);
+      place(0, {out_clock, out_tid});  // the incoming thread's front slot
+      return;
+    }
     const std::size_t go = oi >> kGroupShift;
     const std::size_t gi = ii >> kGroupShift;
     // The incoming thread's clock rises to the sentinel, so its group needs
@@ -131,19 +149,19 @@ class ReadyQueue {
     rescan_root();
   }
 
-  // The (min clock, lowest holder tid) pair over all registered threads —
-  // what the tick path reads once per simulated access. Two-level machines
-  // read the cached root in O(1); one-group machines run the seed's fused
-  // min/argmin sweep (first index wins ties) on demand. tid is only
-  // meaningful while some thread is live (otherwise it names an arbitrary
-  // finished/padding slot).
+  // The (min clock, lowest holder tid) pair over all registered threads,
+  // in O(1): the front of the sorted array or the cached tournament root.
+  // With no live thread it is {kFinishedClock, 0} on a one-group machine;
+  // tid is only meaningful while some thread is live.
   struct Entry {
     std::uint64_t clock;
     std::int32_t tid;
   };
   ELISION_ALWAYS_INLINE Entry min_entry() const {
     ELISION_DCHECK(size_ > 0);
-    if (size_ <= kGroupSize) return min_entry_single();
+    if (size_ <= kGroupSize) {
+      return live_ > 0 ? order_[0] : Entry{kFinishedClock, 0};
+    }
     return {root_min_, root_tid_};
   }
 
@@ -227,27 +245,57 @@ class ReadyQueue {
     root_tid_ = group_tid_[rg];
   }
 
-  // One-group fused min/argmin sweep of the live clocks (first index wins
-  // ties) — the seed scheduler's exact loop. At <= kGroupSize elements the
-  // fused loop beats the split min-then-find-first form used for full
-  // groups.
-  Entry min_entry_single() const {
-    std::uint64_t m = clocks_[0];
-    std::size_t mi = 0;
-    for (std::size_t i = 1; i < size_; ++i) {
-      if (clocks_[i] < m) {
-        m = clocks_[i];
-        mi = i;
-      }
-    }
-    return {m, static_cast<std::int32_t>(mi)};
+  // Sorted-array order: (clock, tid) lexicographic.
+  static bool before(const Entry& a, const Entry& b) {
+    return a.clock < b.clock || (a.clock == b.clock && a.tid < b.tid);
   }
 
-  // Recomputes every cached level from the clocks alone. One-group machines
-  // have no cached levels (min_entry() sweeps on demand), so only the
-  // two-level shape does work here.
+  // One-group set(): moves tid's entry to its new sorted position, or drops
+  // it for the sentinel / inserts it when it leaves the sentinel. Out of
+  // line so set() stays a few instructions at every inlined tick site.
+  ELISION_NOINLINE void sorted_set(int tid, std::uint64_t clock) {
+    const std::size_t ti = static_cast<std::size_t>(tid);
+    const bool was_live = clocks_[ti] != kFinishedClock;
+    clocks_[ti] = clock;
+    std::size_t i = live_;
+    if (was_live) {
+      i = 0;
+      while (order_[i].tid != tid) ++i;
+      if (clock == kFinishedClock) {
+        for (--live_; i < live_; ++i) order_[i] = order_[i + 1];
+        return;
+      }
+    } else if (clock == kFinishedClock) {
+      return;
+    } else {
+      ++live_;
+    }
+    place(i, {clock, tid});
+  }
+
+  // Slot i of order_[0, live_) is free: moves the free slot forward past
+  // smaller entries, then back past larger ones (only one of the two loops
+  // moves anything), and stores e there.
+  void place(std::size_t i, const Entry& e) {
+    for (; i + 1 < live_ && before(order_[i + 1], e); ++i) {
+      order_[i] = order_[i + 1];
+    }
+    for (; i > 0 && before(e, order_[i - 1]); --i) order_[i] = order_[i - 1];
+    order_[i] = e;
+  }
+
+  // Recomputes the index from the clocks alone: the sorted array on a
+  // one-group machine, every cached tournament level otherwise.
   void rebuild() {
-    if (size_ <= kGroupSize) return;
+    if (size_ <= kGroupSize) {
+      live_ = 0;
+      for (std::size_t t = 0; t < size_; ++t) {
+        const std::uint64_t c = clocks_[t];
+        clocks_[t] = kFinishedClock;
+        sorted_set(static_cast<int>(t), c);
+      }
+      return;
+    }
     const std::size_t groups = group_min_.size();
     for (std::size_t g = 0; g < groups; ++g) {
       const std::uint64_t* const base = clocks_.data() + (g << kGroupShift);
@@ -279,6 +327,10 @@ class ReadyQueue {
   std::vector<std::int32_t> group_tid_;
   std::uint64_t root_min_ = kFinishedClock;
   std::int32_t root_tid_ = -1;
+  // One-group machines: the live (non-sentinel) threads sorted by
+  // (clock, tid); order_[0] is the argmin.
+  std::array<Entry, kGroupSize> order_{};
+  std::size_t live_ = 0;
   std::size_t size_ = 0;  // registered thread count
 };
 

@@ -61,7 +61,10 @@ void SimThread::maybe_perturb() {
 }
 
 Scheduler::Scheduler(MachineConfig config)
-    : config_(config), batch_(config.batch_switch_bound) {
+    : config_(config),
+      batch_(config.batch_switch_bound),
+      spin_parking_(config.batch_switch_bound &&
+                    !(config.perturb.probability > 0)) {
   ELISION_CHECK(config_.n_cores >= 1);
   // Fast-path bound for advance(): any cycles below it scale to a delta
   // under 2^53 even at the worst per-core multiplier, so together with a
@@ -124,10 +127,11 @@ void Scheduler::yield_from(SimThread& t) {
         (best.clock == t.vclock_ && best.tid > t.tid_)) {
       return;
     }
-    SimThread& next = *threads_[static_cast<std::size_t>(best.tid)];
-    exchange_and_bound(t, next);
+    SimThread& picked = *threads_[static_cast<std::size_t>(best.tid)];
+    exchange_and_bound(t, picked);
+    SimThread& next = resolve(picked, &t);
     current_ = &next;
-    Fiber::switch_to(t.fiber_, next.fiber_);
+    if (&next != &t) Fiber::switch_to(t.fiber_, next.fiber_);
     return;
   }
   SimThread* next = pick_next();
@@ -149,10 +153,65 @@ void Scheduler::yield_over_bound(SimThread& t) {
   // neither win nor tie).
   const ReadyQueue::Entry best = ready_.min_entry();
   ELISION_DCHECK(best.clock < t.vclock_);
-  SimThread& next = *threads_[static_cast<std::size_t>(best.tid)];
-  exchange_and_bound(t, next);
+  SimThread& picked = *threads_[static_cast<std::size_t>(best.tid)];
+  exchange_and_bound(t, picked);
+  SimThread& next = resolve(picked, &t);
   current_ = &next;
-  Fiber::switch_to(t.fiber_, next.fiber_);
+  if (&next != &t) Fiber::switch_to(t.fiber_, next.fiber_);
+}
+
+void Scheduler::park_over_bound(SimThread& t, SpinWait& w) {
+  t.spin_ = &w;
+  ++parked_;
+  yield_over_bound(t);
+}
+
+SimThread& Scheduler::resolve(SimThread& next, const SimThread* self) {
+  if (parked_ == runnable_) check_not_deadlocked();
+  SimThread* p = &next;
+  while (p->spin_ != nullptr && p != self && replay(*p)) {
+    // p yielded at a replayed tick: exactly yield_over_bound's pick, minus
+    // the fiber switch (and so not counted as one).
+    const ReadyQueue::Entry best = ready_.min_entry();
+    ELISION_DCHECK(best.clock < p->vclock_);
+    SimThread& q = *threads_[static_cast<std::size_t>(best.tid)];
+    exchange_and_bound(*p, q, /*counted=*/false);
+    p = &q;
+  }
+  if (p->spin_ != nullptr) {
+    // Its fiber resumes the literal loop (at a load: replay() stops only
+    // there), or it is `self` and simply continues.
+    p->spin_ = nullptr;
+    --parked_;
+  }
+  return *p;
+}
+
+bool Scheduler::replay(SimThread& p) {
+  // Each step is the literal loop's tick: advance, then maybe_yield's
+  // compare against the bound (perturbation is off while parking).
+  SpinWait& w = *p.spin_;
+  for (;;) {
+    if (w.load_next) {
+      if (!w.quiet()) return false;
+      p.advance(w.load_cycles);
+      w.load_next = false;
+      if (p.vclock_ > switch_bound_) return true;
+    }
+    p.advance(w.pause_cycles);
+    w.load_next = true;
+    if (p.vclock_ > switch_bound_) return true;
+  }
+}
+
+void Scheduler::check_not_deadlocked() const {
+  // No fiber runs while every runnable thread is parked, so memory is frozen
+  // and a waiter whose next load is quiet stays quiet forever.
+  for (const auto& t : threads_) {
+    if (t->spin_ != nullptr && !t->spin_->quiet()) return;
+  }
+  ELISION_CHECK_MSG(false,
+                    "every simulated thread is spin-waiting (deadlock)");
 }
 
 void Scheduler::finish_from(SimThread& t) {
@@ -166,9 +225,12 @@ void Scheduler::finish_from(SimThread& t) {
   update_core_penalty(t.core_);
   ++switches_;
   SimThread* next = pick_next();
+  if (next != nullptr && batch_) {
+    park_and_bound(*next);
+    next = &resolve(*next, nullptr);
+  }
   current_ = next;
   if (next != nullptr) {
-    if (batch_) park_and_bound(*next);
     Fiber::switch_to(t.fiber_, next->fiber_);
   } else {
     Fiber::switch_to(t.fiber_, host_);

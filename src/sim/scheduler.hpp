@@ -9,13 +9,24 @@
 //
 // Hot-path layout: the tick path (advance + maybe_yield) runs once per
 // simulated memory access, tens of millions of times per benchmark point, so
-// its state is kept flat. Per-tid clocks (finished threads hold a max-uint64
-// sentinel) live in a ReadyQueue — a flat arity-16 tournament tree whose
-// cached (min, argmin) levels advance() repairs with two short contiguous
-// scans and maybe_yield() reads from the root in O(1), instead of the O(N)
-// mispredict-heavy sweep per access that made big simulated machines
-// quadratic. The hyperthreading multiplier is a per-core value maintained
-// at spawn/finish instead of an O(threads) sibling scan per advance.
+// its state is kept flat. With switch-bound batching (the default) an access
+// is one compare against a preemption bound cached at the last context
+// switch. Per-tid clocks (finished threads and the running thread hold a
+// max-uint64 sentinel) live in a ReadyQueue whose (min, argmin) read is O(1)
+// — a sorted array on machines of up to 16 threads, an arity-16 tournament
+// tree above that — so a scheduling decision costs a front read plus one
+// re-insertion. The hyperthreading multiplier is a per-core value
+// maintained at spawn/finish instead of an O(threads) sibling scan per
+// advance.
+//
+// Spin-waiters (tsx::Engine::spin_while) park here: a thread that yields
+// inside a tick of a spin loop (its PAUSE, or a load with no side effect)
+// hands the scheduler a SpinWait, and while its next load would have no
+// side effect either the scheduler replays the loop's ticks itself instead
+// of switching to the fiber. Replays advance the waiter's clock through
+// exactly the ticks and bound tests the loop would run, with no other
+// thread running in between, so the schedule is unchanged; they are not
+// counted as context switches.
 //
 // Usage:
 //   Scheduler sched(config);
@@ -34,11 +45,30 @@
 #include "sim/ready_queue.hpp"
 #include "support/inline.hpp"
 #include "support/check.hpp"
+#include "support/function_ref.hpp"
 #include "support/rng.hpp"
 
 namespace elision::sim {
 
 class Scheduler;
+
+// A spin-wait loop `while (pred(load(word))) pause();` handed to the
+// scheduler at a yield inside one of its ticks (SimThread::spin_tick): the
+// PAUSE tick, or the tick of a quiet load. While the thread is parked the
+// scheduler may run the loop's remaining iterations itself; it resumes the
+// fiber only for a load that `quiet` rejects.
+struct SpinWait {
+  // True iff the waiter's next load would only tick load_cycles and leave it
+  // spinning: the line has no transactional writer, the waiter holds a
+  // cached copy, and the predicate still holds for the word's value.
+  support::FunctionRef<bool()> quiet;
+  std::uint64_t load_cycles;   // the load's tick (an L1 hit)
+  std::uint64_t pause_cycles;  // the PAUSE tick
+  // Phase: true if the waiter's next step is the load, false if it is the
+  // PAUSE tick (the last load was quiet). Shared by the fiber's loop and
+  // the scheduler's replay, so the fiber resumes where a replay left off.
+  bool load_next = true;
+};
 
 // One logical thread of the simulated machine. Workload code receives a
 // reference and calls advance()/maybe_yield() (usually indirectly, through
@@ -70,6 +100,13 @@ class SimThread {
 
   // Unconditionally yields to the scheduler.
   void yield();
+
+  // A tick of a spin-wait loop (its PAUSE, or a quiet load), after which
+  // the loop's next step is the load iff `load_next`: tick(cycles), except
+  // that a yield here parks the thread on `w` (see SpinWait). Only valid
+  // while Scheduler::spin_parking() holds. Defined below Scheduler.
+  ELISION_ALWAYS_INLINE void spin_tick(SpinWait& w, std::uint64_t cycles,
+                                       bool load_next);
 
   // Convenience: advance then maybe_yield. This is the hook the shared-memory
   // layer calls once per simulated memory access — and therefore the
@@ -106,6 +143,7 @@ class SimThread {
   const unsigned core_;  // tid % n_cores, fixed at spawn
   std::uint64_t vclock_ = 0;
   bool finished_ = false;
+  SpinWait* spin_ = nullptr;  // non-null while parked in a spin-wait
   const bool sched_perturb_enabled_;
   support::Xoshiro256 rng_;
   support::Xoshiro256 perturb_rng_;
@@ -179,6 +217,11 @@ class Scheduler {
   // under batching; 0 with batching off). Exported as fast-path telemetry.
   std::uint64_t switch_bound_recomputes() const { return bound_recomputes_; }
 
+  // Whether spin-waiters may park (SimThread::spin_tick): only under
+  // switch-bound batching, and never with schedule perturbation, whose RNG
+  // draws at every tick a replay would skip.
+  bool spin_parking() const { return spin_parking_; }
+
   // --- internal, used by SimThread ---
   void yield_from(SimThread& t);
   [[noreturn]] void finish_from(SimThread& t);
@@ -212,15 +255,29 @@ class Scheduler {
   // the new argmin, parks that thread's slot, refreshes the bound and
   // switches. Out-of-line: it runs once per context switch, not per access.
   ELISION_NOINLINE void yield_over_bound(SimThread& t);
+  // Slow path of spin_tick(): parks t on `w`, then yields as above.
+  ELISION_NOINLINE void park_over_bound(SimThread& t, SpinWait& w);
+  // `next` was just picked (its slot parked, the bound computed for it).
+  // While it is a parked spin-waiter other than `self`, replays its loop
+  // and, each time it yields, re-enters it and picks again. Returns the
+  // thread to run, unparked: `self` itself means no switch is needed.
+  SimThread& resolve(SimThread& next, const SimThread* self);
+  // Runs a parked waiter's loop until it yields (true) or its next load
+  // needs the fiber (false).
+  bool replay(SimThread& p);
+  // Called with every runnable thread parked: fails if none of them can
+  // ever stop spinning.
+  void check_not_deadlocked() const;
   // Caches the preemption bound the incoming thread will run against: min
   // clock of everyone else (its own slot is parked at the sentinel) plus the
   // yield slack, saturated so a lone thread (sentinel min) never yields.
-  void recompute_bound() {
+  // Counted unless it only serves a replay.
+  void recompute_bound(bool counted = true) {
     const std::uint64_t m = ready_.min_clock();
     switch_bound_ = m >= kFinishedClock - config_.yield_slack_cycles
                         ? kFinishedClock
                         : m + config_.yield_slack_cycles;
-    ++bound_recomputes_;
+    if (counted) ++bound_recomputes_;
   }
   // Parks `next`'s ready-queue slot at the sentinel (its live clock now
   // lives only in vclock_) and refreshes the cached bound.
@@ -231,10 +288,11 @@ class Scheduler {
   // Batching context switch: folds the outgoing thread's clock back into the
   // ready queue and the running max, parks the incoming thread and refreshes
   // the bound — one fused queue repair instead of two full set() rescans.
-  void exchange_and_bound(SimThread& out, SimThread& next) {
+  void exchange_and_bound(SimThread& out, SimThread& next,
+                          bool counted = true) {
     ready_.exchange(out.tid_, out.vclock_, next.tid_);
     if (out.vclock_ > max_clock_) max_clock_ = out.vclock_;
-    recompute_bound();
+    recompute_bound(counted);
   }
   // Recomputes core_penalty_[core] from core_active_[core] (spawn/finish).
   void update_core_penalty(unsigned core) {
@@ -261,6 +319,8 @@ class Scheduler {
   std::uint64_t bound_recomputes_ = 0;
   // config_.batch_switch_bound, copied next to the tick-path state.
   bool batch_ = true;
+  bool spin_parking_ = false;
+  std::size_t parked_ = 0;  // threads parked in a spin-wait
   // Running max of every clock ever set: elapsed_cycles() without a rescan.
   std::uint64_t max_clock_ = 0;
   // Largest `cycles` advance() may scale without any overflow risk: with
@@ -327,6 +387,17 @@ ELISION_ALWAYS_INLINE void SimThread::maybe_yield() {
     // never this thread.
     sched_.switch_counted(
         *this, *sched_.threads_[static_cast<std::size_t>(best.tid)]);
+  }
+}
+
+ELISION_ALWAYS_INLINE void SimThread::spin_tick(SpinWait& w,
+                                                std::uint64_t cycles,
+                                                bool load_next) {
+  ELISION_DCHECK(sched_.spin_parking_);
+  w.load_next = load_next;
+  advance(cycles);
+  if (vclock_ > sched_.switch_bound_) [[unlikely]] {
+    sched_.park_over_bound(*this, w);
   }
 }
 

@@ -67,7 +67,9 @@ class SimBarrier {
       count_.store(ctx, 0);
       sense_.store(ctx, my_sense);
     } else {
-      while (sense_.load(ctx) != my_sense) ctx.engine().pause(ctx);
+      ctx.engine().spin_while(ctx, sense_, [my_sense](std::uint64_t v) {
+        return v != my_sense;
+      });
     }
   }
 

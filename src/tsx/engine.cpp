@@ -528,6 +528,44 @@ void Engine::pause(Ctx& ctx) {
   ctx.thread().tick(cost_.pause);
 }
 
+std::uint64_t Engine::spin_word(
+    Ctx& ctx, const void* addr,
+    support::FunctionRef<bool(std::uint64_t)> pred) {
+  if (ctx.in_tx() || !sched_.spin_parking()) {
+    // The literal loop: PAUSE aborts a transaction, and a replay would skip
+    // the perturbation draws of the ticks it stands in for.
+    for (;;) {
+      const std::uint64_t v = load(ctx, addr);
+      if (!pred(v)) return v;
+      pause(ctx);
+    }
+  }
+  // A load is quiet — direct_load would only tick load_cycles and the loop
+  // would go on — iff the line has no transactional writer to abort, our
+  // cached copy makes it an L1 hit, and the predicate still holds.
+  auto quiet = [&] {
+    const LineId line = line_of(addr);
+    const LineRecord& rec = table_.record(line, ctx.line_cache_for(line).ref);
+    return rec.writer == kNoThread && rec.copies.test(ctx.id()) &&
+           pred(read_word(addr));
+  };
+  sim::SpinWait w{quiet, cost_.l1_hit + cost_.access_compute, cost_.pause};
+  sim::SimThread& t = ctx.thread();
+  for (;;) {
+    // w.load_next, not control flow, says which step is next: a replay may
+    // have advanced the loop while the fiber was parked.
+    if (w.load_next) {
+      if (quiet()) {
+        t.spin_tick(w, w.load_cycles, /*load_next=*/false);
+        continue;
+      }
+      const std::uint64_t v = direct_load(ctx, addr);
+      if (!pred(v)) return v;
+    }
+    t.spin_tick(w, w.pause_cycles, /*load_next=*/true);  // pause(ctx)
+  }
+}
+
 // ---------------------------------------------------------------------------
 // HLE
 // ---------------------------------------------------------------------------

@@ -23,6 +23,9 @@
 
 namespace elision::tsx {
 
+template <typename T>
+class Shared;
+
 class Engine {
  public:
   explicit Engine(sim::Scheduler& sched, TsxConfig config = {});
@@ -84,6 +87,16 @@ class Engine {
   // Busy-wait hint. Like Haswell, PAUSE inside a transaction aborts it.
   void pause(Ctx& ctx);
 
+  // The way to wait for a word: `while (pred(word.load(ctx))) pause(ctx);`,
+  // returning the last value loaded. Simulated results are exactly those of
+  // that loop. Outside a transaction, with switch-bound batching on and no
+  // schedule perturbation, the waiter parks in the scheduler when it yields
+  // inside the loop, and the scheduler replays its side-effect-free
+  // iterations instead of switching to the fiber (sim::SpinWait). Defined
+  // in tsx/shared.hpp.
+  template <typename T, typename Pred>
+  T spin_while(Ctx& ctx, const Shared<T>& word, Pred pred);
+
   // Charges `cycles` of pure compute to the thread (models non-memory work).
   void compute(Ctx& ctx, std::uint64_t cycles) { ctx.thread().tick(cycles); }
 
@@ -131,6 +144,10 @@ class Engine {
                              support::LineId line, TxContext::CachedLine& cl);
   void tx_store_slow(Ctx& ctx, std::uint64_t value, std::uintptr_t key,
                      support::LineId line, TxContext::CachedLine& cl);
+
+  // spin_while() on a raw word.
+  std::uint64_t spin_word(Ctx& ctx, const void* addr,
+                          support::FunctionRef<bool(std::uint64_t)> pred);
 
   // --- direct (non-transactional) paths ---
   std::uint64_t direct_load(Ctx& ctx, const void* addr);

@@ -96,6 +96,7 @@ class Shared {
   void unsafe_set(T v) { raw_ = encode(v); }
 
  private:
+  friend class Engine;  // spin_while
   static std::uint64_t encode(T v) {
     std::uint64_t raw = 0;
     std::memcpy(&raw, &v, sizeof(T));
@@ -109,6 +110,13 @@ class Shared {
 
   std::uint64_t raw_ = 0;
 };
+
+template <typename T, typename Pred>
+T Engine::spin_while(Ctx& ctx, const Shared<T>& word, Pred pred) {
+  return Shared<T>::decode(spin_word(ctx, &word.raw_, [&](std::uint64_t raw) {
+    return pred(Shared<T>::decode(raw));
+  }));
+}
 
 // A contiguous array of shared words. Consecutive elements share cache lines
 // (8 per line), which is the realistic layout for the array-based workloads.

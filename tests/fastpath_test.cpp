@@ -5,7 +5,10 @@
 // agree on every virtual-time observable: ops, attempts, elapsed cycles,
 // transaction counters per abort cause, and the final simulated memory
 // image. Shapes cover 1..256 simulated threads (both sides of the ready
-// queue's 16->17 group boundary) and both yield-slack regimes.
+// queue's 16->17 group boundary), both yield-slack regimes, and locks whose
+// waits go through Engine::spin_while: with the fast paths on those waiters
+// park in the scheduler and get replayed, with them off they run the
+// literal load/PAUSE loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +17,10 @@
 #include <vector>
 
 #include "harness/runner.hpp"
+#include "locks/clh_lock.hpp"
+#include "locks/mcs_lock.hpp"
 #include "locks/schemes.hpp"
+#include "locks/ticket_lock.hpp"
 #include "locks/ttas_lock.hpp"
 #include "tsx/abort.hpp"
 
@@ -28,15 +34,17 @@ struct ShapeRun {
 
 // An RB-tree-shaped access pattern in miniature: a handful of strided loads
 // (re-reading the first line, so the owned-read tier gets hits) followed by
-// a store, under a TTAS lock elided with HLE+SCM so the run produces real
-// commits, aborts and lemming-effect episodes to compare.
+// a store, under an elided lock so the run produces real commits, aborts
+// and lemming-effect or avalanche episodes to compare.
 //
 // `words` is caller-owned and shared by the on/off runs of a pair: line ids
 // are real addresses >> 6, so the two runs must simulate the *same* array
 // or heap-placement differences (L1 set mapping, line sharing) would
 // diverge them for reasons that have nothing to do with the fast paths.
+template <typename Lock>
 ShapeRun run_shape(std::vector<std::uint64_t>& words, int threads,
-                   std::uint64_t slack, bool fast) {
+                   std::uint64_t slack, bool fast,
+                   const locks::ElisionPolicy& policy) {
   BenchConfig cfg;
   cfg.threads = threads;
   cfg.duration_sec = 0.0002;
@@ -47,9 +55,8 @@ ShapeRun run_shape(std::vector<std::uint64_t>& words, int threads,
   cfg.machine.batch_switch_bound = fast;
   cfg.tsx.owned_line_fastpath = fast;
 
-  locks::TtasLock lock;
-  locks::CriticalSection<locks::TtasLock> cs(locks::ElisionPolicy::hle_scm(),
-                                             lock);
+  Lock lock;
+  locks::CriticalSection<Lock> cs(policy, lock);
   std::fill(words.begin(), words.end(), 0);
   ShapeRun out;
   out.stats = run_workload(cfg, [&](tsx::Ctx& ctx) {
@@ -89,15 +96,17 @@ void expect_identical(const ShapeRun& on, const ShapeRun& off,
   EXPECT_EQ(on.words, off.words) << "final memory image diverged";
 }
 
-TEST(FastPathDifferential, IdenticalSimulationAcrossSizesAndSlack) {
+template <typename Lock>
+void check_lock_shape(const locks::ElisionPolicy& policy, const char* name) {
   std::vector<std::uint64_t> words(512);
   for (const int threads : {1, 2, 16, 17, 64, 256}) {
     for (const std::uint64_t slack : {std::uint64_t{0}, std::uint64_t{200}}) {
-      const ShapeRun on = run_shape(words, threads, slack, true);
-      const ShapeRun off = run_shape(words, threads, slack, false);
-      const std::string what =
-          "threads=" + std::to_string(threads) +
-          " slack=" + std::to_string(slack);
+      const ShapeRun on = run_shape<Lock>(words, threads, slack, true, policy);
+      const ShapeRun off =
+          run_shape<Lock>(words, threads, slack, false, policy);
+      const std::string what = std::string(name) +
+                               " threads=" + std::to_string(threads) +
+                               " slack=" + std::to_string(slack);
       expect_identical(on, off, what.c_str());
 
       // The runs must have simulated something worth comparing.
@@ -117,6 +126,16 @@ TEST(FastPathDifferential, IdenticalSimulationAcrossSizesAndSlack) {
       }
     }
   }
+}
+
+TEST(FastPathDifferential, IdenticalSimulationAcrossSizesAndSlack) {
+  using locks::ElisionPolicy;
+  check_lock_shape<locks::TtasLock>(ElisionPolicy::hle_scm(), "TTAS hle-scm");
+  check_lock_shape<locks::McsLock>(ElisionPolicy::hle(), "MCS hle");
+  check_lock_shape<locks::BasicTicketLock<true>>(ElisionPolicy::hle(),
+                                                 "Ticket-adj hle");
+  check_lock_shape<locks::BasicClhLock<true>>(ElisionPolicy::hle(),
+                                              "CLH-adj hle");
 }
 
 // The validation gate in front of every run: degenerate machine shapes must

@@ -1,9 +1,9 @@
-// Unit tests for the scheduler's tournament-tree ready queue plus the
-// schedule-equivalence suite: golden switch counts recorded from the seed's
-// O(N) linear-sweep scheduler on a grid of machine shapes, which the
-// ready-queue scheduler must reproduce exactly (the tie-break and yield
-// decisions are the schedule, and every byte-identity guarantee downstream
-// rests on them).
+// Unit tests for the scheduler's ready queue (sorted array up to 16 threads,
+// tournament tree above) plus the schedule-equivalence suite: golden switch
+// counts recorded from the seed's O(N) linear-sweep scheduler on a grid of
+// machine shapes, which the ready-queue scheduler must reproduce exactly
+// (the tie-break and yield decisions are the schedule, and every
+// byte-identity guarantee downstream rests on them).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -120,39 +120,67 @@ TEST(ReadyQueue, GroupBoundaryGrowth) {
 }
 
 TEST(ReadyQueue, DifferentialFuzzAgainstLinearSweep) {
+  // Random set() updates mixed with exchange() steps in the batching
+  // scheduler's shape: one thread "runs" with its slot parked at the
+  // sentinel and a private clock; an exchange re-enters it and parks the
+  // current argmin, which becomes the runner. A second pass uses 0..3-cycle
+  // increments so (clock, tid) ties are common.
   support::Xoshiro256 rng(12345);
-  for (const int n : {1, 3, 16, 17, 31, 64, 65, 200, 256}) {
-    ReadyQueue q;
-    std::vector<std::uint64_t> ref;
-    for (int t = 0; t < n; ++t) {
-      q.add_thread();
-      ref.push_back(0);
-    }
-    for (int step = 0; step < 3000; ++step) {
-      const int tid = static_cast<int>(rng.next_below(
-          static_cast<std::uint64_t>(n)));
-      std::uint64_t clock;
-      switch (rng.next_below(8)) {
-        case 0:
-          clock = kFin;  // finish
-          break;
-        case 1:
-          // Decrease (rebuild-style update): exercises the full rescan.
-          clock = ref[static_cast<std::size_t>(tid)] / 2;
-          break;
-        default:
-          clock = ref[static_cast<std::size_t>(tid)] == kFin
-                      ? kFin
-                      : ref[static_cast<std::size_t>(tid)] +
-                            rng.next_below(1000);
-          break;
+  for (const std::uint64_t max_inc : {std::uint64_t{1000}, std::uint64_t{4}}) {
+    for (const int n : {1, 3, 16, 17, 31, 64, 65, 200, 256}) {
+      ReadyQueue q;
+      std::vector<std::uint64_t> ref;
+      for (int t = 0; t < n; ++t) {
+        q.add_thread();
+        ref.push_back(0);
       }
-      ref[static_cast<std::size_t>(tid)] = clock;
-      q.set(tid, clock);
-      const auto want = linear_min(ref);
-      ASSERT_EQ(q.min_clock(), want.clock) << "n=" << n << " step=" << step;
-      if (want.clock != kFin) {
-        ASSERT_EQ(q.min_tid(), want.tid) << "n=" << n << " step=" << step;
+      int running = -1;  // tid whose slot is parked at the sentinel
+      std::uint64_t running_clock = 0;
+      for (int step = 0; step < 3000; ++step) {
+        const auto best = linear_min(ref);
+        const std::uint64_t kind = rng.next_below(8);
+        if (kind >= 4 && best.clock != kFin) {
+          const std::size_t in = static_cast<std::size_t>(best.tid);
+          if (running < 0) {
+            // Park the argmin (the scheduler's initial dispatch).
+            q.set(best.tid, kFin);
+          } else {
+            running_clock += rng.next_below(max_inc);
+            q.exchange(running, running_clock, best.tid);
+            ref[static_cast<std::size_t>(running)] = running_clock;
+          }
+          running = best.tid;
+          running_clock = ref[in];
+          ref[in] = kFin;
+        } else {
+          const int tid = static_cast<int>(rng.next_below(
+              static_cast<std::uint64_t>(n)));
+          const std::size_t ti = static_cast<std::size_t>(tid);
+          std::uint64_t clock;
+          switch (kind) {
+            case 0:
+              clock = kFin;  // finish
+              break;
+            case 1:
+              // Decrease (rebuild-style update): exercises the full rescan.
+              clock = ref[ti] / 2;
+              break;
+            default:
+              clock = ref[ti] == kFin ? kFin
+                                      : ref[ti] + rng.next_below(max_inc);
+              break;
+          }
+          if (tid == running) running = -1;  // leaves the sentinel slot
+          ref[ti] = clock;
+          q.set(tid, clock);
+        }
+        const auto want = linear_min(ref);
+        ASSERT_EQ(q.min_clock(), want.clock)
+            << "n=" << n << " max_inc=" << max_inc << " step=" << step;
+        if (want.clock != kFin) {
+          ASSERT_EQ(q.min_tid(), want.tid)
+              << "n=" << n << " max_inc=" << max_inc << " step=" << step;
+        }
       }
     }
   }

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "sim/scheduler.hpp"
+#include "tsx/shared.hpp"
 
 namespace elision::sim {
 namespace {
@@ -228,6 +229,27 @@ TEST(SchedulerDeath, MaxSwitchesDetectsRunaway) {
         sched.run();
       },
       "max_switches");
+}
+
+TEST(SchedulerDeath, SpinWaitersOnUnchangedLinesDeadlock) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Scheduler sched(one_core_no_smt());
+        tsx::Engine eng(sched);
+        // Each thread waits for a word nobody ever writes. Once both are
+        // parked in the scheduler, no fiber can run to change either line.
+        std::vector<tsx::Shared<std::uint64_t>> words(2);
+        for (auto& w : words) {
+          w.unsafe_set(1);
+          sched.spawn([&eng, &w](SimThread& t) {
+            eng.spin_while(eng.context(t), w,
+                           [](std::uint64_t v) { return v != 0; });
+          });
+        }
+        sched.run();
+      },
+      "every simulated thread is spin-waiting");
 }
 
 }  // namespace
