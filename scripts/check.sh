@@ -336,6 +336,8 @@ for cli_bad in \
     "elide tree --threads ''" \
     "elide tree --threads 257" \
     "elide tree --lock bogus" \
+    "elide figure no-such-figure" \
+    "elide figure" \
     "stress_cli --seeds 1e9junk" \
     "stress_cli --threads 1x" \
     "stress_cli --prob 1.5" \

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Reproduces everything: build, full test suite, every figure/table bench.
+# Reproduces everything: build, full test suite, every figure/table
+# (`elide figure ID`) and the engine microbenchmark.
 # Outputs land in test_output.txt and bench_output.txt at the repo root.
 # ELISION_BENCH_SCALE=<x> lengthens bench runs for smoother curves.
 set -uo pipefail
@@ -10,8 +11,13 @@ cmake --build build
 
 ctest --test-dir build --timeout 600 2>&1 | tee test_output.txt
 
-for b in build/bench/*; do
-  [ -x "$b" ] && [ -f "$b" ] || continue
-  echo "### $(basename "$b")"
-  "$b"
-done 2>&1 | tee bench_output.txt
+# `elide figure` with no ID lists every registered figure on stderr.
+ids=$(build/tools/elide figure 2>&1 | sed -n 's/^figures: //p')
+{
+  for id in $ids; do
+    echo "### $id"
+    build/tools/elide figure "$id"
+  done
+  echo "### micro_engine"
+  build/bench/micro_engine
+} 2>&1 | tee bench_output.txt

@@ -24,11 +24,11 @@ RunStats run_phase_point_once(const PhasePoint& p) {
   // keeps the slots phase-aligned under ELISION_BENCH_SCALE too.
   const std::uint64_t phase_cycles = cfg.duration_cycles() / kPhaseCount;
   cfg.timeline_slot_cycles = phase_cycles;
-  return detail::run_tree(cfg, {.size = p.size,
-                                .lock = p.lock,
-                                .update_pct = p.calm_update_pct,
-                                .phase_cycles = phase_cycles,
-                                .storm_update_pct = p.storm_update_pct});
+  return run_keyed(cfg, {.size = p.size,
+                         .lock = p.lock,
+                         .update_pct = p.calm_update_pct,
+                         .phase_cycles = phase_cycles,
+                         .storm_update_pct = p.storm_update_pct});
 }
 
 RunStats run_phase_point(const PhasePoint& p) {

@@ -5,7 +5,9 @@
 #include <type_traits>
 #include <vector>
 
+#include "ds/hashtable.hpp"
 #include "ds/rbtree.hpp"
+#include "ds/skiplist.hpp"
 #include "locks/clh_lock.hpp"
 #include "locks/mcs_lock.hpp"
 #include "locks/schemes.hpp"
@@ -41,12 +43,10 @@ std::optional<LockSel> parse_lock_sel(std::string_view slug) {
   return std::nullopt;
 }
 
-namespace detail {
 namespace {
 
-template <typename Lock>
-RunStats run_tree_with_lock(const BenchConfig& cfg, const TreeRun& run,
-                            ds::RbTree& tree) {
+template <typename Lock, typename Set>
+RunStats run_with_lock(const BenchConfig& cfg, const KeyedRun& run, Set& set) {
   Lock lock;
   locks::CriticalSection<Lock> cs(cfg.policy, lock);
   const std::uint64_t domain = run.size * 2;
@@ -62,11 +62,15 @@ RunStats run_tree_with_lock(const BenchConfig& cfg, const TreeRun& run,
     const auto dice = static_cast<int>(rng.next_below(100));
     return cs.run(ctx, [&] {
       if (dice < half_updates) {
-        tree.insert(ctx, key);
+        if constexpr (std::is_same_v<Set, ds::HashTable>) {
+          set.insert(ctx, key, key);
+        } else {
+          set.insert(ctx, key);
+        }
       } else if (dice < update_pct) {
-        tree.erase(ctx, key);
+        set.erase(ctx, key);
       } else {
-        tree.contains(ctx, key);
+        set.contains(ctx, key);
       }
     });
   });
@@ -83,39 +87,72 @@ RunStats run_tree_with_lock(const BenchConfig& cfg, const TreeRun& run,
   return stats;
 }
 
-}  // namespace
-
-RunStats run_tree(const BenchConfig& cfg, const TreeRun& run) {
-  // max_threads stays at the default for every historical point (the free
-  // array's shape feeds the simulated access stream, so changing it would
-  // shift baselines); the 128/256-thread machine-scale points need the
-  // per-thread free lists sized to match.
-  ds::RbTree tree(run.size * 4 + 256,
-                  std::max(cfg.threads, tsx::kDefaultPoolThreads));
-  support::Xoshiro256 fill(cfg.machine.seed);
+// Inserts `size` distinct keys from [0, 2*size), drawn from `seed`.
+template <typename Insert>
+void prefill(std::size_t size, std::uint64_t seed, Insert&& insert) {
+  support::Xoshiro256 fill(seed);
   std::size_t filled = 0;
-  while (filled < run.size) {
-    if (tree.unsafe_insert(fill.next_below(run.size * 2))) ++filled;
+  while (filled < size) {
+    if (insert(fill.next_below(size * 2))) ++filled;
   }
-  tree.unsafe_distribute_free_lists(cfg.threads);
+}
+
+template <typename Set>
+RunStats run_on_set(const BenchConfig& cfg, const KeyedRun& run, Set& set) {
   switch (run.lock) {
     case LockSel::kTtas:
-      return run_tree_with_lock<locks::TtasLock>(cfg, run, tree);
+      return run_with_lock<locks::TtasLock>(cfg, run, set);
     case LockSel::kMcs:
-      return run_tree_with_lock<locks::McsLock>(cfg, run, tree);
+      return run_with_lock<locks::McsLock>(cfg, run, set);
     case LockSel::kTicketAdj:
-      return run_tree_with_lock<locks::TicketLockAdjusted>(cfg, run, tree);
+      return run_with_lock<locks::TicketLockAdjusted>(cfg, run, set);
     case LockSel::kClhAdj:
-      return run_tree_with_lock<locks::ClhLockAdjusted>(cfg, run, tree);
+      return run_with_lock<locks::ClhLockAdjusted>(cfg, run, set);
     case LockSel::kTicket:
-      return run_tree_with_lock<locks::TicketLock>(cfg, run, tree);
+      return run_with_lock<locks::TicketLock>(cfg, run, set);
     case LockSel::kClh:
-      return run_tree_with_lock<locks::ClhLock>(cfg, run, tree);
+      return run_with_lock<locks::ClhLock>(cfg, run, set);
   }
   return {};
 }
 
-}  // namespace detail
+}  // namespace
+
+RunStats run_keyed(const BenchConfig& cfg, const KeyedRun& run) {
+  // The pool's thread count stays at the default for every historical point
+  // (the free array's shape feeds the simulated access stream, so changing
+  // it would shift baselines); the 128/256-thread machine-scale points need
+  // the per-thread free lists sized to match.
+  const int pool_threads = std::max(cfg.threads, tsx::kDefaultPoolThreads);
+  const std::uint64_t seed = cfg.machine.seed;
+  switch (run.set) {
+    case KeyedSet::kRbTree: {
+      ds::RbTree tree(run.size * 4 + 256, pool_threads);
+      prefill(run.size, seed, [&](std::uint64_t k) {
+        return tree.unsafe_insert(k);
+      });
+      tree.unsafe_distribute_free_lists(cfg.threads);
+      return run_on_set(cfg, run, tree);
+    }
+    case KeyedSet::kHashTable: {
+      ds::HashTable table(512, run.size * 4 + 512, cfg.threads, pool_threads);
+      prefill(run.size, seed, [&](std::uint64_t k) {
+        return table.unsafe_insert(k, 1);
+      });
+      return run_on_set(cfg, run, table);
+    }
+    case KeyedSet::kSkipList: {
+      // 99 is the skiplist's default tower-height seed.
+      ds::SkipList list(run.size * 4 + 64, 99, pool_threads);
+      prefill(run.size, seed, [&](std::uint64_t k) {
+        return list.unsafe_insert(k);
+      });
+      list.unsafe_distribute_free_lists(cfg.threads);
+      return run_on_set(cfg, run, list);
+    }
+  }
+  return {};
+}
 
 RunStats run_rb_point_once(const RbPoint& p) {
   BenchConfig cfg;
@@ -134,11 +171,11 @@ RunStats run_rb_point_once(const RbPoint& p) {
   cfg.telemetry = p.telemetry;
   cfg.telemetry_sink = p.telemetry_sink;
   cfg.avalanche = p.avalanche;
-  return detail::run_tree(cfg, {.size = p.size,
-                                .lock = p.lock,
-                                .update_pct = p.update_pct,
-                                .arrival_held_frac = p.arrival_held_frac,
-                                .adaptive_out = p.adaptive_out});
+  return run_keyed(cfg, {.size = p.size,
+                         .lock = p.lock,
+                         .update_pct = p.update_pct,
+                         .arrival_held_frac = p.arrival_held_frac,
+                         .adaptive_out = p.adaptive_out});
 }
 
 RunStats run_rb_point(const RbPoint& p) {

@@ -1,9 +1,7 @@
 // The paper's red-black-tree benchmark as library code: a global-lock-
 // protected tree, random insert/delete/lookup mix, fixed virtual duration,
-// parameterised over (lock, scheme, size, mix, threads). Historically this
-// lived in bench/bench_common.hpp and every figure binary re-instantiated
-// it; it moved into the harness so the bench-suite driver, the figure
-// benches and tests all run the exact same point definitions.
+// parameterised over (lock, scheme, size, mix, threads), and the keyed-set
+// runner behind it, which also drives the hash-table and skiplist tables.
 #pragma once
 
 #include <cstddef>
@@ -85,15 +83,20 @@ RunStats run_rb_point_once(const RbPoint& p);
 // and adaptive_out describe a single run, so they must be null here.
 RunStats run_rb_point(const RbPoint& p);
 
-namespace detail {
+// The keyed sets the insert/erase/contains runner can drive.
+enum class KeyedSet { kRbTree, kHashTable, kSkipList };
 
-// The one RB-tree run behind run_rb_point_once and run_phase_point_once:
-// prefills a tree from cfg.machine.seed, guards it with `lock` elided by
-// cfg.policy, and runs the random insert/erase/contains mix under cfg.
-struct TreeRun {
+// The one keyed-set run behind run_rb_point_once, run_phase_point_once and
+// the hash-table/skiplist figures: prefills `set` with `size` distinct keys
+// drawn from [0, 2*size) by an RNG seeded with cfg.machine.seed, guards it
+// with `lock` elided by cfg.policy, and runs the random insert/erase/
+// contains mix under cfg. Each op draws its key, then its dice, and splits
+// update_pct evenly between inserts and erases.
+struct KeyedRun {
+  KeyedSet set = KeyedSet::kRbTree;
   std::size_t size = 0;
   LockSel lock = LockSel::kTtas;
-  int update_pct = 0;  // split evenly between inserts and deletes
+  int update_pct = 0;
   // The phase workload's write storm: when phase_cycles > 0, the second
   // phase (virtual time now / phase_cycles == 1) uses storm_update_pct.
   std::uint64_t phase_cycles = 0;
@@ -102,9 +105,7 @@ struct TreeRun {
   locks::AdaptiveController* adaptive_out = nullptr;
 };
 
-RunStats run_tree(const BenchConfig& cfg, const TreeRun& run);
-
-}  // namespace detail
+RunStats run_keyed(const BenchConfig& cfg, const KeyedRun& run);
 
 // The paper's tree-size sweep (Fig 3.1/3.4/5.2 x-axis).
 inline const std::size_t kTreeSizes[] = {2,    8,    32,   128,   512,

@@ -1,14 +1,14 @@
 // Benchmark-suite orchestration: a curated, tiered set of (scheme x lock x
-// workload) points drawn from the figure/table/ablation benches. Each point
-// holds exactly one workload definition — RB-tree, engine microbenchmark,
-// B+tree, phase-shifting RB-tree or sharded KV service — and runs through
-// that workload's library entry point, with
+// workload) points drawn from the paper's figures, tables and ablations.
+// Each point holds exactly one workload definition — RB-tree, engine
+// microbenchmark, B+tree, phase-shifting RB-tree or sharded KV service —
+// and runs through that workload's library entry point, with
 //
 //   - canonical machine-readable results (BENCH_results.json) carrying
 //     per-point throughput, spec/nonspec fractions, attempts-per-op, the
 //     abort-cause matrix and avalanche episode counts, plus run metadata
-//     (seeds, duration scale, machine config, telemetry availability),
-//     written and parsed through one field table per workload kind
+//     (duration scale, machine config, host and job settings), written and
+//     parsed through one field table per workload kind
 //     (suite_schema.cpp);
 //   - regression gating against a committed baseline with per-metric
 //     relative tolerances; and

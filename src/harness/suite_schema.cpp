@@ -77,6 +77,11 @@ bool get(const Value& v, double& out) {
   out = v.as_double();
   return true;
 }
+bool get(const Value& v, std::string& out) {
+  if (!v.is_string()) return false;
+  out = v.as_string();
+  return true;
+}
 bool get(const Value& v, locks::ElisionPolicy& out) {
   const auto p = v.is_string() ? locks::ElisionPolicy::parse(v.as_string())
                                : std::nullopt;
@@ -584,37 +589,33 @@ std::optional<SuiteResult> parse_results_json(const Value& doc) {
     if (!t) return std::nullopt;
     out.tier = *t;
   }
-  if (const Value* run = doc.find("run")) {
-    if (const Value* v = run->find("duration_scale")) {
-      out.duration_scale = v->as_double(1.0);
-    }
-    if (const Value* machine = run->find("machine")) {
-      if (const Value* v = machine->find("n_cores")) {
-        out.n_cores = static_cast<unsigned>(v->as_u64());
-      }
-      if (const Value* v = machine->find("smt_per_core")) {
-        out.smt_per_core = static_cast<unsigned>(v->as_u64());
-      }
-      if (const Value* v = machine->find("ghz")) out.ghz = v->as_double();
-    }
-    if (const Value* host = run->find("host")) {
-      if (const Value* v = host->find("cores")) {
-        out.host_cores = static_cast<unsigned>(v->as_u64());
-      }
-      if (const Value* v = host->find("jobs")) {
-        out.jobs = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = host->find("jobs_mode")) {
-        out.jobs_mode = v->as_string();
-      }
-      if (const Value* v = host->find("host_threads")) {
-        out.host_threads = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = host->find("total_wall_ms")) {
-        out.total_wall_ms = v->as_double();
-      }
-    }
-  }
+  // Run metadata is optional key by key (older documents lack some host
+  // fields), but a key that is present must have the writer's type: a
+  // corrupted scale or machine shape must not read as a default the gate's
+  // scale and machine checks then accept.
+  bool ok = true;
+  auto opt = [&ok](const Value* obj, const char* key, auto& out) {
+    const Value* v = obj != nullptr ? obj->find(key) : nullptr;
+    ok = ok && (v == nullptr || get(*v, out));
+  };
+  auto section = [&ok](const Value* obj, const char* key) {
+    const Value* v = obj != nullptr ? obj->find(key) : nullptr;
+    ok = ok && (v == nullptr || v->is_object());
+    return v;
+  };
+  const Value* run = section(&doc, "run");
+  opt(run, "duration_scale", out.duration_scale);
+  const Value* machine = section(run, "machine");
+  opt(machine, "n_cores", out.n_cores);
+  opt(machine, "smt_per_core", out.smt_per_core);
+  opt(machine, "ghz", out.ghz);
+  const Value* host = section(run, "host");
+  opt(host, "cores", out.host_cores);
+  opt(host, "jobs", out.jobs);
+  opt(host, "jobs_mode", out.jobs_mode);
+  opt(host, "host_threads", out.host_threads);
+  opt(host, "total_wall_ms", out.total_wall_ms);
+  if (!ok) return std::nullopt;
   const Value* points = doc.find("points");
   if (points == nullptr || !points->is_array()) return std::nullopt;
   for (const Value& p : points->items()) {

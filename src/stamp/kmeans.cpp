@@ -8,6 +8,7 @@
 // The immutable point coordinates are read outside the critical section (as
 // in STAMP, where only the accumulation is transactional); their scan cost
 // is charged as compute.
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -25,7 +26,9 @@ constexpr std::int64_t kFixedPoint = 1024;  // coordinates in fixed point
 
 StampResult run_kmeans(const StampConfig& cfg, bool high_contention) {
   const int k = high_contention ? 4 : 40;
-  const auto n_points = static_cast<std::size_t>(2048 * cfg.scale);
+  // At least one point, so a tiny scale still has centroids to seed.
+  const auto n_points =
+      std::max<std::size_t>(1, static_cast<std::size_t>(2048 * cfg.scale));
 
   // Immutable input points (host data; scanned outside transactions).
   support::Xoshiro256 rng(cfg.seed);

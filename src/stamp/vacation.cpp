@@ -7,6 +7,7 @@
 // updates the relations. Transactions are of medium length with read sets
 // spanning several tree paths; "high" contention issues more queries per
 // transaction over a hotter key range than "low".
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,13 +24,17 @@ constexpr std::size_t kRelations = 3;  // cars, flights, rooms
 }
 
 StampResult run_vacation(const StampConfig& cfg, bool high_contention) {
-  const auto items_per_relation = static_cast<std::size_t>(256 * cfg.scale);
+  // At least one item per relation (and in the hot slice), so a tiny scale
+  // still draws its queries from a non-empty table.
+  const auto items_per_relation =
+      std::max<std::size_t>(1, static_cast<std::size_t>(256 * cfg.scale));
   const auto sessions_per_thread = static_cast<std::size_t>(512 * cfg.scale);
   // STAMP: the high-contention configuration issues more queries per task
   // over a narrower (hotter) slice of each relation.
   const int queries_per_session = high_contention ? 4 : 2;
   const std::uint64_t hot_range =
-      high_contention ? items_per_relation / 2 : items_per_relation;
+      high_contention ? std::max<std::size_t>(1, items_per_relation / 2)
+                      : items_per_relation;
 
   std::vector<std::unique_ptr<ds::RbTree>> tables;
   for (std::size_t r = 0; r < kRelations; ++r) {

@@ -111,10 +111,11 @@ TEST(GroupedScm, ConflictingThreadsProgress) {
 TEST(GroupedScm, DisjointConflictGroupsKeepParity) {
   // Two independent hot pairs. The future-work hypothesis (Ch. 4 Remark) is
   // that per-conflict-line groups beat one global serializer. Our ablation
-  // (bench/abl_grouped_scm) finds parity at best in hammering regimes: the
-  // give-up path and first-attempt racers dominate, and lock-busy aborts
-  // carry no conflict line to group by. This test pins the implementation
-  // to correctness and rough parity (within 35% of single-aux SCM).
+  // (`elide figure abl-grouped-scm`) finds parity at best in hammering
+  // regimes: the give-up path and first-attempt racers dominate, and
+  // lock-busy aborts carry no conflict line to group by. This test pins the
+  // implementation to correctness and rough parity (within 35% of
+  // single-aux SCM).
   locks::TtasLock main_grouped, main_single;
   locks::AuxLockBank<locks::McsLock, 8> bank;
   locks::McsLock single_aux;

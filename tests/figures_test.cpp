@@ -5,13 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
-#include "ds/hashtable.hpp"
 #include "harness/rb_workload.hpp"
-#include "locks/mcs_lock.hpp"
-#include "locks/schemes.hpp"
-#include "support/rng.hpp"
+#include "sim/scheduler.hpp"
+#include "support/align.hpp"
+#include "tsx/shared.hpp"
 
 namespace elision {
 namespace {
@@ -81,28 +80,13 @@ TEST(Figures, HashTable_ScmLargeFactorOverHleMcs) {
   // The data-structure headline: a large SCM-over-HLE factor on the
   // short-transaction hash-table workload (paper: up to 10x).
   auto run = [&](locks::Scheme scheme) {
-    ds::HashTable ht(512, 4096 + 512);
-    support::Xoshiro256 fill(42);
-    std::size_t filled = 0;
-    while (filled < 1024) {
-      if (ht.unsafe_insert(fill.next_below(2048), 1)) ++filled;
-    }
-    locks::McsLock lock;
-    locks::CriticalSection<locks::McsLock> cs(locks::ElisionPolicy::from_scheme(scheme), lock);
     harness::BenchConfig cfg;
-    cfg.duration_sec = 0.002;
-    return harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
-      auto& rng = ctx.thread().rng();
-      const std::uint64_t key = rng.next_below(2048);
-      const auto dice = static_cast<int>(rng.next_below(100));
-      return cs.run(ctx, [&] {
-        if (dice < 50) {
-          ht.insert(ctx, key, key);
-        } else {
-          ht.erase(ctx, key);
-        }
-      });
-    });
+    cfg.machine.seed = 42;
+    cfg.policy = locks::ElisionPolicy::from_scheme(scheme);
+    return harness::run_keyed(cfg, {.set = harness::KeyedSet::kHashTable,
+                                    .size = 1024,
+                                    .lock = LockSel::kMcs,
+                                    .update_pct = 100});
   };
   const auto hle = run(locks::Scheme::kHle);
   const auto scm = run(locks::Scheme::kHleScm);

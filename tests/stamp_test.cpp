@@ -110,6 +110,16 @@ TEST(StampScaling, ThreadCountPreservesResults) {
   }
 }
 
+TEST(StampScaling, TinyScaleCompletes) {
+  // A scale that rounds an app's problem size down to zero (vacation's
+  // items below 1/256, kmeans' points below 1/2048) still runs every app.
+  StampConfig cfg = base_config();
+  cfg.scale = 0.0001;
+  for (const char* app : kAllAppNames) {
+    EXPECT_TRUE(run_app(app, cfg).invariants_ok) << app;
+  }
+}
+
 TEST(StampSpeedup, ElisionBeatsSerialAtEightThreads) {
   // Coarse sanity of the headline claim on the most elision-friendly app:
   // HLE-SCM must beat the standard lock at 8 threads on genome.

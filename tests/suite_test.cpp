@@ -114,9 +114,8 @@ TEST(MicroPointRun, SimulatedMetricsAreDeterministic) {
   EXPECT_GT(a.tx.aborts, 0u);
 }
 
-// Regression (bench_common.hpp run_rb_point): per-slot timeline data was
-// silently dropped when seeds > 1, so Fig 3.3-style benches averaged only
-// zeros. The timelines of all seed runs must merge slot-wise.
+// The timelines of all seed runs merge slot-wise, so a multi-seed Fig 3.3
+// point averages real slots, not zeros.
 TEST(RbWorkload, TimelineMergedAcrossSeeds) {
   RbPoint p;
   p.size = 64;
@@ -359,6 +358,14 @@ TEST(SuiteJson, RejectsMalformedPointFields) {
       {"\"conflict\":7", "\"conflict\":-7"},
       {"\"avalanche_episodes\":2", "\"avalanche_episodes\":true"},
       {"\"wall_ms\"", "\"wall\""},
+      // Run metadata may be absent key by key, but never of the wrong
+      // type: the gate's scale and machine checks read these.
+      {"\"duration_scale\":1,", "\"duration_scale\":\"x\","},
+      {"\"ghz\":3.4", "\"ghz\":\"3.4\""},
+      {"\"n_cores\":4,", "\"n_cores\":4.5,"},
+      {"\"jobs\":1,", "\"jobs\":-1,"},
+      {"\"jobs_mode\":\"fork\"", "\"jobs_mode\":7"},
+      {"\"host\":{", "\"host\":[],\"x\":{"},
   };
   for (const auto& [from, to] : corruptions) {
     std::string bad = good;

@@ -9,10 +9,11 @@
 //   elide stamp  APP [--lock L] [--scheme S] [--threads N] [--scale X]
 //   elide schemes [--size K] [--updates PCT] [--threads N] [--ms VIRTUAL_MS]
 //                 [--metrics FILE]                          (compare all)
+//   elide figure  ID         (one of the paper's figures/tables; figures.hpp)
 //
 // Locks: ttas mcs ticket ticket-adj clh clh-adj
 // Schemes: any canonical policy spec (locks/policy.hpp), including tuned
-//          ones like `hle:retries=4` and the adaptive controller
+//          ones like `hle:spec-attempts=4` and the adaptive controller
 //          (`adaptive[:window=N:up=N:down=N:dwell=N]`).
 //
 // `tree` always records abort telemetry (tsx/telemetry.hpp; it never moves
@@ -24,7 +25,8 @@
 // in .json and CSV otherwise.
 //
 // tree and schemes run harness::run_rb_point_once, so ELISION_BENCH_SCALE
-// multiplies their --ms as it does for every RB-tree point.
+// multiplies their --ms as it does for every RB-tree point, and every
+// figure's virtual durations.
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -38,6 +40,8 @@
 #include "stamp/common.hpp"
 #include "support/parse.hpp"
 #include "tsx/telemetry.hpp"
+
+#include "figures.hpp"
 
 namespace {
 
@@ -71,6 +75,7 @@ struct Options {
       "                [--scale X]\n"
       "  elide schemes [--size K] [--updates PCT] [--threads N] [--ms MS]\n"
       "                [--metrics FILE]\n"
+      "  elide figure  ID\n"
       "\n"
       "--trace writes the abort-telemetry event log, --metrics the metrics\n"
       "registry: JSON if FILE ends in .json, CSV otherwise\n"
@@ -78,10 +83,15 @@ struct Options {
       "locks:   ttas mcs ticket ticket-adj clh clh-adj\n"
       "schemes: any canonical policy spec (locks/policy.hpp), e.g.\n"
       "         standard hle hle-scm pes-slr opt-slr opt-slr-scm rtm-elide\n"
-      "         hle-scm-nested hle-gscm adaptive hle:retries=4\n"
+      "         hle-scm-nested hle-gscm adaptive hle:spec-attempts=4\n"
       "         adaptive:window=16:up=50:down=10:dwell=4\n"
       "stamp apps: genome intruder kmeans_high kmeans_low ssca2\n"
-      "            vacation_high vacation_low labyrinth\n");
+      "            vacation_high vacation_low labyrinth\n"
+      "figures:");
+  for (const figures::Figure& f : figures::all()) {
+    std::fprintf(stderr, " %s", f.id);
+  }
+  std::fprintf(stderr, "\n");
   std::exit(2);
 }
 
@@ -155,7 +165,7 @@ Options parse(int argc, char** argv, int first, std::string* positional) {
 }
 
 // One shared policy-spec grammar across every CLI (see locks/policy.hpp):
-// `<scheme>[+shared][:knob=N...]`, e.g. "hle-scm:retries=5". The scheme
+// `<scheme>[+shared][:knob=N...]`, e.g. "hle-scm:scm-retries=5". The scheme
 // spellings are the canonical scheme_slug() ones listed in usage().
 locks::ElisionPolicy parse_policy(const std::string& s) {
   const std::optional<locks::ElisionPolicy> p = locks::ElisionPolicy::parse(s);
@@ -336,6 +346,14 @@ int cmd_schemes(const Options& o) {
 int main(int argc, char** argv) {
   if (argc < 2) usage("missing command");
   const std::string cmd = argv[1];
+  if (cmd == "figure") {
+    if (argc != 3) usage("figure takes exactly one ID");
+    const figures::Figure* f = figures::find(argv[2]);
+    if (f == nullptr) usage((std::string("unknown figure ") + argv[2]).c_str());
+    harness::banner(f->title, f->caption);
+    f->render();
+    return 0;
+  }
   std::string positional;
   const Options o = parse(argc, argv, 2, &positional);
   if (cmd == "tree") return cmd_tree(o);
