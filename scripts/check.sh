@@ -12,14 +12,13 @@
 # invariants checked by the gated smoke run. Every CLI must reject
 # malformed numeric flag values (strict shared parser, no atoi truncation).
 # Finally runs the bench-suite smoke tier gated against the committed
-# baseline (bench/baseline.json), re-runs it with --jobs 2 (fork mode) and
-# with --jobs 2 --jobs-mode threads --host-threads 2 (in-process pool) to
-# prove parallel execution reproduces the sequential results bit-for-bit
-# (modulo host wall-time fields), and self-checks that a planted 50%
-# throughput regression and a planted 5x simulator slowdown are actually
-# caught. A ThreadSanitizer build of the parallel paths (parallel_test plus
-# a threaded stress smoke) guards the in-process fan-out itself, with the
-# engine's fiber switches annotated via the TSan fiber API.
+# baseline (bench/baseline.json), re-runs it with --jobs 2 --host-threads 2
+# (in-process pool) to prove parallel execution reproduces the sequential
+# results bit-for-bit (modulo host wall-time fields), and self-checks that a
+# planted 50% throughput regression and a planted 5x simulator slowdown are
+# actually caught. A ThreadSanitizer build of the parallel paths
+# (parallel_test plus a threaded stress smoke) guards the in-process fan-out
+# itself, with the engine's fiber switches annotated via the TSan fiber API.
 # The ASan+UBSan ctest pass includes line_table_test's randomized
 # differential fuzz of the open-addressing LineTable against a
 # std::unordered_map reference, plus the wide-thread-mask paths
@@ -38,11 +37,15 @@
 # ELISION_FASTPATH=0 A/B proving simulated results are bit-identical with
 # the fast paths disabled, a planted-invalidation self-check (a
 # deliberately stale cached line ref must be caught by the generation
-# stamp, not silently served), and a gated full-tier run that must carry
-# the 128- and 256-thread fig5.1 machine-scale points.
-# Uses its own build trees (build-check*/) so it never dirties build/.
+# stamp, not silently served), and a gated full-tier run whose
+# machine-scale-points-elide invariant covers the 128- and 256-thread fig5.1
+# points.
+# Uses its own build trees (build-check*/) so it never dirties build/, and
+# one temp directory, removed on exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 BUILD=build-check
 
@@ -110,8 +113,7 @@ do
 done
 echo "adaptive: parser rejects malformed knob values"
 
-metrics=$(mktemp --suffix=.json)
-trap 'rm -f "$metrics"' EXIT
+metrics=$tmp/metrics.json
 out=$("$BUILD"/tools/elide schemes --size 64 --threads 8 --ms 0.5 \
       --metrics "$metrics")
 python3 - "$metrics" "$out" <<'EOF'
@@ -202,34 +204,11 @@ fi
 # The committed baseline's sim_ops_per_sec came from a different machine, so
 # the simulator-speed gate here only catches order-of-magnitude slowdowns
 # (--tol-simops 0.9); the tight same-machine check comes further down.
-bench_json=$(mktemp)
-trap 'rm -f "$metrics" "$bench_json"' EXIT
+bench_json=$tmp/smoke.json
 "$BUILD"/tools/bench_suite --tier smoke --out "$bench_json" \
     --baseline bench/baseline.json --gate --tol-simops 0.9 --quiet || {
   echo "check: bench_suite smoke gate failed (perf regression or paper" \
        "invariant violation)" >&2; exit 1; }
-python3 - "$bench_json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema_version"] == 1 and doc["tier"] == "smoke", doc.keys()
-assert doc["points"], "no points in BENCH_results.json"
-host = doc["run"]["host"]
-assert host["cores"] >= 1 and host["jobs"] == 1, host
-assert host["jobs_mode"] == "fork" and host["host_threads"] == 1, host
-assert host["total_wall_ms"] > 0
-for p in doc["points"]:
-    m = p["metrics"]
-    for key in ("throughput_ops_per_sec", "spec_fraction",
-                "nonspec_fraction", "attempts_per_op", "aborts_by_cause",
-                "avalanche_episodes", "sim_ops_per_sec", "wall_ms"):
-        assert key in m, f"{p['id']} missing {key}"
-    assert m["sim_ops_per_sec"] > 0, f"{p['id']} has no simulator speed"
-ids = {p["id"] for p in doc["points"]}
-for canary in ("micro-engine-rtm-t8", "micro-engine-rtm-t64"):
-    assert canary in ids, f"simulator-speed canary {canary} missing"
-print(f"bench suite: {len(doc['points'])} smoke points, schema valid,"
-      f" both sim-speed canaries present")
-EOF
 
 # Per-access fast path (docs/simulator.md "The per-access fast path").
 # (a) Speed: the fast paths must run the micro-engine-rtm-t64 canary
@@ -260,10 +239,8 @@ EOF
 # every simulated metric must be bit-identical to the default run, and the
 # fastpath telemetry object must vanish (counters all zero) — proof the
 # kill switch engages and the fast paths never change virtual-time results.
-fp_on_json=$(mktemp)
-fp_off_json=$(mktemp)
-trap 'rm -f "$metrics" "$bench_json" "$bench_par_json" "$bench_thr_json" \
-     "$fp_on_json" "$fp_off_json"' EXIT
+fp_on_json=$tmp/fp_on.json
+fp_off_json=$tmp/fp_off.json
 "$BUILD"/tools/bench_suite --tier smoke --point rb-s64-u20-t8-ttas-hle-scm \
     --out "$fp_on_json" --quiet
 ELISION_FASTPATH=0 "$BUILD"/tools/bench_suite --tier smoke \
@@ -294,29 +271,14 @@ EOF
   echo "check: fast-path differential failed under ASan/UBSan" >&2; exit 1; }
 
 # (d) Machine scale: the full tier must gate green against the committed
-# baseline and carry the 128- and 256-thread fig5.1 points the fast path
-# paid for (the t256 shape is the scheduler's kMaxSimThreads ceiling).
-bench_full_json=$(mktemp)
-trap 'rm -f "$metrics" "$bench_json" "$bench_par_json" "$bench_thr_json" \
-     "$fp_on_json" "$fp_off_json" "$bench_full_json"' EXIT
-"$BUILD"/tools/bench_suite --tier full --out "$bench_full_json" \
+# baseline; its machine-scale-points-elide invariant requires the 128- and
+# 256-thread fig5.1 points the fast path paid for (the t256 shape is the
+# scheduler's kMaxSimThreads ceiling) to commit and run mostly
+# speculatively, and coverage loss fails the gate if either goes missing.
+"$BUILD"/tools/bench_suite --tier full --out "$tmp/full.json" \
     --baseline bench/baseline.json --gate --tol-simops 0.9 --quiet || {
   echo "check: bench_suite full-tier gate failed" >&2; exit 1; }
-python3 - "$bench_full_json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-ids = {p["id"] for p in doc["points"]}
-for pid in ("rb-s64-u20-t128-ttas-hle-scm-m64x2",
-            "rb-s64-u20-t256-ttas-hle-scm-m128x2"):
-    assert pid in ids, f"machine-scale point {pid} missing from full tier"
-big = {p["id"]: p["metrics"] for p in doc["points"]
-       if p["id"].endswith(("-m64x2", "-m128x2"))}
-for pid, m in big.items():
-    assert m["tx"]["commits"] > 0, f"{pid}: no commits"
-    assert m["spec_fraction"] > 0.5, f"{pid}: {m['spec_fraction']}"
-print(f"fastpath: full tier gated green with both machine-scale points"
-      f" ({len(ids)} points)")
-EOF
+echo "fastpath: full tier gated green"
 
 # Strict CLI parsing: every tool now routes numeric flags through
 # support/parse.hpp, so trailing garbage, bare negatives where they make
@@ -343,8 +305,6 @@ for cli_bad in \
     "stress_cli --prob 1.5" \
     "stress_cli --first-seed -2" \
     "elide tree --threads 0" \
-    "elide tree --threads 257" \
-    "elide tree --lock bogus" \
     "stress_cli --threads 0" \
     "stress_cli --threads 300" \
     "bench_suite --point no-such-point-id --out /dev/null"
@@ -358,38 +318,28 @@ done
 echo "CLI parsing: all tools reject malformed numeric flag values"
 
 # Parallel execution must reproduce the sequential run exactly: every
-# simulated metric is deterministic per seed, so fanning the points out —
-# to worker subprocesses (--jobs-mode fork) or onto an in-process pool
-# (--jobs-mode threads), with or without per-point multi-seed fan-out
-# (--host-threads) — may only change the host wall-time fields (wall_ms,
+# simulated metric is deterministic per seed, so fanning the points out onto
+# the in-process pool (--jobs), with per-point multi-seed fan-out
+# (--host-threads), may only change the host wall-time fields (wall_ms,
 # sim_ops_per_sec, run.host).
-bench_par_json=$(mktemp)
-bench_thr_json=$(mktemp)
-trap 'rm -f "$metrics" "$bench_json" "$bench_par_json" "$bench_thr_json"' EXIT
-"$BUILD"/tools/bench_suite --tier smoke --jobs 2 --out "$bench_par_json" \
-    --quiet || {
+bench_par_json=$tmp/smoke_jobs2.json
+"$BUILD"/tools/bench_suite --tier smoke --jobs 2 --host-threads 2 \
+    --out "$bench_par_json" --quiet || {
   echo "check: bench_suite --jobs 2 run failed" >&2; exit 1; }
-"$BUILD"/tools/bench_suite --tier smoke --jobs 2 --jobs-mode threads \
-    --host-threads 2 --out "$bench_thr_json" --quiet || {
-  echo "check: bench_suite --jobs-mode threads run failed" >&2; exit 1; }
-python3 - "$bench_json" "$bench_par_json" "$bench_thr_json" <<'EOF'
+python3 - "$bench_json" "$bench_par_json" <<'EOF'
 import json, sys
-seq, par, thr = (json.load(open(p)) for p in sys.argv[1:4])
+seq, par = (json.load(open(p)) for p in sys.argv[1:3])
 assert par["run"]["host"]["jobs"] == 2, par["run"]["host"]
-assert par["run"]["host"]["jobs_mode"] == "fork", par["run"]["host"]
-assert thr["run"]["host"]["jobs"] == 2, thr["run"]["host"]
-assert thr["run"]["host"]["jobs_mode"] == "threads", thr["run"]["host"]
-assert thr["run"]["host"]["host_threads"] == 2, thr["run"]["host"]
-for doc in (seq, par, thr):
+assert par["run"]["host"]["host_threads"] == 2, par["run"]["host"]
+for doc in (seq, par):
     del doc["run"]["host"]
     for p in doc["points"]:
         del p["metrics"]["sim_ops_per_sec"], p["metrics"]["wall_ms"]
         # The fastpath hit counts are heap-layout-sensitive (line ids are
-        # real addresses), so like wall_ms they may differ across processes.
+        # real addresses), so like wall_ms they may differ between runs.
         p["metrics"].pop("fastpath", None)
-assert seq == par, "fork-parallel run diverged from sequential run"
-assert seq == thr, "in-process threaded run diverged from sequential run"
-print("bench suite: --jobs 2 (fork and threads) reproduces the sequential"
+assert seq == par, "parallel run diverged from sequential run"
+print("bench suite: --jobs 2 --host-threads 2 reproduces the sequential"
       " results exactly")
 EOF
 

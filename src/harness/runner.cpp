@@ -37,30 +37,6 @@ double env_duration_scale() {
   return v;
 }
 
-int env_host_threads() {
-  const char* s = std::getenv("ELISION_HOST_THREADS");
-  if (s == nullptr || *s == '\0') return 1;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  while (end != nullptr && *end != '\0' &&
-         std::isspace(static_cast<unsigned char>(*end))) {
-    ++end;
-  }
-  if (end == s || *end != '\0' || v < 0) {
-    static std::once_flag warned;
-    std::call_once(warned, [s] {
-      std::fprintf(stderr,
-                   "harness: ignoring ELISION_HOST_THREADS=\"%s\" (want a "
-                   "non-negative integer, 0 = all hardware threads); "
-                   "using 1\n",
-                   s);
-    });
-    return 1;
-  }
-  if (v == 0) return support::host_hardware_threads();
-  return static_cast<int>(v);
-}
-
 bool env_fastpath_enabled() {
   const char* s = std::getenv("ELISION_FASTPATH");
   if (s == nullptr || *s == '\0') return true;

@@ -169,10 +169,4 @@ double env_duration_scale();
 // differential equivalence checks in scripts/check.sh.
 bool env_fastpath_enabled();
 
-// Reads ELISION_HOST_THREADS (default 1): how many *host* threads
-// independent simulations may fan out across (support/parallel.hpp).
-// 0 means "all hardware threads". Distinct from any simulated thread
-// count — host threads never change simulated results, only wall time.
-int env_host_threads();
-
 }  // namespace elision::harness

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -159,14 +158,13 @@ struct SuiteResult {
   unsigned n_cores = 0;
   unsigned smt_per_core = 0;
   double ghz = 0.0;
-  // Host-run metadata: physical core count of the machine that produced the
-  // results, the --jobs level used, how those jobs were executed ("fork" =
-  // one child process per point, "threads" = in-process pool), the per-point
-  // multi-seed fan-out width, and the suite's total wall time. Like every
-  // host field, none of this affects the simulated metrics.
+  // Host-run metadata: hardware thread count of the machine that produced
+  // the results, the --jobs level (points run concurrently on an in-process
+  // pool), the per-point multi-seed fan-out width, and the suite's total
+  // wall time. Like every host field, none of this affects the simulated
+  // metrics.
   unsigned host_cores = 0;
   int jobs = 1;
-  std::string jobs_mode = "fork";
   int host_threads = 1;
   double total_wall_ms = 0.0;
   std::vector<PointRecord> points;
@@ -174,22 +172,15 @@ struct SuiteResult {
   const PointRecord* find(const std::string& id) const;
 };
 
-struct SuiteRunOptions {
-  // Host threads each point's multi-seed fan-out may use (run_seeds in
-  // harness/runner.hpp). Simulated metrics are
-  // byte-identical at any value — only wall_ms / sim_ops_per_sec change.
-  int host_threads = 1;
-  // Progress callback, called after each point completes. May be null.
-  std::function<void(const SuitePoint&, const PointMetrics&)> on_point;
-};
-
-SuiteResult run_suite(SuiteTier tier, const SuiteRunOptions& opts = {});
-
-// Runs a single point (used by bench_suite --point, the per-point child of
-// parallel suite execution, and by the in-process --jobs-mode threads
-// runner), measuring wall_ms / sim_ops_per_sec. `host_threads` seeds the
-// point's multi-seed fan-out width.
-PointRecord run_suite_point(const SuitePoint& sp, int host_threads = 1);
+// Runs `points` up to `jobs` at a time on an in-process host-thread pool
+// (support/parallel.hpp; jobs <= 1 runs them inline, in order), each with
+// its multi-seed fan-out `host_threads` wide, and fills the run metadata.
+// Records come back in `points` order, so every simulated metric is
+// identical at any jobs/host_threads; only wall_ms, sim_ops_per_sec and
+// run.host change. The result's tier is kFull if any point is full-only,
+// else kSmoke.
+SuiteResult run_suite(const std::vector<SuitePoint>& points, int jobs = 1,
+                      int host_threads = 1);
 
 // ---- canonical JSON results ----
 

@@ -77,11 +77,6 @@ bool get(const Value& v, double& out) {
   out = v.as_double();
   return true;
 }
-bool get(const Value& v, std::string& out) {
-  if (!v.is_string()) return false;
-  out = v.as_string();
-  return true;
-}
 bool get(const Value& v, locks::ElisionPolicy& out) {
   const auto p = v.is_string() ? locks::ElisionPolicy::parse(v.as_string())
                                : std::nullopt;
@@ -560,13 +555,11 @@ void write_results_json(const SuiteResult& result, std::FILE* out) {
                "  \"tier\":\"%s\",\n  \"run\":{\"duration_scale\":%g,"
                "\"machine\":{\"n_cores\":%u,\"smt_per_core\":%u,"
                "\"ghz\":%g},"
-               "\"host\":{\"cores\":%u,\"jobs\":%d,"
-               "\"jobs_mode\":\"%s\",\"host_threads\":%d,"
+               "\"host\":{\"cores\":%u,\"jobs\":%d,\"host_threads\":%d,"
                "\"total_wall_ms\":%.3f}},\n  \"points\":[\n",
                kSuiteSchemaVersion, suite_tier_name(result.tier),
                result.duration_scale, result.n_cores, result.smt_per_core,
                result.ghz, result.host_cores, result.jobs,
-               support::json::escape(result.jobs_mode).c_str(),
                result.host_threads, result.total_wall_ms);
   for (std::size_t i = 0; i < result.points.size(); ++i) {
     std::fputs(point_json(result.points[i].def).c_str(), out);
@@ -612,7 +605,6 @@ std::optional<SuiteResult> parse_results_json(const Value& doc) {
   const Value* host = section(run, "host");
   opt(host, "cores", out.host_cores);
   opt(host, "jobs", out.jobs);
-  opt(host, "jobs_mode", out.jobs_mode);
   opt(host, "host_threads", out.host_threads);
   opt(host, "total_wall_ms", out.total_wall_ms);
   if (!ok) return std::nullopt;

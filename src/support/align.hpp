@@ -29,9 +29,8 @@ struct alignas(kCacheLineBytes) CacheAligned {
 // Line ids are real addresses >> 6, so *which elements of a buffer share a
 // line* is a function of the buffer base modulo the line size. An
 // ordinarily malloc'd base makes that grouping an accident of allocator
-// state — stable inside one process history (what fork-based parallel
-// execution relied on), but not across host threads with per-thread malloc
-// arenas. Anchoring every Shared-holding buffer to a line boundary makes
+// state — stable inside one process history, but not across host threads
+// with per-thread malloc arenas. Anchoring every Shared-holding buffer to a line boundary makes
 // the grouping a pure function of element offsets, which in-process
 // parallel simulation (support/parallel.hpp) requires for byte-identical
 // results. Types already declared alignas(kCacheLineBytes) get this from

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,16 +113,6 @@ TEST(ParallelForEach, LowestThrowingItemWinsDeterministically) {
 
 TEST(ParallelSupport, HostHardwareThreadsIsPositive) {
   EXPECT_GE(support::host_hardware_threads(), 1);
-}
-
-TEST(ParallelSupport, EnvHostThreadsParsesAndDefaults) {
-  ::unsetenv("ELISION_HOST_THREADS");
-  EXPECT_EQ(harness::env_host_threads(), 1);
-  ::setenv("ELISION_HOST_THREADS", "6", 1);
-  EXPECT_EQ(harness::env_host_threads(), 6);
-  ::setenv("ELISION_HOST_THREADS", "0", 1);
-  EXPECT_EQ(harness::env_host_threads(), support::host_hardware_threads());
-  ::unsetenv("ELISION_HOST_THREADS");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Bench-suite tests: curated point list, canonical JSON round-trip, the
 // regression gate (including a planted regression and coverage loss), the
-// paper-qualitative invariant checks, and the seed-merge regression test
-// for run_rb_point's timeline aggregation.
+// paper-qualitative invariant checks, the seed-merge regression test for
+// run_rb_point's timeline aggregation, and run_suite's point-level fan-out.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -246,7 +246,6 @@ TEST(SuiteJson, HostMetadataAndSimSpeedRoundTrip) {
   SuiteResult orig = tiny_result();
   orig.host_cores = 16;
   orig.jobs = 4;
-  orig.jobs_mode = "threads";
   orig.host_threads = 3;
   orig.total_wall_ms = 1234.5;
   orig.points[0].metrics.sim_ops_per_sec = 5.5e6;
@@ -258,7 +257,6 @@ TEST(SuiteJson, HostMetadataAndSimSpeedRoundTrip) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->host_cores, 16u);
   EXPECT_EQ(parsed->jobs, 4);
-  EXPECT_EQ(parsed->jobs_mode, "threads");
   EXPECT_EQ(parsed->host_threads, 3);
   EXPECT_NEAR(parsed->total_wall_ms, 1234.5, 1e-3);
   EXPECT_NEAR(parsed->points[0].metrics.sim_ops_per_sec, 5.5e6, 1.0);
@@ -364,7 +362,6 @@ TEST(SuiteJson, RejectsMalformedPointFields) {
       {"\"ghz\":3.4", "\"ghz\":\"3.4\""},
       {"\"n_cores\":4,", "\"n_cores\":4.5,"},
       {"\"jobs\":1,", "\"jobs\":-1,"},
-      {"\"jobs_mode\":\"fork\"", "\"jobs_mode\":7"},
       {"\"host\":{", "\"host\":[],\"x\":{"},
   };
   for (const auto& [from, to] : corruptions) {
@@ -379,21 +376,22 @@ TEST(SuiteJson, RejectsMalformedPointFields) {
 }
 
 TEST(SuiteJson, HostFieldsDefaultWhenAbsent) {
-  // Documents written before jobs_mode/host_threads existed (e.g. an older
-  // committed baseline) must still parse, with the sequential defaults.
+  // Documents written before host_threads existed must still parse, with
+  // the sequential default, and so must documents that still carry the
+  // retired jobs_mode key (unknown keys are ignored).
   SuiteResult orig = tiny_result();
+  orig.host_threads = 3;
   std::string json = to_json_string(orig);
-  const auto cut = json.find("\"jobs_mode\"");
-  ASSERT_NE(cut, std::string::npos);
-  const auto end = json.find("\"total_wall_ms\"");
-  ASSERT_NE(end, std::string::npos);
-  json.erase(cut, end - cut);  // drop jobs_mode and host_threads keys
+  const std::string key = "\"host_threads\":3,";
+  const auto at = json.find(key);
+  ASSERT_NE(at, std::string::npos);
+  json.replace(at, key.size(), "\"jobs_mode\":\"fork\",");
   const auto doc = support::json::parse(json);
   ASSERT_TRUE(doc.has_value());
   const auto parsed = parse_results_json(*doc);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->jobs_mode, "fork");
   EXPECT_EQ(parsed->host_threads, 1);
+  EXPECT_EQ(parsed->jobs, orig.jobs);
 }
 
 TEST(SuiteJson, RejectsWrongSchemaVersion) {
@@ -528,6 +526,57 @@ TEST(SuiteRun, PointIsDeterministic) {
   EXPECT_EQ(a.attempts, b.attempts);
   EXPECT_DOUBLE_EQ(a.throughput_ops_per_sec, b.throughput_ops_per_sec);
   EXPECT_EQ(a.aborts_by_cause, b.aborts_by_cause);
+}
+
+// Point-level fan-out: three short smoke points of different kinds run
+// through run_suite at jobs 1 and at jobs 3 with host_threads 2 must agree
+// on every simulated metric; only the host fields may differ.
+TEST(SuiteRun, JobsFanOutReproducesSequentialRun) {
+  std::vector<SuitePoint> points;
+  std::set<PointKind> kinds;
+  for (const auto& sp : suite_points_for(SuiteTier::kSmoke)) {
+    if (!kinds.insert(sp.kind()).second) continue;
+    SuitePoint short_sp = sp;
+    bool timed = false;
+    std::visit(
+        [&](auto& p) {
+          if constexpr (requires { p.duration_sec; }) {
+            p.duration_sec = 0.0002;
+            timed = true;
+          }
+        },
+        short_sp.workload);
+    if (!timed) continue;
+    points.push_back(std::move(short_sp));
+    if (points.size() == 3) break;
+  }
+  ASSERT_EQ(points.size(), 3u);
+
+  const SuiteResult seq = run_suite(points, 1, 1);
+  const SuiteResult par = run_suite(points, 3, 2);
+  EXPECT_EQ(seq.jobs, 1);
+  EXPECT_EQ(par.jobs, 3);
+  EXPECT_EQ(par.host_threads, 2);
+  auto simulated = [](SuiteResult r) {
+    r.host_cores = 0;
+    r.jobs = 1;
+    r.host_threads = 1;
+    r.total_wall_ms = 0.0;
+    for (auto& p : r.points) {
+      p.metrics.wall_ms = 0.0;
+      p.metrics.sim_ops_per_sec = 0.0;
+      p.metrics.fp_owned_hits = 0;
+      p.metrics.fp_probe_skips = 0;
+      p.metrics.fp_bound_recomputes = 0;
+    }
+    return to_json_string(r);
+  };
+  ASSERT_EQ(seq.points.size(), 3u);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(seq.points[i].def.id, points[i].id);
+    EXPECT_GT(seq.points[i].metrics.ops, 0u) << points[i].id;
+  }
+  EXPECT_EQ(simulated(par), simulated(seq));
 }
 
 }  // namespace

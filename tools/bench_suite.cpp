@@ -2,26 +2,24 @@
 // emit canonical machine-readable results, and optionally gate against a
 // committed baseline.
 //
-//   bench_suite [--tier smoke|full] [--jobs N] [--jobs-mode fork|threads]
+//   bench_suite [--tier smoke|full] [--point ID] [--jobs N]
 //               [--host-threads N] [--out FILE]
 //               [--baseline FILE] [--gate] [--list] [--quiet]
 //               [--plant-regression FACTOR] [--plant-slowdown FACTOR]
 //               [--tol-throughput REL] [--tol-attempts REL]
 //               [--tol-fraction ABS] [--tol-simops REL] [--no-invariants]
 //
-// --jobs N fans the suite's points out N-wide. With --jobs-mode fork (the
-// default) each point runs in an isolated worker subprocess (a
-// self-invocation with --point ID) and the per-point fragments are merged
-// into one canonical document; with --jobs-mode threads the points run on
-// an in-process host-thread pool (support/parallel.hpp) with no
-// subprocesses, temp files, or JSON round-trips. --host-threads N
-// additionally fans each point's multi-seed runs out N-wide (in either
-// mode). Every simulated metric is deterministic per seed, so all of these
+// --jobs N runs the tier's points N at a time on an in-process host-thread
+// pool (support/parallel.hpp); --jobs 1, the default, runs them in order on
+// the calling thread. --host-threads N additionally fans each point's
+// multi-seed runs out N-wide. --point ID runs only that point of the tier
+// (it cannot be gated: every other baseline point would read as coverage
+// loss). Every simulated metric is deterministic per seed, so all of these
 // produce output identical to a sequential run except for the host
 // wall-time fields (wall_ms, sim_ops_per_sec, run.host).
 //
 // Exit status: 0 on success; 1 if the gate found a regression or a
-// paper-qualitative invariant is violated; 2 on usage/IO/subprocess errors.
+// paper-qualitative invariant is violated; 2 on usage/IO errors.
 //
 // --plant-regression multiplies every reported throughput before gating and
 // --plant-slowdown every sim_ops_per_sec; scripts/check.sh uses them as
@@ -29,22 +27,10 @@
 // See docs/benchmarks.md for the schema and the baseline-update workflow.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define ELISION_SUITE_HAS_SUBPROCESS 1
-#include <sys/wait.h>
-#include <unistd.h>
-#else
-#define ELISION_SUITE_HAS_SUBPROCESS 0
-#endif
-
-#include <chrono>
-#include <thread>
 
 #include "harness/report.hpp"
 #include "harness/suite.hpp"
@@ -59,10 +45,9 @@ struct Options {
   harness::SuiteTier tier = harness::SuiteTier::kSmoke;
   std::string out_file = "BENCH_results.json";
   std::string baseline_file;
-  std::string point_id;  // non-empty: child mode, run one point
-  int jobs = 1;
-  std::string jobs_mode = "fork";  // "fork" | "threads"
-  int host_threads = 1;            // per-point multi-seed fan-out width
+  std::string point_id;  // non-empty: run only this point of the tier
+  int jobs = 1;          // points run concurrently
+  int host_threads = 1;  // per-point multi-seed fan-out width
   bool gate = false;
   bool list = false;
   bool quiet = false;
@@ -77,14 +62,13 @@ struct Options {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  bench_suite [--tier smoke|full] [--jobs N]\n"
-      "              [--jobs-mode fork|threads] [--host-threads N]\n"
-      "              [--out FILE]\n"
+      "  bench_suite [--tier smoke|full] [--point ID] [--jobs N]\n"
+      "              [--host-threads N] [--out FILE]\n"
       "              [--baseline FILE] [--gate] [--list] [--quiet]\n"
       "              [--plant-regression FACTOR] [--plant-slowdown FACTOR]\n"
       "              [--tol-throughput REL] [--tol-attempts REL]\n"
       "              [--tol-fraction ABS] [--tol-simops REL]\n"
-      "              [--no-invariants] [--point ID]\n");
+      "              [--no-invariants]\n");
   std::exit(2);
 }
 
@@ -110,11 +94,6 @@ Options parse(int argc, char** argv) {
       const auto v = support::parse_int(next());
       if (!v || *v < 1) usage("--jobs must be a decimal integer >= 1");
       o.jobs = *v;
-    } else if (a == "--jobs-mode") {
-      o.jobs_mode = next();
-      if (o.jobs_mode != "fork" && o.jobs_mode != "threads") {
-        usage("--jobs-mode must be fork or threads");
-      }
     } else if (a == "--host-threads") {
       const auto v = support::parse_int(next());
       if (!v) usage("--host-threads must be a decimal integer >= 0");
@@ -158,173 +137,11 @@ Options parse(int argc, char** argv) {
   if (o.gate && o.baseline_file.empty()) {
     usage("--gate requires --baseline FILE");
   }
+  if (o.gate && !o.point_id.empty()) {
+    usage("--gate cannot be combined with --point (every other baseline "
+          "point would read as coverage loss)");
+  }
   return o;
-}
-
-// Metadata shared by every results document this process emits.
-void fill_run_metadata(harness::SuiteResult& r, const Options& o, int jobs) {
-  r.tier = o.tier;
-  r.duration_scale = harness::env_duration_scale();
-  const sim::MachineConfig machine;
-  r.n_cores = machine.n_cores;
-  r.smt_per_core = machine.smt_per_core;
-  r.ghz = machine.ghz;
-  r.host_cores = std::thread::hardware_concurrency();
-  r.jobs = jobs;
-  r.jobs_mode = o.jobs_mode;
-  r.host_threads = o.host_threads;
-}
-
-// --point ID: run exactly one registered point and write a single-point
-// results document. This is the worker half of --jobs; it applies no plant
-// factors and checks no invariants (both are whole-suite concerns the
-// parent handles on the merged result).
-int run_child(const Options& o) {
-  for (const auto& sp : harness::suite_points()) {
-    if (sp.id != o.point_id) continue;
-    harness::SuiteResult r;
-    fill_run_metadata(r, o, /*jobs=*/1);
-    const auto t0 = std::chrono::steady_clock::now();
-    r.points.push_back(harness::run_suite_point(sp, o.host_threads));
-    r.total_wall_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    std::FILE* f = std::fopen(o.out_file.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "bench_suite: cannot open %s\n",
-                   o.out_file.c_str());
-      return 2;
-    }
-    harness::write_results_json(r, f);
-    std::fclose(f);
-    return 0;
-  }
-  std::fprintf(stderr, "bench_suite: unknown point id %s\n",
-               o.point_id.c_str());
-  return 2;
-}
-
-#if ELISION_SUITE_HAS_SUBPROCESS
-
-std::string self_exe_path(const char* argv0) {
-#if defined(__linux__)
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
-  }
-#endif
-  return argv0;
-}
-
-// Fans the tier's points out to up to `jobs` concurrent self-invocations
-// (one point per child) and merges the fragments in registry order, so the
-// merged document is independent of completion order. Returns 0 on success.
-int run_parallel(const Options& o, const char* argv0,
-                 harness::SuiteResult& out) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<harness::SuitePoint> pts =
-      harness::suite_points_for(o.tier);
-  const std::string exe = self_exe_path(argv0);
-
-  struct Child {
-    pid_t pid = -1;
-    std::size_t point = 0;
-    bool failed = false;
-  };
-  std::vector<std::string> frags(pts.size());
-  std::vector<Child> running;
-  std::size_t next = 0;
-  bool any_failed = false;
-
-  auto reap_one = [&]() {
-    int status = 0;
-    const pid_t pid = ::waitpid(-1, &status, 0);
-    for (auto it = running.begin(); it != running.end(); ++it) {
-      if (it->pid != pid) continue;
-      const bool ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-      if (!ok) {
-        std::fprintf(stderr, "bench_suite: worker for %s failed (status %d)\n",
-                     pts[it->point].id.c_str(),
-                     WIFEXITED(status) ? WEXITSTATUS(status) : -1);
-        any_failed = true;
-      }
-      running.erase(it);
-      return;
-    }
-  };
-
-  const int jobs = std::min<int>(o.jobs, static_cast<int>(pts.size()));
-  while (next < pts.size() || !running.empty()) {
-    while (next < pts.size() && static_cast<int>(running.size()) < jobs) {
-      frags[next] = o.out_file + ".point" + std::to_string(next) + ".tmp";
-      const pid_t pid = ::fork();
-      if (pid < 0) {
-        std::fprintf(stderr, "bench_suite: fork failed\n");
-        return 2;
-      }
-      if (pid == 0) {
-        const std::string ht = std::to_string(o.host_threads);
-        ::execl(exe.c_str(), exe.c_str(), "--point", pts[next].id.c_str(),
-                "--tier", harness::suite_tier_name(o.tier), "--out",
-                frags[next].c_str(), "--host-threads", ht.c_str(), "--quiet",
-                static_cast<char*>(nullptr));
-        std::fprintf(stderr, "bench_suite: exec %s failed\n", exe.c_str());
-        std::_Exit(2);
-      }
-      running.push_back({pid, next, false});
-      ++next;
-    }
-    if (!running.empty()) reap_one();
-  }
-  if (any_failed) return 2;
-
-  fill_run_metadata(out, o, o.jobs);
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    const auto frag = harness::load_results_file(frags[i]);
-    if (!frag || frag->points.size() != 1 ||
-        frag->points[0].def.id != pts[i].id) {
-      std::fprintf(stderr, "bench_suite: bad fragment %s\n",
-                   frags[i].c_str());
-      return 2;
-    }
-    // Keep the registry's point definition (the source of truth; the
-    // fragment's parses back to the same fields) and the child's measured
-    // metrics.
-    out.points.push_back({pts[i], frag->points[0].metrics});
-    std::remove(frags[i].c_str());
-  }
-  out.total_wall_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-  return 0;
-}
-
-#endif  // ELISION_SUITE_HAS_SUBPROCESS
-
-// --jobs-mode threads: run the tier's points on an in-process host-thread
-// pool — no subprocesses, temp-file fragments, or JSON round-trips. Each
-// point is an independent simulation writing only its own record slot;
-// records are merged in registry order, so the document matches a
-// sequential run except for host wall-time fields.
-int run_in_process(const Options& o, harness::SuiteResult& out) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<harness::SuitePoint> pts =
-      harness::suite_points_for(o.tier);
-  std::vector<harness::PointRecord> recs(pts.size());
-  support::parallel_for_each(
-      pts.size(),
-      [&](std::size_t i) {
-        recs[i] = harness::run_suite_point(pts[i], o.host_threads);
-      },
-      o.jobs);
-  fill_run_metadata(out, o, o.jobs);
-  for (auto& rec : recs) out.points.push_back(std::move(rec));
-  out.total_wall_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-  return 0;
 }
 
 }  // namespace
@@ -350,8 +167,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (!o.point_id.empty()) return run_child(o);
-
   // Parse the baseline before running anything, so a malformed one fails
   // fast (exit 2) instead of after the whole tier.
   std::optional<harness::SuiteResult> baseline;
@@ -364,37 +179,20 @@ int main(int argc, char** argv) {
     }
   }
 
-#if !ELISION_SUITE_HAS_SUBPROCESS
-  if (o.jobs > 1 && o.jobs_mode == "fork") {
-    std::fprintf(stderr,
-                 "bench_suite: --jobs-mode fork needs fork/exec; "
-                 "running sequentially\n");
-    o.jobs = 1;
-  }
-#endif
-
-  harness::SuiteResult result;
-  if (o.jobs_mode == "threads") {
-    const int rc = run_in_process(o, result);
-    if (rc != 0) return rc;
-  } else if (o.jobs > 1) {
-#if ELISION_SUITE_HAS_SUBPROCESS
-    const int rc = run_parallel(o, argv[0], result);
-    if (rc != 0) return rc;
-#endif
-  } else {
-    harness::SuiteRunOptions run_opts;
-    run_opts.host_threads = o.host_threads;
-    if (!o.quiet) {
-      run_opts.on_point = [](const harness::SuitePoint& sp,
-                             const harness::PointMetrics&) {
-        std::fprintf(stderr, "ran %s\n", sp.id.c_str());
-      };
+  std::vector<harness::SuitePoint> points = harness::suite_points_for(o.tier);
+  if (!o.point_id.empty()) {
+    std::erase_if(points, [&](const harness::SuitePoint& sp) {
+      return sp.id != o.point_id;
+    });
+    if (points.empty()) {
+      std::fprintf(stderr, "bench_suite: no point %s in the %s tier\n",
+                   o.point_id.c_str(), harness::suite_tier_name(o.tier));
+      return 2;
     }
-    result = harness::run_suite(o.tier, run_opts);
   }
-  // Plant factors are applied once, on the merged result, so every execution
-  // mode transforms identical inputs identically.
+
+  harness::SuiteResult result =
+      harness::run_suite(points, o.jobs, o.host_threads);
   harness::Table progress({"id", "Mops/s", "att/op", "nonspec", "episodes"});
   for (auto& p : result.points) {
     auto& m = p.metrics;

@@ -18,6 +18,7 @@
 #include "sim/scheduler.hpp"
 #include "stamp/common.hpp"
 #include "support/align.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "tsx/shared.hpp"
 
@@ -359,8 +360,8 @@ void fig5_4() {
   // Every (lock, app, scheme) cell is an independent simulation. Build the
   // whole job grid up front — the standard-scheme baseline followed by the
   // six evaluated schemes per app — fan it out across host threads
-  // (ELISION_HOST_THREADS; defaults to 1), and print from the in-order
-  // results, so the tables are byte-identical at any host-thread count.
+  // (every hardware thread), and print from the in-order results, so the
+  // tables are byte-identical at any host-thread count.
   constexpr stamp::LockKind kLocks[] = {stamp::LockKind::kTtas,
                                         stamp::LockKind::kMcs};
   std::vector<stamp::StampJob> jobs;
@@ -378,7 +379,7 @@ void fig5_4() {
     }
   }
   const std::vector<stamp::StampResult> results =
-      stamp::run_apps(jobs, harness::env_host_threads());
+      stamp::run_apps(jobs, support::host_hardware_threads());
 
   std::size_t j = 0;
   for (const auto lock : kLocks) {
