@@ -289,7 +289,7 @@ for cli_bad in \
     "bench_suite --tier smoke --jobs -1" \
     "bench_suite --tier smoke --jobs 2x" \
     "bench_suite --tier smoke --host-threads 1.5" \
-    "bench_suite --tier smoke --tol-throughput -0.1" \
+    "bench_suite --tier smoke --tol-simops -0.1" \
     "bench_suite --tier smoke --plant-regression 0junk" \
     "elide --threads 8y" \
     "elide --ms -3" \

@@ -383,7 +383,7 @@ SuiteResult run_suite(const std::vector<SuitePoint>& points, int jobs,
 
 GateReport compare_to_baseline(const SuiteResult& current,
                                const SuiteResult& baseline,
-                               const GateTolerance& tol) {
+                               std::optional<double> simops_rel) {
   GateReport report;
   if (current.duration_scale != baseline.duration_scale) {
     report.notes.push_back(
@@ -409,67 +409,27 @@ GateReport compare_to_baseline(const SuiteResult& current,
     }
     const auto& bm = base->metrics;
     const auto& cm = cur.metrics;
-
-    if (bm.throughput_ops_per_sec > 0) {
-      const double floor = bm.throughput_ops_per_sec * (1 - tol.throughput_rel);
-      const double ceil = bm.throughput_ops_per_sec * (1 + tol.throughput_rel);
-      if (cm.throughput_ops_per_sec < floor) {
+    for (const GatedMetric& g : gated_metrics()) {
+      const double b = bm.*g.value;
+      const double c = cm.*g.value;
+      if (g.relative && !(b > 0)) continue;
+      if (g.host_speed && !(c > 0)) continue;
+      const double tol = g.host_speed && simops_rel ? *simops_rel : g.tol;
+      const bool above = g.relative ? c > b * (1 + tol) : c > b + tol;
+      const bool below = g.relative ? c < b * (1 - tol) : c + tol < b;
+      const bool worse = g.higher_is_better ? below : above;
+      const bool better = g.higher_is_better ? above : below;
+      char by[64];
+      std::snprintf(by, sizeof by, " than the baseline by more than %g%s",
+                    g.relative ? tol * 100 : tol, g.relative ? "%" : "");
+      if (worse) {
         report.regressions.push_back(
-            {cur.def.id, "throughput_ops_per_sec", bm.throughput_ops_per_sec,
-             cm.throughput_ops_per_sec,
-             "throughput dropped more than " +
-                 std::to_string(static_cast<int>(tol.throughput_rel * 100)) +
-                 "%"});
-      } else if (cm.throughput_ops_per_sec > ceil) {
+            {cur.def.id, g.key, b, c, "worse" + std::string(by)});
+      } else if (better && g.reports_improvement) {
         report.improvements.push_back(
-            {cur.def.id, "throughput_ops_per_sec", bm.throughput_ops_per_sec,
-             cm.throughput_ops_per_sec,
-             "throughput improved beyond tolerance; refresh the baseline"});
+            {cur.def.id, g.key, b, c,
+             "better" + std::string(by) + "; refresh the baseline"});
       }
-    }
-
-    if (bm.attempts_per_op > 0) {
-      const double ceil = bm.attempts_per_op * (1 + tol.attempts_rel);
-      const double floor = bm.attempts_per_op * (1 - tol.attempts_rel);
-      if (cm.attempts_per_op > ceil) {
-        report.regressions.push_back(
-            {cur.def.id, "attempts_per_op", bm.attempts_per_op,
-             cm.attempts_per_op, "more attempts needed per completed region"});
-      } else if (cm.attempts_per_op < floor) {
-        report.improvements.push_back(
-            {cur.def.id, "attempts_per_op", bm.attempts_per_op,
-             cm.attempts_per_op,
-             "attempts/op improved beyond tolerance; refresh the baseline"});
-      }
-    }
-
-    // Host simulator speed. Only meaningful when both sides report it (old
-    // baselines carry 0) and the tolerance is enabled; wall_ms itself is
-    // never gated, only the ratio metric.
-    if (bm.sim_ops_per_sec > 0 && cm.sim_ops_per_sec > 0 &&
-        tol.simops_rel < 1.0) {
-      const double floor = bm.sim_ops_per_sec * (1 - tol.simops_rel);
-      if (cm.sim_ops_per_sec < floor) {
-        report.regressions.push_back(
-            {cur.def.id, "sim_ops_per_sec", bm.sim_ops_per_sec,
-             cm.sim_ops_per_sec,
-             "simulator executes this point more than " +
-                 std::to_string(static_cast<int>(tol.simops_rel * 100)) +
-                 "% slower than the baseline host run"});
-      }
-    }
-
-    if (cm.nonspec_fraction > bm.nonspec_fraction + tol.fraction_abs) {
-      report.regressions.push_back(
-          {cur.def.id, "nonspec_fraction", bm.nonspec_fraction,
-           cm.nonspec_fraction,
-           "more operations fell back to non-speculative execution"});
-    } else if (cm.nonspec_fraction + tol.fraction_abs < bm.nonspec_fraction) {
-      report.improvements.push_back(
-          {cur.def.id, "nonspec_fraction", bm.nonspec_fraction,
-           cm.nonspec_fraction,
-           "nonspec fraction improved beyond tolerance; refresh the "
-           "baseline"});
     }
 
     if (point_telemetry(cur.def) &&
@@ -500,15 +460,14 @@ void print_gate_report(const GateReport& report, std::FILE* out) {
   for (const auto& note : report.notes) {
     std::fprintf(out, "note: %s\n", note.c_str());
   }
-  for (const auto& imp : report.improvements) {
-    std::fprintf(out, "improvement: %s %s: %.4g -> %.4g (%s)\n",
-                 imp.point_id.c_str(), imp.metric.c_str(), imp.baseline,
-                 imp.current, imp.detail.c_str());
-  }
-  for (const auto& reg : report.regressions) {
-    std::fprintf(out, "REGRESSION: %s %s: %.4g -> %.4g (%s)\n",
-                 reg.point_id.c_str(), reg.metric.c_str(), reg.baseline,
-                 reg.current, reg.detail.c_str());
+  for (const auto& [label, issues] :
+       {std::pair{"improvement", &report.improvements},
+        std::pair{"REGRESSION", &report.regressions}}) {
+    for (const auto& i : *issues) {
+      std::fprintf(out, "%s: %s %s: %.4g -> %.4g (%s)\n", label,
+                   i.point_id.c_str(), i.metric.c_str(), i.baseline,
+                   i.current, i.detail.c_str());
+    }
   }
   std::fprintf(out, "gate: %zu regression(s), %zu improvement(s), %zu "
                     "note(s)\n",

@@ -8,10 +8,10 @@
 //     per-point throughput, spec/nonspec fractions, attempts-per-op, the
 //     abort-cause matrix and avalanche episode counts, plus run metadata
 //     (duration scale, machine config, host and job settings), written and
-//     parsed through one field table per workload kind
-//     (suite_schema.cpp);
-//   - regression gating against a committed baseline with per-metric
-//     relative tolerances; and
+//     parsed through one field table per JSON object (suite_schema.cpp);
+//   - regression gating against a committed baseline, each gated metric's
+//     tolerance and direction declared on its row of the same metrics
+//     table that writes and parses it; and
 //   - the paper's qualitative invariants (Ch. 5/6) checked on every run,
 //     e.g. SCM >= plain HLE on the contended MCS point, adjusted ticket/CLH
 //     locks committing speculatively when solo.
@@ -197,19 +197,26 @@ std::optional<SuiteResult> load_results_file(const std::string& path);
 
 // ---- regression gate ----
 
-struct GateTolerance {
-  // Throughput regression: current < baseline * (1 - throughput_rel).
-  double throughput_rel = 0.10;
-  // Attempts-per-op regression: current > baseline * (1 + attempts_rel).
-  double attempts_rel = 0.15;
-  // Non-speculative-fraction regression: current > baseline + fraction_abs.
-  double fraction_abs = 0.08;
-  // Simulator-speed regression: current sim_ops_per_sec <
-  // baseline * (1 - simops_rel). Host speed varies across machines far more
-  // than virtual-time metrics do, hence the generous default; gate a
-  // same-machine baseline with a tight value (scripts/check.sh does).
-  double simops_rel = 0.75;
+// How the gate compares one metric with its baseline value b. Each is a row
+// of the metrics table (suite_schema.cpp), the same row that writes and
+// parses the key. The bound is b x (1 +/- tol) when relative, else
+// b +/- tol. Past it in the worse direction is a regression; past it in the
+// better direction is an improvement, if the row reports improvements. A
+// relative bound needs baseline data, so b = 0 skips the metric.
+struct GatedMetric {
+  const char* key;
+  double PointMetrics::*value;
+  double tol;
+  bool relative;
+  bool higher_is_better;
+  bool reports_improvement;
+  // Host simulator speed, not a virtual-time result: compare_to_baseline's
+  // simops_rel, if given, replaces tol, and a current 0 (no data) skips it.
+  bool host_speed = false;
 };
+
+// The gated rows of the metrics table, in table order.
+std::vector<GatedMetric> gated_metrics();
 
 struct GateIssue {
   std::string point_id;
@@ -226,12 +233,13 @@ struct GateReport {
   bool ok() const { return regressions.empty(); }
 };
 
-// Compares every current point against the baseline point with the same id.
-// A baseline point of the current tier that is missing from `current` is a
-// regression (coverage loss); points new in `current` are notes.
+// Compares every current point against the baseline point with the same id,
+// each gated_metrics() row under its own rule. A baseline point of the
+// current tier that is missing from `current` is a regression (coverage
+// loss); points new in `current` are notes.
 GateReport compare_to_baseline(const SuiteResult& current,
                                const SuiteResult& baseline,
-                               const GateTolerance& tol = {});
+                               std::optional<double> simops_rel = {});
 
 void print_gate_report(const GateReport& report, std::FILE* out);
 

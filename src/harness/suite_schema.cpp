@@ -1,10 +1,10 @@
-// The bench-suite point schema: one field table per workload kind. Each
-// table row names a point field once — its JSON key, its member, whether it
-// is always emitted or only when it differs from the kind's default, and
-// the bench_suite --list column it fills — and that one row drives JSON
-// writing, JSON parsing, the gate's telemetry lookup and the --list table.
-// Adding a point field is one row. The results document around the points
-// (run metadata, per-point metrics) is written and parsed here too.
+// The bench-suite results schema: one field table per JSON object — per
+// workload kind, the keys every point starts with, the per-point "metrics"
+// (whose gated rows also carry the gate's rule) and the run metadata. Each
+// row names a key once — its member, its printed form, when it is written
+// and, for point fields, the bench_suite --list column it fills — and that
+// row drives JSON writing, strict parsing, the --list table and the gate.
+// Adding a field or a gated metric is one row.
 #include <cmath>
 #include <concepts>
 #include <functional>
@@ -39,10 +39,23 @@ void put_string(std::string& o, std::string_view s) {
 
 void put(std::string& o, bool v) { o += v ? "true" : "false"; }
 void put(std::string& o, std::integral auto v) { o += std::to_string(v); }
-void put(std::string& o, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", v);
+// %g, or `decimals` fixed digits when decimals >= 0.
+void put(std::string& o, double v, int decimals = -1) {
+  char buf[400];  // %.*f of the largest double: 309 digits and the decimals
+  std::snprintf(buf, sizeof buf, decimals < 0 ? "%.*g" : "%.*f",
+                decimals < 0 ? 6 : decimals, v);
   o += buf;
+}
+void put(std::string& o, const std::string& v) { put_string(o, v); }
+void put(std::string& o, SuiteTier v) { put_string(o, suite_tier_name(v)); }
+void put(std::string& o, const std::vector<std::uint64_t>& v) {
+  o += '[';
+  for (const auto n : v) o += std::to_string(n) + ',';
+  if (o.back() == ',') o.pop_back();
+  o += ']';
+}
+void put(std::string& o, const PointWorkload& v) {
+  put_string(o, point_kind_name(static_cast<PointKind>(v.index())));
 }
 void put(std::string& o, const locks::ElisionPolicy& v) {
   put_string(o, v.spec());
@@ -77,6 +90,33 @@ bool get(const Value& v, double& out) {
   out = v.as_double();
   return true;
 }
+bool get(const Value& v, std::string& out) {
+  if (!v.is_string()) return false;
+  out = v.as_string();
+  return true;
+}
+bool get(const Value& v, std::vector<std::uint64_t>& out) {
+  if (!v.is_array()) return false;
+  out.clear();
+  for (const Value& item : v.items()) {
+    if (!get(item, out.emplace_back())) return false;
+  }
+  return true;
+}
+// Default-constructs the workload alternative whose kind `v` names.
+template <std::size_t I = 0>
+bool get(const Value& v, PointWorkload& out) {
+  if constexpr (I < std::variant_size_v<PointWorkload>) {
+    if (v.is_string() &&
+        v.as_string() == point_kind_name(static_cast<PointKind>(I))) {
+      out.emplace<I>();
+      return true;
+    }
+    return get<I + 1>(v, out);
+  } else {
+    return false;
+  }
+}
 bool get(const Value& v, locks::ElisionPolicy& out) {
   const auto p = v.is_string() ? locks::ElisionPolicy::parse(v.as_string())
                                : std::nullopt;
@@ -103,42 +143,116 @@ bool get(const Value& v, SharedLockSel& out) {
                                     SharedLockSel::kSharedMcs};
   return get_named(v, out, kAll, shared_lock_sel_name);
 }
+bool get(const Value& v, SuiteTier& out) {
+  constexpr SuiteTier kAll[] = {SuiteTier::kSmoke, SuiteTier::kFull};
+  return get_named(v, out, kAll, suite_tier_name);
+}
 
 // ---- field tables ----
 
-template <typename P>
-struct Field {
-  const char* key;
-  // false: always emitted on the point's first line. true: emitted on the
-  // overrides line, and only when it differs from a default-constructed P
-  // (so adding such a field leaves every existing results line unchanged).
-  bool when_set;
-  const char* column;  // bench_suite --list column, or nullptr
-  std::function<void(const P&, std::string&)> put;
-  std::function<bool(const Value&, P&)> get;
+// When a field is written, and whether a document may lack it.
+enum class Presence {
+  kRequired,  // always written; a document without it is rejected
+  kOptional,  // always written; absent keeps the default (older documents)
+  kWhenSet,   // written only when it differs from a default-constructed S,
+              // so adding one changes no existing document; may be absent
 };
 
-template <typename P, typename T>
-Field<P> field(const char* key, T P::*m, const char* column = nullptr) {
-  return {key, false, column,
-          [m](const P& p, std::string& o) { put(o, p.*m); },
-          [m](const Value& v, P& p) { return get(v, p.*m); }};
+// One key of a JSON object, read from and written to an S.
+template <typename S>
+struct Field {
+  const char* key;
+  Presence presence = Presence::kOptional;
+  const char* column = nullptr;  // bench_suite --list column, or nullptr
+  std::function<void(const S&, std::string&)> put;
+  std::function<bool(const Value&, S&)> get;
+  std::optional<GatedMetric> gate = {};  // metrics rows the gate compares
+};
+
+// The field's JSON text, or nullopt when it is not written.
+template <typename S>
+std::optional<std::string> written(const Field<S>& f, const S& s) {
+  static const S kDefault{};
+  std::string text, dflt;
+  f.put(s, text);
+  if (f.presence != Presence::kWhenSet) return text;
+  f.put(kDefault, dflt);
+  return text != dflt ? std::optional(text) : std::nullopt;
 }
 
-template <typename P, typename T>
-Field<P> when_set(const char* key, T P::*m) {
-  Field<P> f = field(key, m);
-  f.when_set = true;
+// Appends `"key":value` and then `end` for every written field.
+template <typename S>
+void put_members(const std::vector<Field<S>>& fields, const S& s,
+                 std::string& o, std::string_view end) {
+  for (const auto& f : fields) {
+    if (const auto text = written(f, s)) {
+      o += '"' + std::string(f.key) + "\":" + *text + std::string(end);
+    }
+  }
+}
+
+template <typename S>
+void put_object(const std::vector<Field<S>>& fields, const S& s,
+                std::string& o) {
+  o += '{';
+  put_members(fields, s, o, ",");
+  if (o.back() == ',') o.pop_back();
+  o += '}';
+}
+
+// Reads every field present in `obj`. Rejects a non-object, a present value
+// that does not parse and an absent kRequired field (which must not read as
+// a default the gate then skips).
+template <typename S>
+bool get_object(const std::vector<Field<S>>& fields, const Value& obj,
+                S& s) {
+  if (!obj.is_object()) return false;
+  for (const auto& f : fields) {
+    const Value* v = obj.find(f.key);
+    if (v == nullptr ? f.presence == Presence::kRequired : !f.get(*v, s)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename S, typename T>
+Field<S> field(const char* key, T S::*m, const char* column = nullptr) {
+  return {key, Presence::kOptional, column,
+          [m](const S& s, std::string& o) { put(o, s.*m); },
+          [m](const Value& v, S& s) { return get(v, s.*m); }};
+}
+
+// A double printed with `decimals` fixed digits.
+template <typename S>
+Field<S> field(const char* key, double S::*m, int decimals) {
+  Field<S> f = field(key, m);
+  f.put = [=](const S& s, std::string& o) { put(o, s.*m, decimals); };
+  return f;
+}
+
+// field() rows that are required, or written only when set.
+template <typename... A>
+auto need(A... a) {
+  auto f = field(a...);
+  f.presence = Presence::kRequired;
+  return f;
+}
+template <typename... A>
+auto when_set(A... a) {
+  auto f = field(a...);
+  f.presence = Presence::kWhenSet;
   return f;
 }
 
 // A key with one legal value. Micro points carry the rb-shaped keys the
 // committed baseline's canary lines already hold.
-template <typename P, typename T>
-Field<P> fixed(const char* key, T value, const char* column = nullptr) {
-  return {key, false, column,
-          [value](const P&, std::string& o) { put(o, value); },
-          [value](const Value& v, P&) {
+template <typename S, typename T>
+Field<S> fixed(const char* key, T value, const char* column = nullptr,
+               Presence presence = Presence::kOptional) {
+  return {key, presence, column,
+          [value](const S&, std::string& o) { put(o, value); },
+          [value](const Value& v, S&) {
             T got = value;
             std::string a, b;
             if (!get(v, got)) return false;
@@ -146,6 +260,15 @@ Field<P> fixed(const char* key, T value, const char* column = nullptr) {
             put(b, value);
             return a == b;
           }};
+}
+
+// A nested object whose keys are `fields` of the same S.
+template <typename S>
+Field<S> group(const char* key, Presence presence,
+               std::vector<Field<S>> fields) {
+  return {key, presence, nullptr,
+          [=](const S& s, std::string& o) { put_object(fields, s, o); },
+          [=](const Value& v, S& s) { return get_object(fields, v, s); }};
 }
 
 template <typename P>
@@ -309,35 +432,28 @@ std::string unquoted(const std::string& text) {
   return text;
 }
 
-// The point's definition: id/tier/figure/kind, its kind's always-emitted
+// The keys every point starts with; "kind" picks the field table of the
+// rest.
+const std::vector<Field<SuitePoint>>& point_fields() {
+  using P = SuitePoint;
+  static const std::vector<Field<P>> k{
+      need("id", &P::id), field("tier", &P::tier), field("figure", &P::figure),
+      field("kind", &P::workload)};
+  return k;
+}
+
+// The point's definition: its point_fields() and its kind's always-written
 // fields, and (on a second line, only if any is set) its override fields.
 std::string point_json(const SuitePoint& sp) {
-  std::string o = "    {\"id\":";
-  put_string(o, sp.id);
-  o += ",\"tier\":";
-  put_string(o, suite_tier_name(sp.tier));
-  o += ",\"figure\":";
-  put_string(o, sp.figure);
-  o += ",\"kind\":";
-  put_string(o, point_kind_name(sp.kind()));
-  o += ',';
-  std::string overrides;
+  std::string o = "    {", overrides;
+  put_members(point_fields(), sp, o, ",");
   std::visit(
       [&](const auto& p) {
-        using P = std::decay_t<decltype(p)>;
-        static const P kDefault{};
-        for (const auto& f : schema<P>().fields) {
-          std::string text;
-          f.put(p, text);
-          if (f.when_set) {
-            std::string dflt;
-            f.put(kDefault, dflt);
-            if (text == dflt) continue;
+        for (const auto& f : schema<std::decay_t<decltype(p)>>().fields) {
+          if (const auto text = written(f, p)) {
+            (f.presence == Presence::kWhenSet ? overrides : o) +=
+                '"' + std::string(f.key) + "\":" + *text + ',';
           }
-          std::string& line = f.when_set ? overrides : o;
-          line += '"';
-          line += f.key;
-          line += "\":" + text + ',';
         }
       },
       sp.workload);
@@ -346,179 +462,145 @@ std::string point_json(const SuitePoint& sp) {
   return o;
 }
 
-// Default-constructs the workload alternative named `kind`.
-template <std::size_t I = 0>
-std::optional<PointWorkload> workload_of_kind(const std::string& kind) {
-  if constexpr (I < std::variant_size_v<PointWorkload>) {
-    if (kind == point_kind_name(static_cast<PointKind>(I))) {
-      return PointWorkload(std::in_place_index<I>);
-    }
-    return workload_of_kind<I + 1>(kind);
-  } else {
-    return std::nullopt;
-  }
-}
-
 // Reads a point definition. Absent keys keep their defaults (documents
 // written before a field existed still parse); a present key whose value
 // does not parse — an unknown kind, lock, scheme or tier — rejects the
 // whole document.
-std::optional<SuitePoint> parse_point(const Value& p) {
-  SuitePoint sp;
-  const Value* id = p.find("id");
-  if (id == nullptr || !id->is_string()) return std::nullopt;
-  sp.id = id->as_string();
-  if (const Value* v = p.find("tier")) {
-    const auto t = suite_tier_from_name(v->as_string());
-    if (!v->is_string() || !t) return std::nullopt;
-    sp.tier = *t;
-  }
-  if (const Value* v = p.find("figure")) {
-    if (!v->is_string()) return std::nullopt;
-    sp.figure = v->as_string();
-  }
-  if (const Value* v = p.find("kind")) {
-    auto w = v->is_string() ? workload_of_kind(v->as_string()) : std::nullopt;
-    if (!w) return std::nullopt;
-    sp.workload = std::move(*w);
-  }
-  const bool ok = std::visit(
-      [&](auto& w) {
-        for (const auto& f : schema<std::decay_t<decltype(w)>>().fields) {
-          const Value* v = p.find(f.key);
-          if (v != nullptr && !f.get(*v, w)) return false;
-        }
-        return true;
-      },
-      sp.workload);
-  if (!ok) return std::nullopt;
-  return sp;
+bool parse_point(const Value& p, SuitePoint& sp) {
+  return get_object(point_fields(), p, sp) &&
+         std::visit(
+             [&](auto& w) {
+               return get_object(schema<std::decay_t<decltype(w)>>().fields,
+                                 p, w);
+             },
+             sp.workload);
 }
 
-void write_metrics_json(const PointMetrics& m, std::FILE* out) {
-  std::fprintf(
-      out,
-      "     \"metrics\":{\"throughput_ops_per_sec\":%.3f,"
-      "\"spec_fraction\":%.6f,\"nonspec_fraction\":%.6f,"
-      "\"attempts_per_op\":%.6f,\"ops\":%llu,\"attempts\":%llu,"
-      "\"elapsed_cycles\":%llu,\"tx\":{\"begins\":%llu,\"commits\":%llu,"
-      "\"aborts\":%llu},",
-      m.throughput_ops_per_sec, m.spec_fraction, m.nonspec_fraction,
-      m.attempts_per_op, static_cast<unsigned long long>(m.ops),
-      static_cast<unsigned long long>(m.attempts),
-      static_cast<unsigned long long>(m.elapsed_cycles),
-      static_cast<unsigned long long>(m.tx_begins),
-      static_cast<unsigned long long>(m.tx_commits),
-      static_cast<unsigned long long>(m.tx_aborts));
-  std::fprintf(out, "\"aborts_by_cause\":{");
-  for (std::size_t c = 0; c < m.aborts_by_cause.size(); ++c) {
-    std::fprintf(out, "%s\"%s\":%llu", c == 0 ? "" : ",",
-                 tsx::to_string(static_cast<tsx::AbortCause>(c)),
-                 static_cast<unsigned long long>(m.aborts_by_cause[c]));
-  }
-  std::fprintf(out,
-               "},\"avalanche_episodes\":%llu,\"avalanche_victims\":%llu,",
-               static_cast<unsigned long long>(m.avalanche_episodes),
-               static_cast<unsigned long long>(m.avalanche_victims));
-  if (!m.phase_ops.empty()) {
-    std::fprintf(out, "\"phase_ops\":[");
-    for (std::size_t p = 0; p < m.phase_ops.size(); ++p) {
-      std::fprintf(out, "%s%llu", p == 0 ? "" : ",",
-                   static_cast<unsigned long long>(m.phase_ops[p]));
-    }
-    std::fprintf(out, "],");
-  }
-  if (!m.latency.empty()) {
-    std::fprintf(out, "\"latency\":{");
-    for (std::size_t l = 0; l < m.latency.size(); ++l) {
-      const auto& ol = m.latency[l];
-      std::fprintf(out,
-                   "%s\"%s\":{\"samples\":%llu,\"p50_cycles\":%llu,"
-                   "\"p99_cycles\":%llu,\"p999_cycles\":%llu,"
-                   "\"max_cycles\":%llu}",
-                   l == 0 ? "" : ",", support::json::escape(ol.op).c_str(),
-                   static_cast<unsigned long long>(ol.samples),
-                   static_cast<unsigned long long>(ol.p50_cycles),
-                   static_cast<unsigned long long>(ol.p99_cycles),
-                   static_cast<unsigned long long>(ol.p999_cycles),
-                   static_cast<unsigned long long>(ol.max_cycles));
-    }
-    std::fprintf(out, "},");
-  }
-  if (m.fp_owned_hits != 0 || m.fp_probe_skips != 0 ||
-      m.fp_bound_recomputes != 0) {
-    // Optional: points run with the fast path disabled (ELISION_FASTPATH=0)
-    // produce all-zero counters and stay byte-identical to the pre-fastpath
-    // schema.
-    std::fprintf(out,
-                 "\"fastpath\":{\"owned_hits\":%llu,\"probe_skips\":%llu,"
-                 "\"bound_recomputes\":%llu},",
-                 static_cast<unsigned long long>(m.fp_owned_hits),
-                 static_cast<unsigned long long>(m.fp_probe_skips),
-                 static_cast<unsigned long long>(m.fp_bound_recomputes));
-  }
-  std::fprintf(out, "\"sim_ops_per_sec\":%.3f,\"wall_ms\":%.3f}}",
-               m.sim_ops_per_sec, m.wall_ms);
+// ---- the per-point "metrics" object ----
+
+// A gated metric: required, printed with `decimals` fixed digits, and
+// compared with the baseline under the row's rule.
+Field<PointMetrics> gated(const GatedMetric& g, int decimals) {
+  Field<PointMetrics> f = need(g.key, g.value, decimals);
+  f.gate = g;
+  return f;
 }
 
-// Strict: every key write_metrics_json always writes must be present with
-// the right type, or the document is rejected (a missing key must not read
-// as a zero the gate then skips). phase_ops, latency and fastpath are
-// optional, but well-formed when present.
-std::optional<PointMetrics> parse_metrics(const Value& metrics) {
-  PointMetrics m;
-  bool ok = true;
-  auto need = [&ok](const Value* obj, const char* key, auto& out) {
-    const Value* v = obj != nullptr ? obj->find(key) : nullptr;
-    ok = ok && v != nullptr && get(*v, out);
-  };
-  need(&metrics, "throughput_ops_per_sec", m.throughput_ops_per_sec);
-  need(&metrics, "spec_fraction", m.spec_fraction);
-  need(&metrics, "nonspec_fraction", m.nonspec_fraction);
-  need(&metrics, "attempts_per_op", m.attempts_per_op);
-  need(&metrics, "ops", m.ops);
-  need(&metrics, "attempts", m.attempts);
-  need(&metrics, "elapsed_cycles", m.elapsed_cycles);
-  const Value* tx = metrics.find("tx");
-  need(tx, "begins", m.tx_begins);
-  need(tx, "commits", m.tx_commits);
-  need(tx, "aborts", m.tx_aborts);
-  const Value* causes = metrics.find("aborts_by_cause");
-  m.aborts_by_cause.resize(
-      static_cast<std::size_t>(tsx::AbortCause::kCauseCount));
-  for (std::size_t c = 0; c < m.aborts_by_cause.size(); ++c) {
-    need(causes, tsx::to_string(static_cast<tsx::AbortCause>(c)),
-         m.aborts_by_cause[c]);
+// "aborts_by_cause": one count per tsx::AbortCause, keyed by its name.
+Field<PointMetrics> aborts_by_cause() {
+  using M = PointMetrics;
+  constexpr auto kCauses =
+      static_cast<std::size_t>(tsx::AbortCause::kCauseCount);
+  std::vector<Field<M>> causes;
+  for (std::size_t c = 0; c < kCauses; ++c) {
+    causes.push_back(
+        {tsx::to_string(static_cast<tsx::AbortCause>(c)), Presence::kRequired,
+         nullptr,
+         [c](const M& m, std::string& o) {
+           put(o, c < m.aborts_by_cause.size() ? m.aborts_by_cause[c] : 0);
+         },
+         [c](const Value& v, M& m) {
+           m.aborts_by_cause.resize(kCauses);
+           return get(v, m.aborts_by_cause[c]);
+         }});
   }
-  need(&metrics, "avalanche_episodes", m.avalanche_episodes);
-  need(&metrics, "avalanche_victims", m.avalanche_victims);
-  if (const Value* v = metrics.find("phase_ops")) {
-    ok = ok && v->is_array();
-    for (const Value& item : v->items()) {
-      ok = ok && get(item, m.phase_ops.emplace_back());
-    }
-  }
-  if (const Value* lat = metrics.find("latency")) {
-    ok = ok && lat->is_object();
-    for (const auto& s : lat->members()) {
-      auto& l = m.latency.emplace_back();
-      l.op = s.key;
-      need(&s.value, "samples", l.samples);
-      need(&s.value, "p50_cycles", l.p50_cycles);
-      need(&s.value, "p99_cycles", l.p99_cycles);
-      need(&s.value, "p999_cycles", l.p999_cycles);
-      need(&s.value, "max_cycles", l.max_cycles);
-    }
-  }
-  if (const Value* fp = metrics.find("fastpath")) {
-    need(fp, "owned_hits", m.fp_owned_hits);
-    need(fp, "probe_skips", m.fp_probe_skips);
-    need(fp, "bound_recomputes", m.fp_bound_recomputes);
-  }
-  need(&metrics, "sim_ops_per_sec", m.sim_ops_per_sec);
-  need(&metrics, "wall_ms", m.wall_ms);
-  if (!ok) return std::nullopt;
-  return m;
+  return group<M>("aborts_by_cause", Presence::kRequired, causes);
+}
+
+// "latency": one object of percentiles per op kind, keyed by the op.
+Field<PointMetrics> latency() {
+  using M = PointMetrics;
+  using L = M::OpLatencySummary;
+  static const std::vector<Field<L>> k{
+      need("samples", &L::samples), need("p50_cycles", &L::p50_cycles),
+      need("p99_cycles", &L::p99_cycles), need("p999_cycles", &L::p999_cycles),
+      need("max_cycles", &L::max_cycles)};
+  return {"latency", Presence::kWhenSet, nullptr,
+          [](const M& m, std::string& o) {
+            o += '{';
+            for (const L& l : m.latency) {
+              put_string(o, l.op);
+              o += ':';
+              put_object(k, l, o);
+              o += ',';
+            }
+            if (o.back() == ',') o.pop_back();
+            o += '}';
+          },
+          [](const Value& v, M& m) {
+            for (const auto& s : v.members()) {
+              m.latency.emplace_back().op = s.key;
+              if (!get_object(k, s.value, m.latency.back())) return false;
+            }
+            return v.is_object();
+          }};
+}
+
+// Every key of a point's "metrics" object, in written order. The gate reads
+// its rules from the gated rows (gated_metrics()).
+const std::vector<Field<PointMetrics>>& metrics_fields() {
+  using M = PointMetrics;
+  static const std::vector<Field<M>> k{
+      gated({.key = "throughput_ops_per_sec",
+             .value = &M::throughput_ops_per_sec, .tol = 0.10,
+             .relative = true, .higher_is_better = true,
+             .reports_improvement = true}, 3),
+      need("spec_fraction", &M::spec_fraction, 6),
+      gated({.key = "nonspec_fraction", .value = &M::nonspec_fraction,
+             .tol = 0.08, .relative = false, .higher_is_better = false,
+             .reports_improvement = true}, 6),
+      gated({.key = "attempts_per_op", .value = &M::attempts_per_op,
+             .tol = 0.15, .relative = true, .higher_is_better = false,
+             .reports_improvement = true}, 6),
+      need("ops", &M::ops),
+      need("attempts", &M::attempts),
+      need("elapsed_cycles", &M::elapsed_cycles),
+      group<M>("tx", Presence::kRequired,
+               {need("begins", &M::tx_begins), need("commits", &M::tx_commits),
+                need("aborts", &M::tx_aborts)}),
+      aborts_by_cause(),
+      need("avalanche_episodes", &M::avalanche_episodes),
+      need("avalanche_victims", &M::avalanche_victims),
+      when_set("phase_ops", &M::phase_ops),
+      latency(),
+      group<M>("fastpath", Presence::kWhenSet,
+               {need("owned_hits", &M::fp_owned_hits),
+                need("probe_skips", &M::fp_probe_skips),
+                need("bound_recomputes", &M::fp_bound_recomputes)}),
+      // Host speed varies across machines far more than virtual-time
+      // metrics do; same-host gating passes a tight --tol-simops.
+      gated({.key = "sim_ops_per_sec", .value = &M::sim_ops_per_sec,
+             .tol = 0.75, .relative = true, .higher_is_better = true,
+             .reports_improvement = false, .host_speed = true}, 3),
+      need("wall_ms", &M::wall_ms, 3)};
+  return k;
+}
+
+// ---- the results document around the points ----
+
+// Run metadata is optional key by key (older documents lack some host
+// fields), but a key that is present must have the writer's type: a
+// corrupted scale or machine shape must not read as a default the gate's
+// scale and machine checks then accept.
+const std::vector<Field<SuiteResult>>& header_fields() {
+  using R = SuiteResult;
+  static const std::vector<Field<R>> k{
+      fixed<R>("schema_version", kSuiteSchemaVersion, nullptr,
+               Presence::kRequired),
+      fixed<R>("suite", std::string("elision-bench")),
+      field("tier", &R::tier),
+      group<R>("run", Presence::kOptional,
+               {field("duration_scale", &R::duration_scale),
+                group<R>("machine", Presence::kOptional,
+                         {field("n_cores", &R::n_cores),
+                          field("smt_per_core", &R::smt_per_core),
+                          field("ghz", &R::ghz)}),
+                group<R>("host", Presence::kOptional,
+                         {field("cores", &R::host_cores),
+                          field("jobs", &R::jobs),
+                          field("host_threads", &R::host_threads),
+                          field("total_wall_ms", &R::total_wall_ms, 3)})})};
+  return k;
 }
 
 }  // namespace
@@ -547,76 +629,42 @@ bool point_telemetry(const SuitePoint& sp) {
   return on;
 }
 
+std::vector<GatedMetric> gated_metrics() {
+  std::vector<GatedMetric> out;
+  for (const auto& f : metrics_fields()) {
+    if (f.gate) out.push_back(*f.gate);
+  }
+  return out;
+}
+
 // ---- canonical JSON results ----
 
 void write_results_json(const SuiteResult& result, std::FILE* out) {
-  std::fprintf(out,
-               "{\n  \"schema_version\":%d,\n  \"suite\":\"elision-bench\",\n"
-               "  \"tier\":\"%s\",\n  \"run\":{\"duration_scale\":%g,"
-               "\"machine\":{\"n_cores\":%u,\"smt_per_core\":%u,"
-               "\"ghz\":%g},"
-               "\"host\":{\"cores\":%u,\"jobs\":%d,\"host_threads\":%d,"
-               "\"total_wall_ms\":%.3f}},\n  \"points\":[\n",
-               kSuiteSchemaVersion, suite_tier_name(result.tier),
-               result.duration_scale, result.n_cores, result.smt_per_core,
-               result.ghz, result.host_cores, result.jobs,
-               result.host_threads, result.total_wall_ms);
+  std::string o = "{\n  ";
+  put_members(header_fields(), result, o, ",\n  ");
+  o += "\"points\":[\n";
   for (std::size_t i = 0; i < result.points.size(); ++i) {
-    std::fputs(point_json(result.points[i].def).c_str(), out);
-    write_metrics_json(result.points[i].metrics, out);
-    std::fprintf(out, "%s\n", i + 1 < result.points.size() ? "," : "");
+    o += point_json(result.points[i].def);
+    o += "     \"metrics\":";
+    put_object(metrics_fields(), result.points[i].metrics, o);
+    o += i + 1 < result.points.size() ? "},\n" : "}\n";
   }
-  std::fprintf(out, "  ]\n}\n");
+  o += "  ]\n}\n";
+  std::fputs(o.c_str(), out);
 }
 
 std::optional<SuiteResult> parse_results_json(const Value& doc) {
-  if (!doc.is_object()) return std::nullopt;
-  const Value* version = doc.find("schema_version");
-  if (version == nullptr ||
-      static_cast<int>(version->as_double()) != kSuiteSchemaVersion) {
-    return std::nullopt;
-  }
   SuiteResult out;
-  if (const Value* tier = doc.find("tier")) {
-    const auto t = suite_tier_from_name(tier->as_string());
-    if (!t) return std::nullopt;
-    out.tier = *t;
-  }
-  // Run metadata is optional key by key (older documents lack some host
-  // fields), but a key that is present must have the writer's type: a
-  // corrupted scale or machine shape must not read as a default the gate's
-  // scale and machine checks then accept.
-  bool ok = true;
-  auto opt = [&ok](const Value* obj, const char* key, auto& out) {
-    const Value* v = obj != nullptr ? obj->find(key) : nullptr;
-    ok = ok && (v == nullptr || get(*v, out));
-  };
-  auto section = [&ok](const Value* obj, const char* key) {
-    const Value* v = obj != nullptr ? obj->find(key) : nullptr;
-    ok = ok && (v == nullptr || v->is_object());
-    return v;
-  };
-  const Value* run = section(&doc, "run");
-  opt(run, "duration_scale", out.duration_scale);
-  const Value* machine = section(run, "machine");
-  opt(machine, "n_cores", out.n_cores);
-  opt(machine, "smt_per_core", out.smt_per_core);
-  opt(machine, "ghz", out.ghz);
-  const Value* host = section(run, "host");
-  opt(host, "cores", out.host_cores);
-  opt(host, "jobs", out.jobs);
-  opt(host, "host_threads", out.host_threads);
-  opt(host, "total_wall_ms", out.total_wall_ms);
-  if (!ok) return std::nullopt;
+  if (!get_object(header_fields(), doc, out)) return std::nullopt;
   const Value* points = doc.find("points");
   if (points == nullptr || !points->is_array()) return std::nullopt;
   for (const Value& p : points->items()) {
-    const Value* metrics = p.is_object() ? p.find("metrics") : nullptr;
-    if (metrics == nullptr || !metrics->is_object()) return std::nullopt;
-    auto def = parse_point(p);
-    auto m = parse_metrics(*metrics);
-    if (!def || !m) return std::nullopt;
-    out.points.push_back({std::move(*def), std::move(*m)});
+    PointRecord& rec = out.points.emplace_back();
+    const Value* metrics = p.find("metrics");
+    if (!parse_point(p, rec.def) || metrics == nullptr ||
+        !get_object(metrics_fields(), *metrics, rec.metrics)) {
+      return std::nullopt;
+    }
   }
   return out;
 }

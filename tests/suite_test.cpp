@@ -338,7 +338,13 @@ TEST(SuiteJson, CommittedBaselineRewritesByteIdentical) {
 }
 
 TEST(SuiteJson, RejectsMalformedPointFields) {
-  const std::string good = to_json_string(tiny_result());
+  // The first point carries every optional metrics group too.
+  SuiteResult r = tiny_result();
+  PointMetrics& m = r.points[0].metrics;
+  m.phase_ops = {5, 6, 7};
+  m.latency = {{"get", 10, 1, 2, 3, 4}};
+  m.fp_owned_hits = 3;
+  const std::string good = to_json_string(r);
   ASSERT_TRUE(parse_results_json(*support::json::parse(good)).has_value());
   const std::pair<const char*, const char*> corruptions[] = {
       {"\"kind\":\"rb\"", "\"kind\":\"rbx\""},
@@ -356,6 +362,11 @@ TEST(SuiteJson, RejectsMalformedPointFields) {
       {"\"conflict\":7", "\"conflict\":-7"},
       {"\"avalanche_episodes\":2", "\"avalanche_episodes\":true"},
       {"\"wall_ms\"", "\"wall\""},
+      {"\"aborts_by_cause\"", "\"aborts_by_causes\""},
+      // The optional groups may be absent, but are well-formed when present.
+      {"\"phase_ops\":[5,", "\"phase_ops\":[5.5,"},
+      {"\"p999_cycles\"", "\"p999_cyc\""},
+      {"\"owned_hits\":3", "\"owned_hits\":-3"},
       // Run metadata may be absent key by key, but never of the wrong
       // type: the gate's scale and machine checks read these.
       {"\"duration_scale\":1,", "\"duration_scale\":\"x\","},
@@ -453,9 +464,87 @@ TEST(SuiteGate, SimSpeedSkippedWithoutBaselineDataOrWhenDisabled) {
   for (auto& p : base2.points) p.metrics.sim_ops_per_sec = 1e6;
   SuiteResult cur2 = base2;
   cur2.points[0].metrics.sim_ops_per_sec = 1.0;  // 6 orders slower
-  GateTolerance tol;
-  tol.simops_rel = 1.0;
-  EXPECT_TRUE(compare_to_baseline(cur2, base2, tol).ok());
+  EXPECT_TRUE(compare_to_baseline(cur2, base2, 1.0).ok());
+}
+
+// Every gated metric at its bound: just past it in the worse direction is a
+// regression, just inside it passes, and past it in the better direction is
+// an improvement (sim_ops_per_sec, a host speed, reports none).
+TEST(SuiteGate, EachGatedMetricHasItsBound) {
+  struct Case {
+    const char* metric;
+    double PointMetrics::*value;
+    double base, worse, inside, better;
+    bool improves;
+  };
+  const Case cases[] = {
+      // 10% relative, higher is better.
+      {"throughput_ops_per_sec", &PointMetrics::throughput_ops_per_sec, 1e7,
+       0.899e7, 0.901e7, 1.101e7, true},
+      // 15% relative, lower is better.
+      {"attempts_per_op", &PointMetrics::attempts_per_op, 2.0, 2.302, 2.298,
+       1.698, true},
+      // 0.08 absolute, lower is better.
+      {"nonspec_fraction", &PointMetrics::nonspec_fraction, 0.5, 0.581, 0.579,
+       0.419, true},
+      // 75% relative by default, higher is better.
+      {"sim_ops_per_sec", &PointMetrics::sim_ops_per_sec, 1e6, 0.249e6,
+       0.251e6, 1e7, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.metric);
+    SuiteResult base = tiny_result();
+    base.points[0].metrics.*c.value = c.base;
+    if (c.value != &PointMetrics::sim_ops_per_sec) {
+      base.points[0].metrics.sim_ops_per_sec = 1e6;
+    }
+    auto gate = [&](double current) {
+      SuiteResult cur = base;
+      cur.points[0].metrics.*c.value = current;
+      return compare_to_baseline(cur, base);
+    };
+    const GateReport worse = gate(c.worse);
+    ASSERT_EQ(worse.regressions.size(), 1u);
+    EXPECT_EQ(worse.regressions[0].point_id, base.points[0].def.id);
+    EXPECT_EQ(worse.regressions[0].metric, c.metric);
+    EXPECT_DOUBLE_EQ(worse.regressions[0].baseline, c.base);
+    EXPECT_DOUBLE_EQ(worse.regressions[0].current, c.worse);
+    EXPECT_TRUE(worse.improvements.empty());
+
+    const GateReport inside = gate(c.inside);
+    EXPECT_TRUE(inside.ok());
+    EXPECT_TRUE(inside.improvements.empty());
+
+    const GateReport better = gate(c.better);
+    EXPECT_TRUE(better.ok());
+    if (c.improves) {
+      ASSERT_EQ(better.improvements.size(), 1u);
+      EXPECT_EQ(better.improvements[0].metric, c.metric);
+      EXPECT_DOUBLE_EQ(better.improvements[0].current, c.better);
+    } else {
+      EXPECT_TRUE(better.improvements.empty());
+    }
+  }
+}
+
+// A relative bound needs baseline data: a baseline of 0 skips throughput,
+// attempts and sim-speed whatever the current value.
+TEST(SuiteGate, ZeroBaselineSkipsRelativeMetrics) {
+  SuiteResult base = tiny_result();
+  PointMetrics& bm = base.points[0].metrics;
+  bm.throughput_ops_per_sec = 0;
+  bm.attempts_per_op = 0;
+  bm.sim_ops_per_sec = 0;
+  SuiteResult cur = base;
+  PointMetrics& cm = cur.points[0].metrics;
+  for (double v : {1e-9, 1e9}) {
+    cm.throughput_ops_per_sec = v;
+    cm.attempts_per_op = v;
+    cm.sim_ops_per_sec = v;
+    const GateReport report = compare_to_baseline(cur, base);
+    EXPECT_TRUE(report.ok()) << v;
+    EXPECT_TRUE(report.improvements.empty()) << v;
+  }
 }
 
 TEST(SuiteGate, WithinToleranceIsNotARegression) {

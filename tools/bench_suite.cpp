@@ -6,8 +6,7 @@
 //               [--host-threads N] [--out FILE]
 //               [--baseline FILE] [--gate] [--list] [--quiet]
 //               [--plant-regression FACTOR] [--plant-slowdown FACTOR]
-//               [--tol-throughput REL] [--tol-attempts REL]
-//               [--tol-fraction ABS] [--tol-simops REL] [--no-invariants]
+//               [--tol-simops REL]
 //
 // --jobs N runs the tier's points N at a time on an in-process host-thread
 // pool (support/parallel.hpp); --jobs 1, the default, runs them in order on
@@ -19,8 +18,11 @@
 // wall-time fields (wall_ms, sim_ops_per_sec, run.host).
 //
 // Exit status: 0 on success; 1 if the gate found a regression or a
-// paper-qualitative invariant is violated; 2 on usage/IO errors.
+// paper-qualitative invariant is violated; 2 on usage/IO errors, including
+// a results file that cannot be written.
 //
+// Gate tolerances are constants on the metrics table's rows; --tol-simops
+// replaces the cross-host sim_ops_per_sec one (0.75) for same-host gating.
 // --plant-regression multiplies every reported throughput before gating and
 // --plant-slowdown every sim_ops_per_sec; scripts/check.sh uses them as
 // self-checks that the gate actually fires.
@@ -51,10 +53,9 @@ struct Options {
   bool gate = false;
   bool list = false;
   bool quiet = false;
-  bool invariants = true;
   double plant_factor = 1.0;
   double plant_simops = 1.0;
-  harness::GateTolerance tol;
+  std::optional<double> tol_simops;  // the gate's sim_ops_per_sec tolerance
 };
 
 [[noreturn]] void usage(const char* why) {
@@ -66,9 +67,7 @@ struct Options {
       "              [--host-threads N] [--out FILE]\n"
       "              [--baseline FILE] [--gate] [--list] [--quiet]\n"
       "              [--plant-regression FACTOR] [--plant-slowdown FACTOR]\n"
-      "              [--tol-throughput REL] [--tol-attempts REL]\n"
-      "              [--tol-fraction ABS] [--tol-simops REL]\n"
-      "              [--no-invariants]\n");
+      "              [--tol-simops REL]\n");
   std::exit(2);
 }
 
@@ -104,8 +103,6 @@ Options parse(int argc, char** argv) {
       o.list = true;
     } else if (a == "--quiet") {
       o.quiet = true;
-    } else if (a == "--no-invariants") {
-      o.invariants = false;
     } else if (a == "--plant-regression") {
       const auto v = support::parse_double(next());
       if (!v || *v <= 0) usage("--plant-regression must be a number > 0");
@@ -114,22 +111,10 @@ Options parse(int argc, char** argv) {
       const auto v = support::parse_double(next());
       if (!v || *v <= 0) usage("--plant-slowdown must be a number > 0");
       o.plant_simops = *v;
-    } else if (a == "--tol-throughput") {
-      const auto v = support::parse_double(next());
-      if (!v || *v < 0) usage("--tol-throughput must be a number >= 0");
-      o.tol.throughput_rel = *v;
-    } else if (a == "--tol-attempts") {
-      const auto v = support::parse_double(next());
-      if (!v || *v < 0) usage("--tol-attempts must be a number >= 0");
-      o.tol.attempts_rel = *v;
-    } else if (a == "--tol-fraction") {
-      const auto v = support::parse_double(next());
-      if (!v || *v < 0) usage("--tol-fraction must be a number >= 0");
-      o.tol.fraction_abs = *v;
     } else if (a == "--tol-simops") {
       const auto v = support::parse_double(next());
       if (!v || *v < 0) usage("--tol-simops must be a number >= 0");
-      o.tol.simops_rel = *v;
+      o.tol_simops = *v;
     } else {
       usage(("unknown argument " + a).c_str());
     }
@@ -223,7 +208,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   harness::write_results_json(result, f);
-  std::fclose(f);
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) {
+    std::fprintf(stderr, "bench_suite: cannot write %s\n", o.out_file.c_str());
+    return 2;
+  }
   if (!o.quiet) {
     std::printf("results: %zu points -> %s (jobs %d, %.0f ms)\n",
                 result.points.size(), o.out_file.c_str(), result.jobs,
@@ -232,31 +221,20 @@ int main(int argc, char** argv) {
 
   int rc = 0;
 
-  if (o.invariants) {
-    for (const auto& inv : harness::check_invariants(result)) {
-      if (inv.skipped) {
-        if (!o.quiet) {
-          std::printf("invariant %-34s SKIP (%s)\n", inv.name.c_str(),
-                      inv.detail.c_str());
-        }
-        continue;
-      }
-      if (inv.ok) {
-        if (!o.quiet) {
-          std::printf("invariant %-34s ok   (%s)\n", inv.name.c_str(),
-                      inv.detail.c_str());
-        }
-      } else {
-        std::fprintf(stderr, "invariant %-34s FAIL (%s)\n", inv.name.c_str(),
-                     inv.detail.c_str());
-        rc = 1;
-      }
+  for (const auto& inv : harness::check_invariants(result)) {
+    const bool failed = !inv.skipped && !inv.ok;
+    if (failed) rc = 1;
+    if (failed || !o.quiet) {
+      std::fprintf(failed ? stderr : stdout, "invariant %-34s %s (%s)\n",
+                   inv.name.c_str(),
+                   failed ? "FAIL" : inv.skipped ? "SKIP" : "ok  ",
+                   inv.detail.c_str());
     }
   }
 
   if (baseline) {
     const auto report =
-        harness::compare_to_baseline(result, *baseline, o.tol);
+        harness::compare_to_baseline(result, *baseline, o.tol_simops);
     harness::print_gate_report(report, report.ok() ? stdout : stderr);
     if (!report.ok()) rc = 1;
   }

@@ -186,7 +186,7 @@ harness::RbPoint tree_point(const Options& o) {
 }
 
 // Opens `path` for writing and hands `dump` the stream and whether the file
-// is JSON (a .json suffix) rather than CSV.
+// is JSON (a .json suffix) rather than CSV; false if it cannot be written.
 template <typename Dump>
 bool write_file(const std::string& path, Dump&& dump) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -195,7 +195,11 @@ bool write_file(const std::string& path, Dump&& dump) {
     return false;
   }
   dump(f, path.ends_with(".json"));
-  std::fclose(f);
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
   return true;
 }
 
