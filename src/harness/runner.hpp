@@ -166,7 +166,8 @@ double env_duration_scale();
 // per-access fast paths — the engine's owned-line cache and the scheduler's
 // switch-bound batching — are engaged. They never change simulated results,
 // only host speed, so the off setting exists for A/B measurement and the
-// differential equivalence checks in scripts/check.sh.
+// differential equivalence tests (fastpath_test, and the fast-path-off leg
+// of SuiteRun.SmokeTierReproducesCommittedBaseline).
 bool env_fastpath_enabled();
 
 }  // namespace elision::harness

@@ -2,7 +2,10 @@
 //
 // The simulator multiplexes all logical threads of the simulated machine onto
 // the single host thread. A context switch saves the SysV x86-64 callee-saved
-// registers and swaps stacks; it costs ~10ns, which keeps per-memory-access
+// registers and swaps stacks. A whole simulated context switch, this swap
+// plus the scheduler's ready-queue exchange and bound recompute, measures
+// 14-21 ns (bench/e2e's sim.switch_probe_ns: a tick-only 8-thread
+// simulation on a 4-vCPU shared x86-64 VM), which keeps per-memory-access
 // yielding affordable.
 //
 // Invariants:

@@ -10,12 +10,14 @@
 //
 // Machines of at most one group (<= 16 threads, which covers the paper's
 // 8-hyperthread i7 and every historical bench point) keep the live tids in
-// a small array sorted by (clock, tid). min_entry() reads the front, so the
-// pick and the preemption-bound recompute of a context switch are O(1);
-// the batching scheduler's switch is exchange() with the incoming thread at
-// the front, i.e. a pop-front fused with one forward insertion of the
-// outgoing thread. (clock, tid) order puts the lowest tid first among equal
-// clocks, which is exactly the seed sweep's first-index-wins tie-break.
+// a 16-slot ring sorted by (clock, tid) from its head. min_entry() reads the
+// head, so the pick and the preemption-bound recompute of a context switch
+// are O(1); the batching scheduler's switch is exchange() with the incoming
+// thread at the head: the head advances one slot (an O(1) pop-front) and
+// the outgoing thread is inserted by scanning from the back, which in the
+// usual round-robin case (the outgoing clock is the largest) is a single
+// compare. (clock, tid) order puts the lowest tid first among equal clocks,
+// which is exactly the seed sweep's first-index-wins tie-break.
 //
 // Larger machines use a flat array-backed tournament tree of arity
 // kGroupSize (16): clocks live in one dense array padded to a multiple of
@@ -34,7 +36,7 @@
 // seed's linear sweep, so schedules are preserved bit-for-bit.
 //
 // Finished threads (and padding slots beyond size()) hold kFinishedClock,
-// so they lose every comparison against a live thread (the sorted array
+// so they lose every comparison against a live thread (the sorted ring
 // leaves them out altogether) and min_clock() degrades to the sentinel when
 // nothing is runnable.
 #pragma once
@@ -79,7 +81,7 @@ class ReadyQueue {
   }
 
   // Updates tid's clock and the index. On a one-group machine this moves
-  // tid's entry within the sorted array (removing it for the sentinel,
+  // tid's entry within the sorted ring (removing it for the sentinel,
   // inserting it when it leaves the sentinel). Callers: spawn, finish,
   // the scheduler's park of an incoming thread, and the per-access path
   // with switch-bound batching off.
@@ -126,8 +128,11 @@ class ReadyQueue {
     clocks_[oi] = out_clock;
     clocks_[ii] = kFinishedClock;
     if (size_ <= kGroupSize) {
-      ELISION_DCHECK(live_ > 0 && order_[0].tid == in_tid);
-      place(0, {out_clock, out_tid});  // the incoming thread's front slot
+      ELISION_DCHECK(live_ > 0 && order_[head_].tid == in_tid);
+      // Pop the incoming thread off the head; its slot becomes the free
+      // slot one past the new back, which is where insertion starts.
+      head_ = (head_ + 1) & kRingMask;
+      place_from_back(live_ - 1, {out_clock, out_tid});
       return;
     }
     const std::size_t go = oi >> kGroupShift;
@@ -150,7 +155,7 @@ class ReadyQueue {
   }
 
   // The (min clock, lowest holder tid) pair over all registered threads,
-  // in O(1): the front of the sorted array or the cached tournament root.
+  // in O(1): the head of the sorted ring or the cached tournament root.
   // With no live thread it is {kFinishedClock, 0} on a one-group machine;
   // tid is only meaningful while some thread is live.
   struct Entry {
@@ -160,7 +165,7 @@ class ReadyQueue {
   ELISION_ALWAYS_INLINE Entry min_entry() const {
     ELISION_DCHECK(size_ > 0);
     if (size_ <= kGroupSize) {
-      return live_ > 0 ? order_[0] : Entry{kFinishedClock, 0};
+      return live_ > 0 ? order_[head_] : Entry{kFinishedClock, 0};
     }
     return {root_min_, root_tid_};
   }
@@ -245,10 +250,13 @@ class ReadyQueue {
     root_tid_ = group_tid_[rg];
   }
 
-  // Sorted-array order: (clock, tid) lexicographic.
+  // Ring order: (clock, tid) lexicographic.
   static bool before(const Entry& a, const Entry& b) {
     return a.clock < b.clock || (a.clock == b.clock && a.tid < b.tid);
   }
+
+  // The k-th live entry of the ring, counted from the head (k < kGroupSize).
+  Entry& at(std::size_t k) { return order_[(head_ + k) & kRingMask]; }
 
   // One-group set(): moves tid's entry to its new sorted position, or drops
   // it for the sentinel / inserts it when it leaves the sentinel. Out of
@@ -257,38 +265,38 @@ class ReadyQueue {
     const std::size_t ti = static_cast<std::size_t>(tid);
     const bool was_live = clocks_[ti] != kFinishedClock;
     clocks_[ti] = clock;
-    std::size_t i = live_;
-    if (was_live) {
-      i = 0;
-      while (order_[i].tid != tid) ++i;
-      if (clock == kFinishedClock) {
-        for (--live_; i < live_; ++i) order_[i] = order_[i + 1];
-        return;
-      }
-    } else if (clock == kFinishedClock) {
+    if (!was_live) {
+      if (clock == kFinishedClock) return;
+      place_from_back(live_++, {clock, tid});
       return;
-    } else {
-      ++live_;
     }
-    place(i, {clock, tid});
+    std::size_t k = 0;
+    while (at(k).tid != tid) ++k;
+    if (clock == kFinishedClock) {
+      for (--live_; k < live_; ++k) at(k) = at(k + 1);
+      return;
+    }
+    // Slot k is free: move it forward past smaller entries, then insert
+    // backwards (only one of the two loops moves anything).
+    for (; k + 1 < live_ && before(at(k + 1), {clock, tid}); ++k) {
+      at(k) = at(k + 1);
+    }
+    place_from_back(k, {clock, tid});
   }
 
-  // Slot i of order_[0, live_) is free: moves the free slot forward past
-  // smaller entries, then back past larger ones (only one of the two loops
-  // moves anything), and stores e there.
-  void place(std::size_t i, const Entry& e) {
-    for (; i + 1 < live_ && before(order_[i + 1], e); ++i) {
-      order_[i] = order_[i + 1];
-    }
-    for (; i > 0 && before(e, order_[i - 1]); --i) order_[i] = order_[i - 1];
-    order_[i] = e;
+  // Slot k of the ring is free and every entry after it is not before e:
+  // moves the free slot back past larger entries and stores e there.
+  void place_from_back(std::size_t k, const Entry& e) {
+    for (; k > 0 && before(e, at(k - 1)); --k) at(k) = at(k - 1);
+    at(k) = e;
   }
 
-  // Recomputes the index from the clocks alone: the sorted array on a
+  // Recomputes the index from the clocks alone: the sorted ring on a
   // one-group machine, every cached tournament level otherwise.
   void rebuild() {
     if (size_ <= kGroupSize) {
       live_ = 0;
+      head_ = 0;
       for (std::size_t t = 0; t < size_; ++t) {
         const std::uint64_t c = clocks_[t];
         clocks_[t] = kFinishedClock;
@@ -327,9 +335,11 @@ class ReadyQueue {
   std::vector<std::int32_t> group_tid_;
   std::uint64_t root_min_ = kFinishedClock;
   std::int32_t root_tid_ = -1;
-  // One-group machines: the live (non-sentinel) threads sorted by
-  // (clock, tid); order_[0] is the argmin.
+  // One-group machines: the live (non-sentinel) threads, a ring sorted by
+  // (clock, tid) from order_[head_], the argmin.
+  static constexpr std::size_t kRingMask = kGroupSize - 1;
   std::array<Entry, kGroupSize> order_{};
+  std::size_t head_ = 0;
   std::size_t live_ = 0;
   std::size_t size_ = 0;  // registered thread count
 };

@@ -1,6 +1,5 @@
 #include "sim/scheduler.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <limits>
 
@@ -36,7 +35,8 @@ void SimThread::yield() { sched_.yield_from(*this); }
 
 void SimThread::advance_slow(std::uint64_t cycles) {
   const double scaled =
-      static_cast<double>(cycles) * sched_.core_penalty_[core_];
+      static_cast<double>(cycles) *
+      (sched_.core_smt_[core_] ? sched_.config_.smt_slowdown : 1.0);
   std::uint64_t delta;
   if (scaled >= 18446744073709551616.0 /* 2^64 */) {
     delta = Scheduler::kFinishedClock;
@@ -66,17 +66,20 @@ Scheduler::Scheduler(MachineConfig config)
       spin_parking_(config.batch_switch_bound &&
                     !(config.perturb.probability > 0)) {
   ELISION_CHECK(config_.n_cores >= 1);
-  // Fast-path bound for advance(): any cycles below it scale to a delta
-  // under 2^53 even at the worst per-core multiplier, so together with a
-  // clock below 2^63 the unchecked addition cannot overflow or touch the
-  // finished sentinel. The product rounds to nearest, so cap the quotient
-  // at 2^53 and leave one bit of headroom.
-  const double worst = std::max(1.0, config_.smt_slowdown);
-  const double bound = 9007199254740992.0 /* 2^53 */ / worst;
-  advance_fast_cycles_ = static_cast<std::uint64_t>(
-      std::min(bound, 9007199254740992.0 / 2.0));
+  // advance()'s fast path adds a table entry to a clock below 2^63 with no
+  // saturation check. Every entry stays below kSmtMemoCycles * 2^44 = 2^52
+  // at any slowdown this admits, so the sum cannot wrap or reach the
+  // finished sentinel.
+  ELISION_CHECK_MSG(config_.smt_slowdown >= 0.0 &&
+                        config_.smt_slowdown < 17592186044416.0 /* 2^44 */,
+                    "smt_slowdown must lie in [0, 2^44)");
+  for (std::uint64_t c = 0; c < kSmtMemoCycles; ++c) {
+    smt_memo_[0][c] = c;
+    smt_memo_[1][c] = static_cast<std::uint64_t>(static_cast<double>(c) *
+                                                 config_.smt_slowdown);
+  }
   core_active_.assign(config_.n_cores, 0);
-  core_penalty_.assign(config_.n_cores, 1.0);
+  core_smt_.assign(config_.n_cores, 0);
 }
 
 Scheduler::~Scheduler() {
@@ -101,7 +104,7 @@ SimThread& Scheduler::spawn(std::function<void(SimThread&)> body) {
   ++runnable_;
   SimThread& t = *threads_.back();
   ++core_active_[t.core_];
-  update_core_penalty(t.core_);
+  update_core_smt(t.core_);
   return t;
 }
 
@@ -129,7 +132,7 @@ void Scheduler::yield_from(SimThread& t) {
     }
     SimThread& picked = *threads_[static_cast<std::size_t>(best.tid)];
     exchange_and_bound(t, picked);
-    SimThread& next = resolve(picked, &t);
+    SimThread& next = parked_ == 0 ? picked : resolve(picked, &t);
     current_ = &next;
     if (&next != &t) Fiber::switch_to(t.fiber_, next.fiber_);
     return;
@@ -155,7 +158,9 @@ void Scheduler::yield_over_bound(SimThread& t) {
   ELISION_DCHECK(best.clock < t.vclock_);
   SimThread& picked = *threads_[static_cast<std::size_t>(best.tid)];
   exchange_and_bound(t, picked);
-  SimThread& next = resolve(picked, &t);
+  // With no thread parked the pick is the thread to run: resolve() would
+  // replay nothing and return it unchanged, so skip it.
+  SimThread& next = parked_ == 0 ? picked : resolve(picked, &t);
   current_ = &next;
   if (&next != &t) Fiber::switch_to(t.fiber_, next.fiber_);
 }
@@ -222,7 +227,7 @@ void Scheduler::finish_from(SimThread& t) {
   if (t.vclock_ > max_clock_) max_clock_ = t.vclock_;
   --runnable_;
   --core_active_[t.core_];
-  update_core_penalty(t.core_);
+  update_core_smt(t.core_);
   ++switches_;
   SimThread* next = pick_next();
   if (next != nullptr && batch_) {

@@ -13,11 +13,15 @@
 // is one compare against a preemption bound cached at the last context
 // switch. Per-tid clocks (finished threads and the running thread hold a
 // max-uint64 sentinel) live in a ReadyQueue whose (min, argmin) read is O(1)
-// — a sorted array on machines of up to 16 threads, an arity-16 tournament
-// tree above that — so a scheduling decision costs a front read plus one
-// re-insertion. The hyperthreading multiplier is a per-core value
-// maintained at spawn/finish instead of an O(threads) sibling scan per
-// advance.
+// — a ring sorted by (clock, tid) on machines of up to 16 threads, an
+// arity-16 tournament tree above that — so a scheduling decision costs a
+// head read, an O(1) pop and one re-insertion scanned from the back. While
+// no thread is parked in a spin-wait (below), a switch goes straight to
+// the picked thread without the parked-waiter replay. Hyperthreading is a
+// per-core 0/1 flag maintained at spawn/finish instead of an O(threads)
+// sibling scan per advance, and an advance of a small cycle count reads its
+// scaled delta from a table built at construction instead of a double
+// multiply and two conversions.
 //
 // Spin-waiters (tsx::Engine::spin_while) park here: a thread that yields
 // inside a tick of a spin loop (its PAUSE, or a load with no side effect)
@@ -34,6 +38,7 @@
 //   sched.run_for(config.cycles(0.010));   // 10 simulated milliseconds
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -222,14 +227,14 @@ class Scheduler {
   // draws at every tick a replay would skip.
   bool spin_parking() const { return spin_parking_; }
 
+  // advance() reads its SMT-scaled delta from a table for cycle counts
+  // below this bound (every per-access cost of the cost model is far below
+  // it); larger counts take the checked double path.
+  static constexpr std::uint64_t kSmtMemoCycles = 256;
+
   // --- internal, used by SimThread ---
   void yield_from(SimThread& t);
   [[noreturn]] void finish_from(SimThread& t);
-  // Per-access cost multiplier of a *live* thread under the hyperthreading
-  // model: smt_slowdown while another live thread shares t's core, else 1.0.
-  double smt_multiplier(const SimThread& t) const {
-    return core_penalty_[t.core_];
-  }
 
  private:
   friend class SimThread;
@@ -294,12 +299,9 @@ class Scheduler {
     if (out.vclock_ > max_clock_) max_clock_ = out.vclock_;
     recompute_bound(counted);
   }
-  // Recomputes core_penalty_[core] from core_active_[core] (spawn/finish).
-  void update_core_penalty(unsigned core) {
-    core_penalty_[core] =
-        (config_.smt_per_core > 1 && core_active_[core] >= 2)
-            ? config_.smt_slowdown
-            : 1.0;
+  // Recomputes core_smt_[core] from core_active_[core] (spawn/finish).
+  void update_core_smt(unsigned core) {
+    core_smt_[core] = config_.smt_per_core > 1 && core_active_[core] >= 2;
   }
 
   MachineConfig config_;
@@ -323,15 +325,14 @@ class Scheduler {
   std::size_t parked_ = 0;  // threads parked in a spin-wait
   // Running max of every clock ever set: elapsed_cycles() without a rescan.
   std::uint64_t max_clock_ = 0;
-  // Largest `cycles` advance() may scale without any overflow risk: with
-  // cycles below this bound the SMT-scaled delta stays under 2^53 and a
-  // clock below 2^63 cannot reach the finished sentinel, so the fast path
-  // needs no saturation checks at all. Computed once from smt_slowdown.
-  std::uint64_t advance_fast_cycles_ = 0;
-  // Live threads per core / resulting advance() multiplier, maintained at
-  // spawn and finish so the per-tick cost is one array load.
+  // Live threads per core, and whether a live sibling slows the core down
+  // (1: advance() scales by smt_slowdown), maintained at spawn and finish.
   std::vector<unsigned> core_active_;
-  std::vector<double> core_penalty_;
+  std::vector<std::uint8_t> core_smt_;
+  // advance()'s delta for c < kSmtMemoCycles: smt_memo_[0][c] == c and
+  // smt_memo_[1][c] == (uint64)((double)c * smt_slowdown), the exact
+  // expression the table replaces. Built once at construction.
+  std::array<std::array<std::uint64_t, kSmtMemoCycles>, 2> smt_memo_{};
   Fiber host_;
   SimThread* current_ = nullptr;
   std::uint64_t deadline_ = UINT64_MAX;
@@ -348,18 +349,16 @@ ELISION_ALWAYS_INLINE void SimThread::advance(std::uint64_t cycles) {
   // undefined, and a wrapped clock near kFinishedClock (reachable through a
   // perturbation jump) would re-sort this thread to the front of the
   // schedule; a live thread also must never hold the finished sentinel
-  // itself. Per-access cycle counts sit far below the precomputed bound and
-  // live clocks far below 2^63, so the two checks cost two always-predicted
-  // integer branches and the fast path is the seed's unchecked arithmetic
-  // (the multiplier is exactly 1.0 with no live sibling, and the double
-  // round-trip is exact for per-access cycle counts, so this is
-  // bit-identical to the unscaled addition in that case).
-  if (cycles >= sched_.advance_fast_cycles_ ||
+  // itself. Per-access cycle counts sit below the table bound and live
+  // clocks far below 2^63, so the two checks cost two always-predicted
+  // integer branches and the fast path is one unchecked addition of the
+  // scaled delta, read from the table the seed's multiply was folded into
+  // (bit-identical: each entry is that multiply's result).
+  if (cycles >= Scheduler::kSmtMemoCycles ||
       static_cast<std::int64_t>(vclock_) < 0) [[unlikely]] {
     advance_slow(cycles);
   } else {
-    vclock_ += static_cast<std::uint64_t>(
-        static_cast<double>(cycles) * sched_.core_penalty_[core_]);
+    vclock_ += sched_.smt_memo_[sched_.core_smt_[core_]][cycles];
   }
   if (sched_.batch_) return;  // slot is parked; maybe_yield compares against
                               // the cached switch bound instead

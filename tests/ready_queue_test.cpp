@@ -1,12 +1,14 @@
-// Unit tests for the scheduler's ready queue (sorted array up to 16 threads,
-// tournament tree above) plus the schedule-equivalence suite: golden switch
-// counts recorded from the seed's O(N) linear-sweep scheduler on a grid of
-// machine shapes, which the ready-queue scheduler must reproduce exactly
+// Unit tests for the scheduler's ready queue (sorted ring up to 16 threads,
+// tournament tree above) and advance()'s SMT scaling, plus the
+// schedule-equivalence suite: golden switch counts recorded from the seed's
+// O(N) linear-sweep scheduler on a grid of machine shapes, which the
+// ready-queue scheduler must reproduce exactly
 // (the tie-break and yield decisions are the schedule, and every
 // byte-identity guarantee downstream rests on them).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/machine_config.hpp"
@@ -184,6 +186,108 @@ TEST(ReadyQueue, DifferentialFuzzAgainstLinearSweep) {
       }
     }
   }
+
+  // Ring pass: at every one-group size, 10k exchange() steps, so the ring
+  // head wraps hundreds of times. Out-clocks land on the ring's edges: equal
+  // to the new front, equal to the back, tied on clock with a lower tid,
+  // ahead of everything, or (the round-robin case) at or past the back.
+  // set() removals, re-insertions and moves of the other threads happen
+  // wherever the head has wrapped to. A lone thread has no one to exchange
+  // with, so n = 1 runs 10k set() steps instead.
+  for (int n = 1; n <= 16; ++n) {
+    ReadyQueue q;
+    std::vector<std::uint64_t> ref;
+    for (int t = 0; t < n; ++t) {
+      q.add_thread();
+      ref.push_back(0);
+    }
+    int running = -1;  // tid whose slot is parked at the sentinel
+    if (n > 1) {
+      running = 0;  // the scheduler's initial dispatch parks the argmin
+      q.set(0, kFin);
+      ref[0] = kFin;
+    }
+    // Live clocks of every thread but `skip`, as (min, max) plus one random
+    // live tid below `below` (-1 if none).
+    auto live_range = [&](int skip, int below, std::uint64_t& lo,
+                          std::uint64_t& hi, int& lower) {
+      lo = kFin;
+      hi = 0;
+      lower = -1;
+      for (int t = 0; t < n; ++t) {
+        const std::uint64_t c = ref[static_cast<std::size_t>(t)];
+        if (t == skip || c == kFin) continue;
+        if (c < lo) lo = c;
+        if (c > hi) hi = c;
+        if (t < below && (lower < 0 || rng.next_bool(0.5))) lower = t;
+      }
+    };
+    int exchanges = 0;
+    for (int step = 0; n == 1 ? step < 10000 : exchanges < 10000; ++step) {
+      const auto best = linear_min(ref);
+      const std::uint64_t kind = rng.next_below(10);
+      if (running >= 0 && kind < 7 && best.clock != kFin) {
+        std::uint64_t front = 0;
+        std::uint64_t back = 0;
+        int lower = -1;
+        live_range(best.tid, running, front, back, lower);
+        std::uint64_t out;
+        switch (kind) {
+          case 0:  // equal to the front left after the pop
+            out = front != kFin ? front : best.clock;
+            break;
+          case 1:  // equal to the back
+            out = front != kFin ? back : best.clock;
+            break;
+          case 2:  // tied on clock with a lower tid
+            out = lower >= 0 ? ref[static_cast<std::size_t>(lower)]
+                             : best.clock + 1;
+            break;
+          case 3:  // ahead of everything
+            out = best.clock / 2;
+            break;
+          default:  // round robin: at or past the back
+            out = (front != kFin ? back : best.clock) + rng.next_below(4);
+            break;
+        }
+        q.exchange(running, out, best.tid);
+        ref[static_cast<std::size_t>(running)] = out;
+        running = best.tid;
+        ref[static_cast<std::size_t>(best.tid)] = kFin;
+        ++exchanges;
+      } else {
+        int tid = static_cast<int>(
+            rng.next_below(static_cast<std::uint64_t>(n)));
+        if (tid == running) tid = (tid + 1) % n;
+        const std::size_t ti = static_cast<std::size_t>(tid);
+        std::uint64_t lo = 0;
+        std::uint64_t hi = 0;
+        int lower = -1;
+        live_range(tid, n, lo, hi, lower);
+        std::uint64_t clock;
+        if (ref[ti] == kFin) {
+          // Re-insertion: tied with a live clock, or anywhere in or just
+          // past the live range.
+          clock = lower >= 0 && rng.next_bool(0.5)
+                      ? ref[static_cast<std::size_t>(lower)]
+                      : (lo == kFin ? 0 : lo) +
+                            rng.next_below((lo == kFin ? 0 : hi - lo) + 4);
+        } else if (rng.next_bool(0.5)) {
+          clock = kFin;  // removal (of the head, too, when it is the min)
+        } else {
+          clock = rng.next_bool(0.5) ? ref[ti] / 2
+                                     : ref[ti] + rng.next_below(8);
+        }
+        ref[ti] = clock;
+        q.set(tid, clock);
+      }
+      const auto want = linear_min(ref);
+      ASSERT_EQ(q.min_clock(), want.clock) << "n=" << n << " step=" << step;
+      if (want.clock != kFin) {
+        ASSERT_EQ(q.min_tid(), want.tid) << "n=" << n << " step=" << step;
+      }
+    }
+  }
 }
 
 TEST(ReadyQueueDeath, RejectsMoreThanIndexable) {
@@ -358,6 +462,71 @@ TEST(Scheduler, AdvanceSaturatesInsteadOfWrapping) {
         << "live thread reached the finished sentinel";
   }
   EXPECT_EQ(seen.back(), ReadyQueue::kFinishedClock - 1);
+}
+
+TEST(Scheduler, SmtMemoMatchesTheDoubleProduct) {
+  // While a sibling shares the core, advance(c) adds exactly the seed's
+  // (uint64)((double)c * smt_slowdown), whether the delta comes from the
+  // construction-time table (c < kSmtMemoCycles) or the multiply above it;
+  // once the sibling has finished it adds exactly c.
+  std::vector<std::uint64_t> cycles;
+  for (std::uint64_t c = 0; c < Scheduler::kSmtMemoCycles; ++c) {
+    cycles.push_back(c);
+  }
+  for (std::uint64_t c = Scheduler::kSmtMemoCycles; c < 4096; ++c) {
+    cycles.push_back(c);
+  }
+  for (double c = 4096; c < 1e12; c *= 1.37) {
+    cycles.push_back(static_cast<std::uint64_t>(c));
+  }
+  for (const double s : {1.0, 1.25, 1.1, 4.0 / 3.0, 1.7, 2.5}) {
+    MachineConfig m;
+    m.n_cores = 1;
+    m.smt_per_core = 2;
+    m.smt_slowdown = s;
+    Scheduler sched(m);
+    std::uint64_t paired_bad = 0;
+    std::uint64_t alone_bad = 0;
+    sched.spawn([&](SimThread& st) {
+      for (const std::uint64_t c : cycles) {
+        const std::uint64_t before = st.now();
+        st.advance(c);
+        const auto want =
+            static_cast<std::uint64_t>(static_cast<double>(c) * s);
+        if (st.now() - before != want && ++paired_bad <= 3) {
+          ADD_FAILURE() << "s=" << s << " c=" << c << ": added "
+                        << st.now() - before << ", want " << want;
+        }
+      }
+      st.yield();  // the sibling (clock 0) runs and finishes
+      for (const std::uint64_t c : cycles) {
+        const std::uint64_t before = st.now();
+        st.advance(c);
+        if (st.now() - before != c && ++alone_bad <= 3) {
+          ADD_FAILURE() << "s=" << s << " c=" << c << " alone: added "
+                        << st.now() - before;
+        }
+      }
+    });
+    bool sibling_ran = false;
+    sched.spawn([&sibling_ran](SimThread&) { sibling_ran = true; });
+    sched.run();
+    EXPECT_TRUE(sibling_ran);
+    EXPECT_EQ(paired_bad, 0u) << "s=" << s;
+    EXPECT_EQ(alone_bad, 0u) << "s=" << s;
+  }
+}
+
+TEST(SchedulerDeath, RejectsSmtSlowdownOutsideTheTableRange) {
+  // The table's entries must stay below 2^52 for advance()'s unchecked
+  // addition; a negative or NaN slowdown has no exact conversion at all.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const double s : {-1.0, 17592186044416.0 /* 2^44 */,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    MachineConfig m;
+    m.smt_slowdown = s;
+    EXPECT_DEATH({ Scheduler sched(m); }, "smt_slowdown") << s;
+  }
 }
 
 TEST(Scheduler, SpawnsUpToMaxSimThreads) {

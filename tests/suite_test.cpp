@@ -14,6 +14,7 @@
 
 #include "harness/micro_point.hpp"
 #include "harness/rb_workload.hpp"
+#include "harness/runner.hpp"
 #include "harness/suite.hpp"
 #include "support/json.hpp"
 
@@ -666,6 +667,47 @@ TEST(SuiteRun, JobsFanOutReproducesSequentialRun) {
     EXPECT_GT(seq.points[i].metrics.ops, 0u) << points[i].id;
   }
   EXPECT_EQ(simulated(par), simulated(seq));
+}
+
+// Tier-1 byte identity: the smoke tier, run in process, reproduces every
+// simulated metric of the committed baseline exactly. tests/CMakeLists.txt
+// registers this test a second time with ELISION_FASTPATH=0, so the fast
+// paths and the literal paths must both reproduce it. Only the host fields
+// are left out: wall_ms, sim_ops_per_sec, and the fastpath counters (the
+// owned-line hits depend on the host heap layout).
+TEST(SuiteRun, SmokeTierReproducesCommittedBaseline) {
+  const auto base = load_results_file(ELISION_BASELINE_JSON);
+  ASSERT_TRUE(base.has_value());
+  const SuiteResult run = run_suite(suite_points_for(SuiteTier::kSmoke), 2);
+  ASSERT_EQ(run.duration_scale, base->duration_scale)
+      << "the baseline runs at ELISION_BENCH_SCALE=1";
+  const bool fastpath = env_fastpath_enabled();
+  auto point_json = [](PointRecord r, bool drop_host) {
+    if (drop_host) {
+      r.metrics.wall_ms = 0.0;
+      r.metrics.sim_ops_per_sec = 0.0;
+      r.metrics.fp_owned_hits = 0;
+      r.metrics.fp_probe_skips = 0;
+      r.metrics.fp_bound_recomputes = 0;
+    }
+    SuiteResult doc;
+    doc.points.push_back(std::move(r));
+    return to_json_string(doc);
+  };
+  ASSERT_FALSE(run.points.empty());
+  for (const PointRecord& got : run.points) {
+    const PointRecord* want = base->find(got.def.id);
+    ASSERT_NE(want, nullptr) << got.def.id;
+    EXPECT_EQ(point_json(got, true), point_json(*want, true)) << got.def.id;
+    if (!fastpath) {
+      EXPECT_EQ(point_json(got, false).find("\"fastpath\""),
+                std::string::npos)
+          << got.def.id << ": ELISION_FASTPATH=0 still reports fastpath";
+    } else if (got.def.id == "rb-s64-u20-t8-ttas-hle-scm") {
+      EXPECT_GT(got.metrics.fp_owned_hits, 0u)
+          << "default run reports no owned-line hits: fast path not engaged?";
+    }
+  }
 }
 
 }  // namespace
