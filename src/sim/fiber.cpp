@@ -131,15 +131,14 @@ void finish_switch_fiber(void* fake_stack_save) {
 
 }  // namespace
 
-Fiber::Fiber(Entry entry, void* arg, std::size_t stack_bytes) {
+Fiber::Fiber(Entry entry, void* arg, std::size_t stack_bytes)
+    : stack_(stack_bytes, support::MappedRegion::Guard::kBelow) {
   ELISION_CHECK(stack_bytes >= 16 * 1024);
-  stack_ = std::make_unique<std::byte[]>(stack_bytes);
-
   // Choose R (the stack pointer at trampoline entry) 16-byte aligned so that
   // the `callq *%r12` inside the trampoline leaves the callee with the
   // SysV-required rsp % 16 == 8.
-  auto base = reinterpret_cast<std::uintptr_t>(stack_.get());
-  std::uintptr_t r = (base + stack_bytes) & ~static_cast<std::uintptr_t>(15);
+  auto base = reinterpret_cast<std::uintptr_t>(stack_.data());
+  std::uintptr_t r = (base + stack_.size()) & ~static_cast<std::uintptr_t>(15);
   r -= 16;  // scratch: [r] holds a null "caller" for debugger sanity
 
   auto* slots = reinterpret_cast<void**>(r);
@@ -154,8 +153,8 @@ Fiber::Fiber(Entry entry, void* arg, std::size_t stack_bytes) {
   slots[-6] = nullptr;                          // r14
   slots[-7] = nullptr;                          // r15
   sp_ = static_cast<void*>(slots - 7);
-  asan_stack_bottom_ = stack_.get();
-  asan_stack_size_ = stack_bytes;
+  asan_stack_bottom_ = stack_.data();
+  asan_stack_size_ = stack_.size();
 #if ELISION_FIBER_TSAN
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -165,7 +164,7 @@ Fiber::~Fiber() {
 #if ELISION_FIBER_TSAN
   // Only contexts created for an owned stack; the host fiber's tsan_fiber_
   // is the OS thread's own context and must outlive us.
-  if (stack_ != nullptr && tsan_fiber_ != nullptr) {
+  if (stack_.data() != nullptr && tsan_fiber_ != nullptr) {
     __tsan_destroy_fiber(tsan_fiber_);
   }
 #endif

@@ -8,6 +8,14 @@
 // simulation on a 4-vCPU shared x86-64 VM), which keeps per-memory-access
 // yielding affordable.
 //
+// Stacks are reserved, not committed: each is an anonymous mapping
+// (support::MappedRegion) whose pages the kernel backs, zero-filled, when
+// the fiber first touches them, so a 256-thread machine costs only the few
+// pages each thread's call depth reaches. `stack_bytes` (the machine's
+// `fiber_stack_bytes`, rounded up to whole pages) bounds the usable stack:
+// one PROT_NONE guard page lies directly below it, so a fiber that recurses
+// past its stack faults at once instead of writing into other memory.
+//
 // Invariants:
 //  * A fiber entry function must call Fiber::on_fiber_entry() before any
 //    other work (sanitizer stack-switch bookkeeping; free otherwise).
@@ -21,7 +29,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+
+#include "support/mapped_region.hpp"
 
 namespace elision::sim {
 
@@ -34,7 +43,8 @@ class Fiber {
   Fiber() = default;
 
   // Constructs a runnable fiber that will invoke entry(arg) on its own stack
-  // when first switched to.
+  // of `stack_bytes` usable bytes (at least 16 KiB; rounded up to whole
+  // pages, with a guard page below) when first switched to.
   Fiber(Entry entry, void* arg, std::size_t stack_bytes);
 
   // Releases sanitizer bookkeeping for owned stacks (TSan fiber contexts).
@@ -66,7 +76,7 @@ class Fiber {
 
  private:
   void* sp_ = nullptr;  // saved stack pointer while suspended
-  std::unique_ptr<std::byte[]> stack_;
+  support::MappedRegion stack_;  // empty for the host fiber
   // ASan stack-switch bookkeeping (unused otherwise; kept unconditional so
   // the layout does not depend on compile flags). The host fiber's bounds
   // start unknown and are learned at its first switch away.

@@ -32,22 +32,14 @@ std::size_t round_up_pow2(std::size_t n) {
 }  // namespace
 
 EventRing::EventRing(std::size_t capacity)
-    : buf_(round_up_pow2(capacity == 0 ? 1 : capacity)),
-      mask_(buf_.size() - 1) {}
-
-std::vector<TelemetryEvent> EventRing::snapshot() const {
-  std::vector<TelemetryEvent> out;
-  const std::size_t n = size();
-  out.reserve(n);
-  const std::uint64_t first = pushed_ - n;
-  for (std::uint64_t i = first; i < pushed_; ++i) {
-    out.push_back(buf_[static_cast<std::size_t>(i) & mask_]);
-  }
-  return out;
-}
+    : mask_(round_up_pow2(capacity) - 1),
+      storage_((mask_ + 1) * sizeof(TelemetryEvent)),
+      buf_(reinterpret_cast<TelemetryEvent*>(storage_.data())) {}
 
 EventRing& Telemetry::ring(int thread) {
-  const auto id = static_cast<std::size_t>(thread < 0 ? 0 : thread);
+  // A folded id would break the per-ring time order merged() relies on.
+  ELISION_CHECK_MSG(thread >= 0, "telemetry event without a thread id");
+  const auto id = static_cast<std::size_t>(thread);
   if (id >= rings_.size()) rings_.resize(id + 1);
   if (!rings_[id]) rings_[id] = std::make_unique<EventRing>(ring_capacity_);
   return *rings_[id];
@@ -70,22 +62,41 @@ std::uint64_t Telemetry::total_dropped() const {
 }
 
 std::vector<TelemetryEvent> Telemetry::merged() const {
-  std::vector<TelemetryEvent> all;
-  all.reserve(static_cast<std::size_t>(total_recorded() - total_dropped()));
-  for (const auto& r : rings_) {
-    if (!r) continue;
-    const auto events = r->snapshot();
-    all.insert(all.end(), events.begin(), events.end());
+  // One cursor per non-empty ring, in a min-heap on (next timestamp, thread).
+  // Each ring is one thread's events in non-decreasing time, so taking the
+  // least cursor's next event each step equals the stable sort documented
+  // in the header.
+  struct Cursor {
+    std::uint64_t timestamp;
+    std::size_t thread;
+    std::size_t next;
+  };
+  const auto later = [](const Cursor& a, const Cursor& b) {
+    return a.timestamp != b.timestamp ? a.timestamp > b.timestamp
+                                      : a.thread > b.thread;
+  };
+  std::vector<Cursor> heap;
+  std::size_t total = 0;
+  for (std::size_t t = 0; t < rings_.size(); ++t) {
+    if (!rings_[t] || rings_[t]->size() == 0) continue;
+    heap.push_back({(*rings_[t])[0].timestamp, t, 0});
+    total += rings_[t]->size();
   }
-  // Stable sort keeps each thread's events in emission order on timestamp
-  // ties; ties across threads break by thread id for determinism.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const TelemetryEvent& a, const TelemetryEvent& b) {
-                     if (a.timestamp != b.timestamp) {
-                       return a.timestamp < b.timestamp;
-                     }
-                     return a.thread < b.thread;
-                   });
+  std::make_heap(heap.begin(), heap.end(), later);
+  std::vector<TelemetryEvent> all;
+  all.reserve(total);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Cursor& c = heap.back();
+    const EventRing& r = *rings_[c.thread];
+    all.push_back(r[c.next]);
+    if (++c.next == r.size()) {
+      heap.pop_back();
+    } else {
+      c.timestamp = r[c.next].timestamp;
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+  }
   return all;
 }
 

@@ -20,10 +20,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "support/align.hpp"
+#include "support/check.hpp"
+#include "support/mapped_region.hpp"
 #include "tsx/abort.hpp"
 
 namespace elision::tsx {
@@ -51,34 +55,45 @@ struct TelemetryEvent {
   EventKind kind = EventKind::kTxBegin;
   AbortCause cause = AbortCause::kNone;  // kTxAbort only
 };
+static_assert(std::is_trivially_copyable_v<TelemetryEvent>);
 
 // Fixed-capacity per-thread event ring. Capacity is rounded up to a power
-// of two; once full, the oldest events are overwritten (and counted).
+// of two; once full, the oldest events are overwritten (and counted). The
+// storage is reserved, not committed (support::MappedRegion): a page is
+// backed only when the first event lands in it, so a thread that records
+// little costs little. Events must arrive in non-decreasing timestamp order
+// (checked in debug builds): Telemetry::merged() relies on it.
 class EventRing {
  public:
   explicit EventRing(std::size_t capacity);
 
   void push(const TelemetryEvent& e) {
-    buf_[static_cast<std::size_t>(pushed_) & mask_] = e;
+    ELISION_DCHECK(pushed_ == 0 ||
+                   e.timestamp >= buf_[(pushed_ - 1) & mask_].timestamp);
+    // memcpy starts the slot's lifetime on a never-written page as well.
+    std::memcpy(&buf_[pushed_ & mask_], &e, sizeof e);
     ++pushed_;
   }
 
-  std::size_t capacity() const { return buf_.size(); }
+  std::size_t capacity() const { return mask_ + 1; }
   std::uint64_t recorded() const { return pushed_; }
   std::uint64_t dropped() const {
-    return pushed_ > buf_.size() ? pushed_ - buf_.size() : 0;
+    return pushed_ > capacity() ? pushed_ - capacity() : 0;
   }
   std::size_t size() const {
-    return pushed_ < buf_.size() ? static_cast<std::size_t>(pushed_)
-                                 : buf_.size();
+    return pushed_ < capacity() ? static_cast<std::size_t>(pushed_)
+                                : capacity();
   }
 
-  // Retained events, oldest first.
-  std::vector<TelemetryEvent> snapshot() const;
+  // Retained event i, oldest first (i < size()); read in place.
+  const TelemetryEvent& operator[](std::size_t i) const {
+    return buf_[(pushed_ - size() + i) & mask_];
+  }
 
  private:
-  std::vector<TelemetryEvent> buf_;
-  std::size_t mask_ = 0;
+  std::uint64_t mask_;  // capacity - 1
+  support::MappedRegion storage_;
+  TelemetryEvent* buf_;
   std::uint64_t pushed_ = 0;
 };
 
@@ -93,6 +108,8 @@ class Telemetry {
 
   void record(const TelemetryEvent& e) { ring(e.thread).push(e); }
 
+  // The ring of `thread` (>= 0), created on first use. It must only receive
+  // that thread's events.
   EventRing& ring(int thread);
   int thread_count() const { return static_cast<int>(rings_.size()); }
 
@@ -100,8 +117,10 @@ class Telemetry {
   std::uint64_t total_dropped() const;
   void clear() { rings_.clear(); }
 
-  // All retained events of all threads, merged in timestamp order (ties
-  // broken by thread id, then per-thread order).
+  // All retained events of all threads in timestamp order; ties break by
+  // thread id, then by each thread's recording order. This is exactly a
+  // stable sort by (timestamp, thread) of the rings' events concatenated in
+  // thread order, computed as a k-way merge that reads the rings in place.
   std::vector<TelemetryEvent> merged() const;
 
   void dump_csv(std::FILE* out) const;

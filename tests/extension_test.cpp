@@ -247,10 +247,11 @@ TEST_F(EngineTelemetry, TimestampsAreMonotonicPerThread) {
   // Walk each ring in recording order: merged() sorts by timestamp, so it
   // would hide an engine that stamps a thread's events out of order.
   for (int t = 0; t < 3; ++t) {
-    const auto events = telemetry.ring(t).snapshot();
-    EXPECT_EQ(events.size(), 20u * 2u);
+    const tsx::EventRing& ring = telemetry.ring(t);
+    EXPECT_EQ(ring.size(), 20u * 2u);
     std::uint64_t last = 0;
-    for (const auto& e : events) {
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      const tsx::TelemetryEvent& e = ring[i];
       EXPECT_EQ(e.thread, t);
       EXPECT_GE(e.timestamp, last);
       last = e.timestamp;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -250,6 +253,69 @@ TEST(SchedulerDeath, SpinWaitersOnUnchangedLinesDeadlock) {
         sched.run();
       },
       "every simulated thread is spin-waiting");
+}
+
+// Frame address of the overflow test's thread body, near the top of its
+// stack; the SIGSEGV handler below compares the fault address with it.
+std::uintptr_t g_stack_top = 0;
+constexpr std::size_t kOverflowStackBytes = 16 * 1024;
+
+void report(const char* msg) {
+  (void)!write(STDERR_FILENO, msg, std::strlen(msg));
+}
+
+void on_overflow_fault(int, siginfo_t* info, void*) {
+  // The guard page is the page right below the usable stack, whose end lies
+  // less than a page above the body's frame.
+  const auto addr = reinterpret_cast<std::uintptr_t>(info->si_addr);
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const std::uintptr_t bottom = g_stack_top - kOverflowStackBytes;
+  if (addr + 2 * page >= bottom && addr < bottom + page) {
+    report("fault in the guard page below the fiber stack\n");
+    _exit(3);
+  }
+  report("fault outside the guard page\n");
+  _exit(4);
+}
+
+// Recurses until the stack runs out (the limit is never reached; it is
+// volatile only so the compiler cannot call the recursion infinite). The
+// frame stays well under a page, so the first write past the stack's end
+// lands in the guard page.
+volatile std::uint64_t g_depth_limit = ~std::uint64_t{0};
+
+[[gnu::noinline]] std::uint64_t recurse(std::uint64_t depth) {
+  if (depth == g_depth_limit) return 0;
+  volatile char frame[192];
+  frame[0] = static_cast<char>(depth);
+  return recurse(depth + 1) + static_cast<std::uint64_t>(frame[0]);
+}
+
+TEST(SchedulerDeath, StackOverflowFaultsAtTheGuardPage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        // The handler needs a stack of its own: the faulting one is full.
+        static char alt_stack[64 * 1024];
+        stack_t ss{};
+        ss.ss_sp = alt_stack;
+        ss.ss_size = sizeof alt_stack;
+        sigaltstack(&ss, nullptr);
+        struct sigaction sa{};
+        sa.sa_sigaction = on_overflow_fault;
+        sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+        sigaction(SIGSEGV, &sa, nullptr);
+        MachineConfig cfg = one_core_no_smt();
+        cfg.fiber_stack_bytes = kOverflowStackBytes;
+        Scheduler sched(cfg);
+        sched.spawn([](SimThread&) {
+          g_stack_top =
+              reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+          (void)recurse(0);
+        });
+        sched.run();
+      },
+      ::testing::ExitedWithCode(3), "fault in the guard page");
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <set>
@@ -9,6 +10,7 @@
 #include "support/flat_map.hpp"
 #include "support/function_ref.hpp"
 #include "support/json.hpp"
+#include "support/mapped_region.hpp"
 #include "support/rng.hpp"
 
 namespace elision::support {
@@ -96,6 +98,25 @@ TEST(Rng, ReseedRestartsSequence) {
 // ---------------------------------------------------------------------------
 // WordMap
 // ---------------------------------------------------------------------------
+
+TEST(MappedRegion, RoundsUpToPagesAndStartsZeroed) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  for (const auto guard : {MappedRegion::Guard::kNone,
+                           MappedRegion::Guard::kBelow}) {
+    MappedRegion r(page + 1, guard);
+    ASSERT_NE(r.data(), nullptr);
+    EXPECT_EQ(r.size(), 2 * page);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(r.data()) % page, 0u);
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      ASSERT_EQ(r.data()[i], std::byte{0}) << "at byte " << i;
+    }
+    r.data()[0] = std::byte{1};
+    r.data()[r.size() - 1] = std::byte{2};
+  }
+  MappedRegion empty;
+  EXPECT_EQ(empty.data(), nullptr);
+  EXPECT_EQ(empty.size(), 0u);
+}
 
 TEST(WordMap, PutFindRoundtrip) {
   WordMap m;

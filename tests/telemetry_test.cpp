@@ -4,10 +4,12 @@
 // the conflicting threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "harness/rb_workload.hpp"
+#include "support/rng.hpp"
 #include "tsx/telemetry.hpp"
 
 namespace elision::tsx {
@@ -25,6 +27,13 @@ TelemetryEvent ev(std::uint64_t t, int thread, EventKind kind,
   return e;
 }
 
+// A ring's retained events, oldest first, read through its accessor.
+std::vector<TelemetryEvent> retained(const EventRing& ring) {
+  std::vector<TelemetryEvent> out;
+  for (std::size_t i = 0; i < ring.size(); ++i) out.push_back(ring[i]);
+  return out;
+}
+
 TEST(EventRing, RoundsCapacityUpAndKeepsOrder) {
   EventRing ring(5);  // rounds up to 8
   EXPECT_EQ(ring.capacity(), 8u);
@@ -33,7 +42,7 @@ TEST(EventRing, RoundsCapacityUpAndKeepsOrder) {
   }
   EXPECT_EQ(ring.recorded(), 6u);
   EXPECT_EQ(ring.dropped(), 0u);
-  const auto snap = ring.snapshot();
+  const auto snap = retained(ring);
   ASSERT_EQ(snap.size(), 6u);
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(snap[i].timestamp, 100u + i);
@@ -48,7 +57,7 @@ TEST(EventRing, WrapKeepsNewestAndCountsDropped) {
   EXPECT_EQ(ring.recorded(), 11u);
   EXPECT_EQ(ring.dropped(), 7u);
   EXPECT_EQ(ring.size(), 4u);
-  const auto snap = ring.snapshot();
+  const auto snap = retained(ring);
   ASSERT_EQ(snap.size(), 4u);
   EXPECT_EQ(snap.front().timestamp, 7u);  // oldest retained
   EXPECT_EQ(snap.back().timestamp, 10u);
@@ -69,6 +78,85 @@ TEST(Telemetry, MergesAcrossThreadsInTimestampOrder) {
   EXPECT_EQ(merged[3].timestamp, 30u);
   EXPECT_EQ(t.total_recorded(), 4u);
   EXPECT_EQ(t.total_dropped(), 0u);
+}
+
+bool same_event(const TelemetryEvent& a, const TelemetryEvent& b) {
+  return a.timestamp == b.timestamp && a.line == b.line &&
+         a.thread == b.thread && a.other_thread == b.other_thread &&
+         a.kind == b.kind && a.cause == b.cause;
+}
+
+// merged() against the definition its header states: the rings' retained
+// events concatenated in thread order, then stable-sorted by (timestamp,
+// thread). Each event carries a unique sequence number in `line`, so any
+// reordering among equal keys shows.
+TEST(Telemetry, MergeEqualsStableSortOfConcatenatedRings) {
+  struct Case {
+    int threads;
+    std::size_t capacity;
+    int events;
+  };
+  const Case cases[] = {{1, 8, 0},     {1, 8, 5},     {1, 8, 100},
+                        {2, 4, 64},    {8, 16, 400},  {8, 64, 300},
+                        {256, 1, 600}, {256, 16, 8000}};
+  bool saw_drops = false;
+  bool saw_empty_ring = false;
+  for (const Case& c : cases) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "threads " << c.threads
+                                        << " capacity " << c.capacity
+                                        << " events " << c.events << " seed "
+                                        << seed);
+      support::Xoshiro256 rng(seed);
+      Telemetry t(c.capacity);
+      // About a quarter of the threads never record; some of those still
+      // get a (then empty) ring.
+      std::vector<int> active;
+      for (int th = 0; th < c.threads; ++th) {
+        if (c.threads == 1 || rng.next_below(4) != 0) {
+          active.push_back(th);
+        } else if (rng.next_below(2) == 0) {
+          (void)t.ring(th);
+          saw_empty_ring = true;
+        }
+      }
+      if (active.empty()) active.push_back(0);
+      // Clocks start together and advance by 0-3 cycles, so timestamps tie
+      // within a thread and across threads. Half the events go to the first
+      // active thread, so its ring wraps long before the others.
+      std::vector<std::uint64_t> clock(c.threads, 0);
+      for (int i = 0; i < c.events; ++i) {
+        const int th = rng.next_below(2) == 0
+                           ? active.front()
+                           : active[rng.next_below(active.size())];
+        clock[th] += rng.next_below(4);
+        t.record(ev(clock[th], th, EventKind::kTxBegin,
+                    static_cast<support::LineId>(i + 1)));
+      }
+      saw_drops = saw_drops || t.total_dropped() > 0;
+
+      const auto got = t.merged();
+      std::vector<TelemetryEvent> want;
+      for (int th = 0; th < t.thread_count(); ++th) {
+        const auto part = retained(t.ring(th));
+        want.insert(want.end(), part.begin(), part.end());
+      }
+      std::stable_sort(want.begin(), want.end(),
+                       [](const TelemetryEvent& a, const TelemetryEvent& b) {
+                         if (a.timestamp != b.timestamp) {
+                           return a.timestamp < b.timestamp;
+                         }
+                         return a.thread < b.thread;
+                       });
+      EXPECT_EQ(got.size(), t.total_recorded() - t.total_dropped());
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(same_event(got[i], want[i])) << "at merged index " << i;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_drops);
+  EXPECT_TRUE(saw_empty_ring);
 }
 
 // --- avalanche detector on synthetic traces ---
