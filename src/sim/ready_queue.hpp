@@ -24,16 +24,19 @@
 // the group size with the finished sentinel; each group of 16 consecutive
 // tids caches its (min, argmin) pair, and the root caches the winner across
 // groups. An update rescans only the updated thread's group and the
-// per-group minima — two short contiguous scans with independent compares
-// (at most 16 + ceil(N/16) steps, so 32 for the 256-thread cap) instead of
-// one long serial sweep — and the root query is O(1). (A sorted array at
-// every size loses here: its insertions grow linearly with N.)
+// per-group minima — two short contiguous scans (at most 16 + ceil(N/16)
+// steps, so 32 for the 256-thread cap) instead of one long serial sweep —
+// and the root query is O(1). Both levels scan with one helper,
+// first_min(): a single pass of conditional moves with no branch on the
+// clocks. (A sorted array at every size loses here: its insertions grow
+// linearly with N.)
 //
-// Tie-break equivalence: the group scan keeps the first (lowest-index)
-// holder of the group minimum, and the root scan keeps the first group
-// holding the overall minimum. Lowest group of the winners + lowest index
-// within the winning group is exactly the first-index-wins answer of the
-// seed's linear sweep, so schedules are preserved bit-for-bit.
+// Tie-break equivalence: first_min() replaces its pick only on a strictly
+// smaller value, so the group scan keeps the first (lowest-index) holder of
+// the group minimum, and the root scan keeps the first group holding the
+// overall minimum. Lowest group of the winners + lowest index within the
+// winning group is exactly the first-index-wins answer of the seed's linear
+// sweep, so schedules are preserved bit-for-bit.
 //
 // Finished threads (and padding slots beyond size()) hold kFinishedClock,
 // so they lose every comparison against a live thread (the sorted ring
@@ -191,63 +194,53 @@ class ReadyQueue {
   // Two-level slow path of set(): rescans tid's group and, when the root
   // could have changed, the per-group minima.
   ELISION_NOINLINE void rescan_from_group(std::size_t g, bool moved_up) {
-    // Rescan the group: min pass without the data-dependent index (a
-    // straight-line reduction), then first-index-of-min for the tie-break.
-    // Padding sentinels never win, so scanning the full group is exact.
-    const std::uint64_t* const base = clocks_.data() + (g << kGroupShift);
-    std::uint64_t m = base[0];
-    for (std::size_t i = 1; i < kGroupSize; ++i) {
-      if (base[i] < m) m = base[i];
-    }
-    std::size_t mi = 0;
-    while (base[mi] != m) ++mi;
-    const std::int32_t gtid = static_cast<std::int32_t>((g << kGroupShift) + mi);
-    if (m == group_min_[g] && gtid == group_tid_[g] && moved_up) return;
-    group_min_[g] = m;
-    group_tid_[g] = gtid;
+    const std::uint64_t old_min = group_min_[g];
+    const std::int32_t old_tid = group_tid_[g];
+    rescan_group(g);
     // The root must be rescanned when this group held it (its min moved) or
     // on a decrease (this group may now win). A group whose min only grew
     // cannot take the root from another group — including ties, because
     // first-group-wins already preferred any equal earlier group.
-    if (moved_up && static_cast<std::size_t>(root_tid_) >> kGroupShift != g) {
+    if (moved_up &&
+        ((group_min_[g] == old_min && group_tid_[g] == old_tid) ||
+         static_cast<std::size_t>(root_tid_) >> kGroupShift != g)) {
       return;
     }
-    const std::size_t groups = group_min_.size();
-    std::uint64_t rm = group_min_[0];
-    for (std::size_t i = 1; i < groups; ++i) {
-      if (group_min_[i] < rm) rm = group_min_[i];
-    }
-    std::size_t rg = 0;
-    while (group_min_[rg] != rm) ++rg;
-    root_min_ = rm;
-    root_tid_ = group_tid_[rg];
+    rescan_root();
   }
 
-  // Recomputes one group's cached (min, argmin) from its clocks.
-  void rescan_group(std::size_t g) {
-    const std::uint64_t* const base = clocks_.data() + (g << kGroupShift);
-    std::uint64_t m = base[0];
-    for (std::size_t i = 1; i < kGroupSize; ++i) {
-      if (base[i] < m) m = base[i];
+  // First-index-wins (min, index) over v[0, n): one pass whose two selects
+  // compile to conditional moves, so a scan costs the same whatever order
+  // the clocks are in (a branch per element mispredicts on mixed clocks).
+  struct Pick {
+    std::uint64_t min;
+    std::size_t at;
+  };
+  ELISION_ALWAYS_INLINE static Pick first_min(const std::uint64_t* v,
+                                              std::size_t n) {
+    Pick p{v[0], 0};
+    for (std::size_t k = 1; k < n; ++k) {
+      const bool lt = v[k] < p.min;
+      p.min = lt ? v[k] : p.min;
+      p.at = lt ? k : p.at;
     }
-    std::size_t mi = 0;
-    while (base[mi] != m) ++mi;
-    group_min_[g] = m;
-    group_tid_[g] = static_cast<std::int32_t>((g << kGroupShift) + mi);
+    return p;
+  }
+
+  // Recomputes one group's cached (min, argmin) from its clocks. Padding
+  // sentinels never win, so scanning the full group is exact.
+  void rescan_group(std::size_t g) {
+    const Pick p = first_min(clocks_.data() + (g << kGroupShift), kGroupSize);
+    group_min_[g] = p.min;
+    group_tid_[g] = static_cast<std::int32_t>((g << kGroupShift) + p.at);
   }
 
   // Recomputes the cached root winner from the per-group minima
   // (first-group-wins tie-break).
   void rescan_root() {
-    const std::size_t groups = group_min_.size();
-    std::uint64_t rm = group_min_[0];
-    for (std::size_t i = 1; i < groups; ++i) {
-      if (group_min_[i] < rm) rm = group_min_[i];
-    }
-    std::size_t rg = 0;
-    while (group_min_[rg] != rm) ++rg;
-    root_min_ = rm;
-    root_tid_ = group_tid_[rg];
+    const Pick p = first_min(group_min_.data(), group_min_.size());
+    root_min_ = p.min;
+    root_tid_ = group_tid_[p.at];
   }
 
   // Ring order: (clock, tid) lexicographic.
@@ -304,26 +297,8 @@ class ReadyQueue {
       }
       return;
     }
-    const std::size_t groups = group_min_.size();
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::uint64_t* const base = clocks_.data() + (g << kGroupShift);
-      std::uint64_t m = base[0];
-      for (std::size_t i = 1; i < kGroupSize; ++i) {
-        if (base[i] < m) m = base[i];
-      }
-      std::size_t mi = 0;
-      while (base[mi] != m) ++mi;
-      group_min_[g] = m;
-      group_tid_[g] = static_cast<std::int32_t>((g << kGroupShift) + mi);
-    }
-    std::uint64_t rm = group_min_[0];
-    for (std::size_t i = 1; i < groups; ++i) {
-      if (group_min_[i] < rm) rm = group_min_[i];
-    }
-    std::size_t rg = 0;
-    while (group_min_[rg] != rm) ++rg;
-    root_min_ = rm;
-    root_tid_ = group_tid_[rg];
+    for (std::size_t g = 0; g < group_min_.size(); ++g) rescan_group(g);
+    rescan_root();
   }
 
   // clocks_[tid] for tid < size_; padding entries hold kFinishedClock so

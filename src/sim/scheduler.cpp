@@ -50,6 +50,20 @@ void SimThread::advance_slow(std::uint64_t cycles) {
   }
 }
 
+void SimThread::check_spin_round(std::uint64_t load_cycles,
+                                 std::uint64_t pause_cycles) const {
+  // advance() adds (uint64)(c * s) for c cycles at slowdown s, which is
+  // nonzero iff c * s >= 1. The SMT flag can only drop during a run, and a
+  // round that costs something scaled costs something unscaled, so one
+  // check at the start of a wait covers all of it.
+  const double s = sched_.core_smt_[core_] ? sched_.config_.smt_slowdown : 1.0;
+  ELISION_CHECK_MSG(static_cast<double>(load_cycles) * s >= 1.0 ||
+                        static_cast<double>(pause_cycles) * s >= 1.0,
+                    "a spin-wait round (load + PAUSE) advances the clock by "
+                    "0 cycles at this smt_slowdown: the waiter would spin "
+                    "forever");
+}
+
 void SimThread::maybe_perturb() {
   const PerturbConfig& p = sched_.config().perturb;
   if (!perturb_rng_.next_bool(p.probability)) return;
@@ -193,20 +207,61 @@ SimThread& Scheduler::resolve(SimThread& next, const SimThread* self) {
 }
 
 bool Scheduler::replay(SimThread& p) {
-  // Each step is the literal loop's tick: advance, then maybe_yield's
-  // compare against the bound (perturbation is off while parking).
   SpinWait& w = *p.spin_;
-  for (;;) {
-    if (w.load_next) {
-      if (!w.quiet()) return false;
-      p.advance(w.load_cycles);
-      w.load_next = false;
-      if (p.vclock_ > switch_bound_) return true;
+  const std::uint64_t bound = switch_bound_;
+  if (bound >= kJumpBoundLimit || w.load_cycles >= kSmtMemoCycles ||
+      w.pause_cycles >= kSmtMemoCycles) [[unlikely]] {
+    // The literal loop, tick by tick: advance, then maybe_yield's compare
+    // against the bound (perturbation is off while parking).
+    for (;;) {
+      if (w.load_next) {
+        if (!w.quiet()) return false;
+        p.advance(w.load_cycles);
+        w.load_next = false;
+        if (p.vclock_ > bound) return true;
+      }
+      p.advance(w.pause_cycles);
+      w.load_next = true;
+      if (p.vclock_ > bound) return true;
     }
-    p.advance(w.pause_cycles);
-    w.load_next = true;
-    if (p.vclock_ > switch_bound_) return true;
   }
+  // The waiter was picked as the earliest thread, so its clock is at most
+  // the bound (< 2^62), and each table entry is below 2^52: every tick the
+  // literal loop would take is advance()'s unchecked table add.
+  ELISION_DCHECK(p.vclock_ <= bound);
+  const auto& scaled = smt_memo_[core_smt_[p.core_]];
+  const std::uint64_t load = scaled[w.load_cycles];
+  const std::uint64_t pause = scaled[w.pause_cycles];
+  const std::uint64_t period = load + pause;
+  std::uint64_t c = p.vclock_;
+  if (!w.load_next) {  // the pending PAUSE
+    c += pause;
+    w.load_next = true;
+    if (c > bound) {
+      p.vclock_ = c;
+      return true;
+    }
+  }
+  if (!w.quiet()) {
+    p.vclock_ = c;
+    return false;
+  }
+  // No fiber runs during a replay, so memory cannot change: every later
+  // load of this replay is quiet too, and the loop is a fixed sequence of
+  // ticks, load, PAUSE, load, ..., until one crosses the bound. The first
+  // round is stepped literally, so a short replay pays no division; past
+  // it, jump to the last round that starts at or below the bound.
+  if (c + period <= bound) {
+    // SimThread::check_spin_round ruled out a round that costs nothing.
+    ELISION_DCHECK(period > 0);
+    c += period;
+    c += (bound - c) / period * period;
+  }
+  // The round from c crosses the bound at its load or at its PAUSE.
+  const bool load_crosses = c + load > bound;
+  p.vclock_ = load_crosses ? c + load : c + period;
+  w.load_next = !load_crosses;
+  return true;
 }
 
 void Scheduler::check_not_deadlocked() const {

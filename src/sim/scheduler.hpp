@@ -27,10 +27,12 @@
 // inside a tick of a spin loop (its PAUSE, or a load with no side effect)
 // hands the scheduler a SpinWait, and while its next load would have no
 // side effect either the scheduler replays the loop's ticks itself instead
-// of switching to the fiber. Replays advance the waiter's clock through
-// exactly the ticks and bound tests the loop would run, with no other
-// thread running in between, so the schedule is unchanged; they are not
-// counted as context switches.
+// of switching to the fiber. No other thread runs during a replay, so once
+// its first load is quiet every later one is: the replay probes quiet()
+// once and moves the waiter's clock in one jump to the tick at which the
+// literal loop would cross the preemption bound (O(1) however many ticks
+// that skips). The schedule is unchanged, and replays are not counted as
+// context switches.
 //
 // Usage:
 //   Scheduler sched(config);
@@ -112,6 +114,13 @@ class SimThread {
   // while Scheduler::spin_parking() holds. Defined below Scheduler.
   ELISION_ALWAYS_INLINE void spin_tick(SpinWait& w, std::uint64_t cycles,
                                        bool load_next);
+
+  // Fails unless one round of a spin loop on this thread (a load of
+  // `load_cycles`, then a PAUSE of `pause_cycles`) advances its clock: a
+  // round that scales to 0 cycles never crosses a preemption bound, so the
+  // waiter would spin forever. Called once at the start of a wait.
+  void check_spin_round(std::uint64_t load_cycles,
+                        std::uint64_t pause_cycles) const;
 
   // Convenience: advance then maybe_yield. This is the hook the shared-memory
   // layer calls once per simulated memory access — and therefore the
@@ -268,8 +277,14 @@ class Scheduler {
   // thread to run, unparked: `self` itself means no switch is needed.
   SimThread& resolve(SimThread& next, const SimThread* self);
   // Runs a parked waiter's loop until it yields (true) or its next load
-  // needs the fiber (false).
+  // needs the fiber (false). It probes quiet() once, at the first load: the
+  // ticks after it form a fixed load/PAUSE sequence, so the clock jumps to
+  // the tick that crosses the bound.
   bool replay(SimThread& p);
+  // replay() jumps only below this bound (and for tick costs inside the SMT
+  // table), where no tick it stands in for can reach advance()'s saturating
+  // path; above it, it steps the ticks one at a time.
+  static constexpr std::uint64_t kJumpBoundLimit = std::uint64_t{1} << 62;
   // Called with every runnable thread parked: fails if none of them can
   // ever stop spinning.
   void check_not_deadlocked() const;

@@ -531,6 +531,8 @@ void Engine::pause(Ctx& ctx) {
 std::uint64_t Engine::spin_word(
     Ctx& ctx, const void* addr,
     support::FunctionRef<bool(std::uint64_t)> pred) {
+  const std::uint64_t load_cycles = cost_.l1_hit + cost_.access_compute;
+  if (!ctx.in_tx()) ctx.thread().check_spin_round(load_cycles, cost_.pause);
   if (ctx.in_tx() || !sched_.spin_parking()) {
     // The literal loop: PAUSE aborts a transaction, and a replay would skip
     // the perturbation draws of the ticks it stands in for.
@@ -549,7 +551,7 @@ std::uint64_t Engine::spin_word(
     return rec.writer == kNoThread && rec.copies.test(ctx.id()) &&
            pred(read_word(addr));
   };
-  sim::SpinWait w{quiet, cost_.l1_hit + cost_.access_compute, cost_.pause};
+  sim::SpinWait w{quiet, load_cycles, cost_.pause};
   sim::SimThread& t = ctx.thread();
   for (;;) {
     // w.load_next, not control flow, says which step is next: a replay may

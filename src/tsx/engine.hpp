@@ -92,8 +92,11 @@ class Engine {
   // that loop. Outside a transaction, with switch-bound batching on and no
   // schedule perturbation, the waiter parks in the scheduler when it yields
   // inside the loop, and the scheduler replays its side-effect-free
-  // iterations instead of switching to the fiber (sim::SpinWait). Defined
-  // in tsx/shared.hpp.
+  // iterations instead of switching to the fiber (sim::SpinWait): each time
+  // the waiter is picked, a replay probes the word once and jumps its clock
+  // to the tick at which it would yield again. Outside a transaction, a
+  // loop whose load + PAUSE round scales to 0 cycles fails at once instead
+  // of spinning forever. Defined in tsx/shared.hpp.
   template <typename T, typename Pred>
   T spin_while(Ctx& ctx, const Shared<T>& word, Pred pred);
 

@@ -2,6 +2,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -199,6 +200,121 @@ TEST(Scheduler, StressManyThreadsManySwitches) {
   EXPECT_EQ(total, 32u * 2000u);
 }
 
+// The literal loop a parked spin-waiter's replay stands in for, with every
+// load quiet: from `clock`, next step the load iff `load_next`, tick `load`
+// and `pause` cycles alternately until the clock crosses `bound`.
+struct SpinStop {
+  std::uint64_t clock;
+  bool load_next;
+};
+SpinStop literal_spin(std::uint64_t clock, bool load_next,
+                      std::uint64_t bound, std::uint64_t load,
+                      std::uint64_t pause) {
+  for (;;) {
+    if (load_next) {
+      clock += load;
+      load_next = false;
+      if (clock > bound) return {clock, load_next};
+    }
+    clock += pause;
+    load_next = true;
+    if (clock > bound) return {clock, load_next};
+  }
+}
+
+// A replay jumps a quiet waiter's clock to the tick that crosses the bound.
+// Thread 0 waits the way Engine::spin_word does on a flag only thread 1
+// sets; thread 1 moves its own clock to where the bound it will hand the
+// waiter lands (its clock + slack), yields, and checks the waiter's clock
+// and phase against the literal loop. Bounds sit at the waiter's clock, at
+// every edge of the first round, and whole rounds further on.
+TEST(Scheduler, QuietReplayJumpEqualsLiteralLoop) {
+  support::Xoshiro256 rng(0x51A7E);
+  int load_stops = 0;
+  int pause_stops = 0;
+  int jumps = 0;
+  for (const double slowdown : {1.0, 1.25, 1.7}) {
+    for (const bool smt : {false, true}) {
+      for (const std::uint64_t slack : {0, 200}) {
+        for (int machine = 0; machine < 4; ++machine) {
+          MachineConfig cfg;
+          cfg.n_cores = smt ? 1 : 2;  // siblings on one core, or alone
+          cfg.smt_per_core = 2;
+          cfg.smt_slowdown = slowdown;
+          cfg.yield_slack_cycles = slack;
+          const std::uint64_t load_cycles = 1 + rng.next_below(255);
+          const std::uint64_t pause_cycles = rng.next_below(256);
+          auto scaled = [&](std::uint64_t c) {
+            return smt ? static_cast<std::uint64_t>(static_cast<double>(c) *
+                                                    slowdown)
+                       : c;
+          };
+          const std::uint64_t load = scaled(load_cycles);
+          const std::uint64_t period = load + scaled(pause_cycles);
+          Scheduler sched(cfg);
+          SpinWait* wait = nullptr;
+          bool released = false;
+          sched.spawn([&](SimThread& t) {
+            auto quiet = [&] { return !released; };
+            SpinWait w{quiet, load_cycles, pause_cycles};
+            wait = &w;
+            for (;;) {
+              if (w.load_next) {
+                if (released) return;
+                t.spin_tick(w, w.load_cycles, /*load_next=*/false);
+              } else {
+                t.spin_tick(w, w.pause_cycles, /*load_next=*/true);
+              }
+            }
+          });
+          sched.spawn([&](SimThread& t) {
+            SimThread& waiter = sched.thread(0);
+            for (int trial = 0; trial < 64; ++trial) {
+              // The waiter is parked past this thread's bound.
+              const std::uint64_t c0 = waiter.now();
+              const bool phase = wait->load_next;
+              ASSERT_LT(t.now(), c0);
+              const std::uint64_t first_load = phase ? c0 : c0 + period - load;
+              const std::uint64_t edges[] = {0,          load - 1, load,
+                                             load + 1,   period - 1, period,
+                                             rng.next_below(period)};
+              const std::uint64_t rounds[] = {0, 1, 2 + rng.next_below(40)};
+              std::uint64_t bound = first_load +
+                                    rounds[rng.next_below(3)] * period +
+                                    edges[rng.next_below(7)];
+              if (rng.next_below(8) == 0) bound = c0;
+              // min(others) + slack never lies below the picked waiter's
+              // clock + slack.
+              bound = std::max(bound, c0 + slack);
+              const SpinStop want =
+                  literal_spin(c0, phase, bound, load, period - load);
+              while (t.now() < bound - slack) {
+                t.advance(bound - slack - t.now() > 512 ? 256 : 1);
+              }
+              ASSERT_EQ(t.now(), bound - slack);
+              t.yield();  // the waiter is earlier: replayed against `bound`
+              SCOPED_TRACE(::testing::Message()
+                           << "slowdown " << slowdown << " smt " << smt
+                           << " L " << load << " T " << period << " from "
+                           << c0 << " phase " << phase << " bound " << bound);
+              ASSERT_EQ(waiter.now(), want.clock);
+              ASSERT_EQ(wait->load_next, want.load_next);
+              ++(want.load_next ? pause_stops : load_stops);
+              if (bound >= first_load + period) ++jumps;
+            }
+            released = true;
+          });
+          sched.run();
+        }
+      }
+    }
+  }
+  // Both crossing ticks and the jump past the first round all ran.
+  EXPECT_GT(load_stops, 100);
+  EXPECT_GT(pause_stops, 100);
+  EXPECT_GT(jumps, 100);
+}
+
 TEST(Scheduler, PerThreadRngsDiffer) {
   Scheduler sched(one_core_no_smt());
   std::vector<std::uint64_t> first(4);
@@ -253,6 +369,34 @@ TEST(SchedulerDeath, SpinWaitersOnUnchangedLinesDeadlock) {
         sched.run();
       },
       "every simulated thread is spin-waiting");
+}
+
+TEST(SchedulerDeath, SpinRoundOfZeroCyclesFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        // Two siblings on one core at a slowdown the constructor admits,
+        // but at which every tick below 1000 cycles scales to 0: the
+        // waiter's clock would never move, so it would spin forever.
+        MachineConfig cfg;
+        cfg.n_cores = 1;
+        cfg.smt_per_core = 2;
+        cfg.smt_slowdown = 0.001;
+        Scheduler sched(cfg);
+        tsx::Engine eng(sched);
+        tsx::Shared<std::uint64_t> word;
+        word.unsafe_set(1);
+        sched.spawn([&eng, &word](SimThread& t) {
+          eng.spin_while(eng.context(t), word,
+                         [](std::uint64_t v) { return v != 0; });
+        });
+        sched.spawn([&eng, &word](SimThread& t) {
+          t.advance(1000000);
+          word.store(eng.context(t), 0);
+        });
+        sched.run();
+      },
+      "advances the clock by 0 cycles");
 }
 
 // Frame address of the overflow test's thread body, near the top of its

@@ -11,6 +11,7 @@
 #include <string>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "harness/micro_point.hpp"
 #include "harness/rb_workload.hpp"
@@ -675,10 +676,14 @@ TEST(SuiteRun, JobsFanOutReproducesSequentialRun) {
 // paths and the literal paths must both reproduce it. Only the host fields
 // are left out: wall_ms, sim_ops_per_sec, and the fastpath counters (the
 // owned-line hits depend on the host heap layout).
-TEST(SuiteRun, SmokeTierReproducesCommittedBaseline) {
+// Runs `points` two at a time and requires each to reproduce its
+// bench/baseline.json record, host fields aside (wall time, host speed and
+// the fast-path counters, which are 0 with ELISION_FASTPATH=0 and
+// heap-placement dependent otherwise).
+void expect_reproduces_baseline(const std::vector<SuitePoint>& points) {
   const auto base = load_results_file(ELISION_BASELINE_JSON);
   ASSERT_TRUE(base.has_value());
-  const SuiteResult run = run_suite(suite_points_for(SuiteTier::kSmoke), 2);
+  const SuiteResult run = run_suite(points, 2);
   ASSERT_EQ(run.duration_scale, base->duration_scale)
       << "the baseline runs at ELISION_BENCH_SCALE=1";
   const bool fastpath = env_fastpath_enabled();
@@ -708,6 +713,22 @@ TEST(SuiteRun, SmokeTierReproducesCommittedBaseline) {
           << "default run reports no owned-line hits: fast path not engaged?";
     }
   }
+}
+
+TEST(SuiteRun, SmokeTierReproducesCommittedBaseline) {
+  expect_reproduces_baseline(suite_points_for(SuiteTier::kSmoke));
+}
+
+// The 64-, 128- and 256-thread Fig 5.1 points: the only ones where parked
+// spin-waiters meet the two-level ready queue. Registered as the ctest
+// suite_big_machine_baseline and left out of the suite_test run.
+TEST(SuiteRun, BigMachinePointsReproduceCommittedBaseline) {
+  std::vector<SuitePoint> big;
+  for (const SuitePoint& p : suite_points()) {
+    if (p.figure == "fig5.1-big") big.push_back(p);
+  }
+  ASSERT_EQ(big.size(), 3u);
+  expect_reproduces_baseline(big);
 }
 
 }  // namespace
