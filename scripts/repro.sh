@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Reproduces everything: build, full test suite, every figure/table
-# (`elide figure ID`) and the engine microbenchmark.
+# Reproduces everything: build, full test suite and every figure/table
+# (`elide figure ID`).
 # Outputs land in test_output.txt and bench_output.txt at the repo root.
 # ELISION_BENCH_SCALE=<x> lengthens bench runs for smoother curves.
 set -uo pipefail
@@ -18,6 +18,4 @@ ids=$(build/tools/elide figure 2>&1 | sed -n 's/^figures: //p')
     echo "### $id"
     build/tools/elide figure "$id"
   done
-  echo "### micro_engine"
-  build/bench/micro_engine
 } 2>&1 | tee bench_output.txt

@@ -82,14 +82,4 @@ RunStats run_bt_point_once(const BtPoint& p) {
   return {};
 }
 
-RunStats run_bt_point(const BtPoint& p) {
-  return run_seeds(p.seeds, p.seed, p.host_threads,
-                   [&](std::size_t, std::uint64_t seed) {
-                     BtPoint q = p;
-                     q.host_threads = 1;
-                     q.seed = seed;
-                     return run_bt_point_once(q);
-                   });
-}
-
 }  // namespace elision::harness

@@ -35,16 +35,11 @@ struct BtPoint {
   int seeds = 2;
   std::uint64_t timeline_slot_cycles = 0;
   std::uint64_t seed = 42;
-  // Host threads for the multi-seed fan-out; never affects simulated
-  // results (see RbPoint::host_threads).
-  int host_threads = 1;
 };
 
 // Builds the tree (random keys from a domain of 2*size) and runs the
-// benchmark for the configured virtual duration, once.
+// benchmark for the configured virtual duration, once; run_point
+// (harness/suite.hpp) merges `p.seeds` such runs.
 RunStats run_bt_point_once(const BtPoint& p);
-
-// Accumulates `p.seeds` independent runs, merged in seed order.
-RunStats run_bt_point(const BtPoint& p);
 
 }  // namespace elision::harness

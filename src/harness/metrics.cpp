@@ -1,6 +1,7 @@
 #include "harness/metrics.hpp"
 
-#include "harness/runner.hpp"
+#include <algorithm>
+
 #include "support/check.hpp"
 #include "support/json.hpp"
 
@@ -11,43 +12,82 @@ std::string Histogram::bucket_label(std::size_t i) {
   return std::to_string(bucket_lo(i)) + "-" + std::to_string(bucket_hi(i));
 }
 
-void RegionMetrics::absorb(const RunStats& run) {
-  if (runs == 0) {
-    ghz = run.ghz;
+void RunStats::accumulate(const RunStats& o) {
+  if (elapsed_cycles == 0 && ops == 0) {
+    ghz = o.ghz;
   } else {
-    ELISION_CHECK_MSG(ghz == run.ghz,
-                      "absorbed runs with different MachineConfig::ghz into "
-                      "one series; their cycle counts are not comparable");
+    ELISION_CHECK_MSG(ghz == o.ghz,
+                      "accumulated runs with different MachineConfig::ghz");
   }
-  ++runs;
-  ops += run.ops;
-  spec_ops += run.spec_ops;
-  nonspec_ops += run.nonspec_ops;
-  attempts += run.attempts;
-  elapsed_cycles += run.elapsed_cycles;
-  tx += run.tx;
-  attempts_hist.merge(run.attempts_hist);
-  rejoin_hist.merge(run.rejoin_hist);
-  avalanche_episodes += run.episodes.size();
-  for (const auto& ep : run.episodes) {
-    avalanche_victims += static_cast<std::uint64_t>(ep.victim_count());
-    avalanche_cycles += ep.duration();
-    if (ep.victim_count() > avalanche_max_victims) {
-      avalanche_max_victims = ep.victim_count();
-    }
+  ops += o.ops;
+  spec_ops += o.spec_ops;
+  nonspec_ops += o.nonspec_ops;
+  attempts += o.attempts;
+  elapsed_cycles += o.elapsed_cycles;
+  perturb_points += o.perturb_points;
+  tx += o.tx;
+  fp_bound_recomputes += o.fp_bound_recomputes;
+  if (timeline.size() < o.timeline.size()) timeline.resize(o.timeline.size());
+  for (std::size_t s = 0; s < o.timeline.size(); ++s) {
+    timeline[s].ops += o.timeline[s].ops;
+    timeline[s].nonspec_ops += o.timeline[s].nonspec_ops;
+  }
+  arrivals += o.arrivals;
+  arrivals_lock_held += o.arrivals_lock_held;
+  if (shard_requests.size() < o.shard_requests.size()) {
+    shard_requests.resize(o.shard_requests.size());
+  }
+  for (std::size_t s = 0; s < o.shard_requests.size(); ++s) {
+    shard_requests[s] += o.shard_requests[s];
+  }
+  attempts_hist.merge(o.attempts_hist);
+  rejoin_hist.merge(o.rejoin_hist);
+  episodes.insert(episodes.end(), o.episodes.begin(), o.episodes.end());
+  telemetry_events += o.telemetry_events;
+  telemetry_dropped += o.telemetry_dropped;
+  for (const auto& ol : o.op_latency) {
+    latency_series(ol.op)->merge(ol.hist);
   }
 }
 
-RegionMetrics& MetricsRegistry::series(const std::string& scheme,
-                                       const std::string& lock) {
-  for (auto& e : entries_) {
-    if (e.scheme == scheme && e.lock == lock) return e.metrics;
+QuantileHistogram* RunStats::latency_series(const std::string& op) {
+  for (auto& ol : op_latency) {
+    if (ol.op == op) return &ol.hist;
   }
-  entries_.push_back({scheme, lock, {}});
-  return entries_.back().metrics;
+  op_latency.push_back({op, {}});
+  return &op_latency.back().hist;
+}
+
+void MetricsRegistry::record(const std::string& scheme,
+                             const std::string& lock, const RunStats& run) {
+  Entry* series = nullptr;
+  for (auto& e : entries_) {
+    if (e.scheme == scheme && e.lock == lock) series = &e;
+  }
+  if (series == nullptr) {
+    series = &entries_.emplace_back(Entry{scheme, lock, 0, {}});
+  }
+  ++series->runs;
+  series->stats.accumulate(run);
 }
 
 namespace {
+
+// A series' avalanche episodes, summed.
+struct AvalancheSummary {
+  std::uint64_t episodes = 0;
+  std::uint64_t victims = 0;
+  std::uint64_t cycles = 0;  // summed serialized duration
+  int max_victims = 0;
+
+  explicit AvalancheSummary(const RunStats& s) : episodes(s.episodes.size()) {
+    for (const auto& ep : s.episodes) {
+      victims += static_cast<std::uint64_t>(ep.victim_count());
+      cycles += ep.duration();
+      max_victims = std::max(max_victims, ep.victim_count());
+    }
+  }
+};
 
 void json_hist(std::FILE* out, const Histogram& h) {
   std::fprintf(out,
@@ -71,11 +111,12 @@ void MetricsRegistry::export_json(std::FILE* out) const {
   std::fprintf(out, "{\"series\":[");
   for (std::size_t n = 0; n < entries_.size(); ++n) {
     const auto& e = entries_[n];
-    const auto& m = e.metrics;
+    const RunStats& m = e.stats;
+    const AvalancheSummary av(m);
     std::fprintf(out, "%s{\"scheme\":\"%s\",\"lock\":\"%s\",\"runs\":%llu,",
                  n == 0 ? "" : ",", support::json::escape(e.scheme).c_str(),
                  support::json::escape(e.lock).c_str(),
-                 static_cast<unsigned long long>(m.runs));
+                 static_cast<unsigned long long>(e.runs));
     std::fprintf(
         out,
         "\"ops\":%llu,\"spec_ops\":%llu,\"nonspec_ops\":%llu,"
@@ -105,10 +146,9 @@ void MetricsRegistry::export_json(std::FILE* out) const {
     std::fprintf(out,
                  ",\"avalanche\":{\"episodes\":%llu,\"victims\":%llu,"
                  "\"max_victims\":%d,\"serialized_cycles\":%llu}}",
-                 static_cast<unsigned long long>(m.avalanche_episodes),
-                 static_cast<unsigned long long>(m.avalanche_victims),
-                 m.avalanche_max_victims,
-                 static_cast<unsigned long long>(m.avalanche_cycles));
+                 static_cast<unsigned long long>(av.episodes),
+                 static_cast<unsigned long long>(av.victims), av.max_victims,
+                 static_cast<unsigned long long>(av.cycles));
   }
   std::fprintf(out, "]}\n");
 }
@@ -128,11 +168,12 @@ void MetricsRegistry::export_csv(std::FILE* out) const {
                "rejoin_cycles_max,avalanche_episodes,avalanche_victims,"
                "avalanche_max_victims,avalanche_serialized_cycles\n");
   for (const auto& e : entries_) {
-    const auto& m = e.metrics;
+    const RunStats& m = e.stats;
+    const AvalancheSummary av(m);
     std::fprintf(out, "%s,%s,%llu,%llu,%llu,%llu,%llu,%llu,%.1f,%llu,%llu,"
                       "%llu",
                  e.scheme.c_str(), e.lock.c_str(),
-                 static_cast<unsigned long long>(m.runs),
+                 static_cast<unsigned long long>(e.runs),
                  static_cast<unsigned long long>(m.ops),
                  static_cast<unsigned long long>(m.spec_ops),
                  static_cast<unsigned long long>(m.nonspec_ops),
@@ -152,10 +193,9 @@ void MetricsRegistry::export_csv(std::FILE* out) const {
                  static_cast<unsigned long long>(m.attempts_hist.max()),
                  m.rejoin_hist.mean(),
                  static_cast<unsigned long long>(m.rejoin_hist.max()),
-                 static_cast<unsigned long long>(m.avalanche_episodes),
-                 static_cast<unsigned long long>(m.avalanche_victims),
-                 m.avalanche_max_victims,
-                 static_cast<unsigned long long>(m.avalanche_cycles));
+                 static_cast<unsigned long long>(av.episodes),
+                 static_cast<unsigned long long>(av.victims), av.max_victims,
+                 static_cast<unsigned long long>(av.cycles));
   }
 }
 

@@ -1,4 +1,5 @@
-// Metrics registry: aggregates per-(scheme, lock) benchmark series —
+// What a run measures (RunStats and its histograms) and the metrics
+// registry that merges runs into per-(scheme, lock) benchmark series —
 // attempts-per-region histograms, the abort-cause matrix, SCM time-to-rejoin
 // histograms and avalanche-episode summaries — and exports them as JSON or
 // CSV. This is the shared vocabulary benches and tests use to assert on
@@ -17,8 +18,6 @@
 #include "tsx/telemetry.hpp"
 
 namespace elision::harness {
-
-struct RunStats;
 
 namespace detail {
 
@@ -187,49 +186,96 @@ class QuantileHistogram {
   std::uint64_t max_ = 0;
 };
 
-// Aggregated behaviour of one (scheme, lock) series across runs.
-struct RegionMetrics {
-  std::uint64_t runs = 0;
+struct SlotStats {
   std::uint64_t ops = 0;
-  std::uint64_t spec_ops = 0;
   std::uint64_t nonspec_ops = 0;
-  std::uint64_t attempts = 0;
-  std::uint64_t elapsed_cycles = 0;
-  // Taken from the first absorbed run's MachineConfig; all runs folded into
-  // one series must agree (absorb checks) or throughput would be nonsense.
-  double ghz = 3.4;
-  tsx::TxStats tx;            // begins/commits + the abort-cause matrix row
-  Histogram attempts_hist;    // attempts per completed region
-  Histogram rejoin_hist;      // SCM aux-enter -> aux-exit latency (cycles)
-  std::uint64_t avalanche_episodes = 0;
-  std::uint64_t avalanche_victims = 0;
-  std::uint64_t avalanche_cycles = 0;  // summed serialized duration
-  int avalanche_max_victims = 0;
+};
 
-  void absorb(const RunStats& run);
+// What one run (or a merge of runs) measured: the paper's metrics S
+// (speculative completions), N (non-speculative completions), total
+// execution attempts (A + N + S) and throughput, plus every counter,
+// histogram and per-slot timeline the workloads record.
+struct RunStats {
+  std::uint64_t ops = 0;          // S + N
+  std::uint64_t spec_ops = 0;     // S
+  std::uint64_t nonspec_ops = 0;  // N
+  std::uint64_t attempts = 0;     // A + N + S
+  std::uint64_t elapsed_cycles = 0;
+  // Delay injections performed by the scheduler's perturbation layer
+  // (0 unless machine.perturb was configured; see src/stress).
+  std::uint64_t perturb_points = 0;
+  double ghz = 3.4;
+  tsx::TxStats tx;  // engine-level transaction counters
+  // Scheduler-side fast-path telemetry: how many times the cached
+  // context-switch bound was recomputed (once per actual switch under
+  // batching; 0 when machine.batch_switch_bound is off). Host-side
+  // observability only — the engine-side companions live in tx.
+  std::uint64_t fp_bound_recomputes = 0;
+  std::vector<SlotStats> timeline;
+
+  // TTAS lock arrivals, and those that found the lock held (the boxed
+  // series of Fig 3.1). Counted by keyed-set runs over a TTAS lock only.
+  std::uint64_t arrivals = 0;
+  std::uint64_t arrivals_lock_held = 0;
+  // Completed requests routed to each shard (KV runs only). Under Zipf skew
+  // the distribution is lopsided — the hot-shard signature.
+  std::vector<std::uint64_t> shard_requests;
+
+  // Always collected (host-side, one Histogram::add per completed region).
+  Histogram attempts_hist;
+
+  // Populated only when BenchConfig::telemetry was set.
+  Histogram rejoin_hist;  // SCM aux-enter -> aux-exit, virtual cycles
+  std::vector<tsx::AvalancheEpisode> episodes;
+  std::uint64_t telemetry_events = 0;   // recorded into the rings
+  std::uint64_t telemetry_dropped = 0;  // lost to ring wrap-around
+
+  // Per-operation-kind virtual-time latency (request arrival -> completion),
+  // recorded by workloads that model request latency (src/service). Entries
+  // keep the workload's registration order; accumulate() merges by name.
+  struct OpLatency {
+    std::string op;
+    QuantileHistogram hist;
+  };
+  std::vector<OpLatency> op_latency;
+  QuantileHistogram* latency_series(const std::string& op);
+
+  // Folds another run into this one: every counter, histogram and episode
+  // list is merged, and timelines and shard counts are added index-wise
+  // (resizing to the longer of the two). ghz is taken from the first
+  // non-empty run and must match across all accumulated runs.
+  void accumulate(const RunStats& o);
 
   double seconds() const { return elapsed_cycles / (ghz * 1e9); }
   double throughput() const {
     return seconds() > 0 ? static_cast<double>(ops) / seconds() : 0.0;
   }
+  double attempts_per_op() const {
+    return ops > 0 ? static_cast<double>(attempts) / static_cast<double>(ops)
+                   : 0.0;
+  }
+  double nonspec_fraction() const {
+    return ops > 0
+               ? static_cast<double>(nonspec_ops) / static_cast<double>(ops)
+               : 0.0;
+  }
 };
 
-// Ordered collection of series, keyed by (scheme, lock). Insertion order is
-// preserved in the exports so tables read in the order benches ran.
+// Ordered collection of series, keyed by (scheme, lock). Each series is the
+// RunStats::accumulate merge of the runs recorded under its key. Insertion
+// order is preserved in the exports so tables read in the order benches
+// ran.
 class MetricsRegistry {
  public:
   struct Entry {
     std::string scheme;
     std::string lock;
-    RegionMetrics metrics;
+    std::uint64_t runs = 0;
+    RunStats stats;
   };
 
-  RegionMetrics& series(const std::string& scheme, const std::string& lock);
-
   void record(const std::string& scheme, const std::string& lock,
-              const RunStats& run) {
-    series(scheme, lock).absorb(run);
-  }
+              const RunStats& run);
 
   const std::vector<Entry>& entries() const { return entries_; }
   bool empty() const { return entries_.empty(); }

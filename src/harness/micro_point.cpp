@@ -14,20 +14,13 @@ RunStats run_micro_point(const MicroPoint& p) {
   ELISION_CHECK_MSG(
       p.shared_period != 0 && (p.shared_period & (p.shared_period - 1)) == 0,
       "MicroPoint::shared_period must be a power of two");
-  sim::MachineConfig machine;
-  machine.seed = p.seed;
-  if (p.n_cores != 0) machine.n_cores = p.n_cores;
-  if (p.smt_per_core != 0) machine.smt_per_core = p.smt_per_core;
-  if (p.yield_slack_cycles != 0) {
-    machine.yield_slack_cycles = p.yield_slack_cycles;
-  }
-  tsx::TsxConfig tsx_config;
-  if (!env_fastpath_enabled()) {  // A/B hook, same as run_workload
-    machine.batch_switch_bound = false;
-    tsx_config.owned_line_fastpath = false;
-  }
-  sim::Scheduler sched(machine);
-  tsx::Engine engine(sched, tsx_config);
+  BenchConfig cfg;
+  cfg.threads = p.threads;
+  cfg.machine.seed = p.seed;
+  apply_machine_shape(p, cfg.machine);
+  cfg = simulated_config(cfg);
+  sim::Scheduler sched(cfg.machine);
+  tsx::Engine engine(sched, cfg.tsx);
 
   // Stable backing store for the simulated lines (never reallocated while
   // threads run). Line ids are real addresses >> 6, so the grouping of words
@@ -102,7 +95,7 @@ RunStats run_micro_point(const MicroPoint& p) {
   sched.run();
 
   RunStats out;
-  out.ghz = machine.ghz;
+  out.ghz = cfg.machine.ghz;
   out.elapsed_cycles = sched.elapsed_cycles();
   out.tx = engine.total_stats();
   out.fp_bound_recomputes = sched.switch_bound_recomputes();

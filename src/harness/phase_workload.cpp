@@ -31,16 +31,4 @@ RunStats run_phase_point_once(const PhasePoint& p) {
                          .storm_update_pct = p.storm_update_pct});
 }
 
-RunStats run_phase_point(const PhasePoint& p) {
-  // RunStats::accumulate adds timelines slot-wise, so phase attribution
-  // survives the seed merge byte-identically at any host_threads.
-  return run_seeds(p.seeds, p.seed, p.host_threads,
-                   [&](std::size_t, std::uint64_t seed) {
-                     PhasePoint q = p;
-                     q.host_threads = 1;
-                     q.seed = seed;
-                     return run_phase_point_once(q);
-                   });
-}
-
 }  // namespace elision::harness

@@ -17,8 +17,8 @@
 // storm rate between down_pct and up_pct (see AdaptiveParams).
 //
 // Per-phase commit counts come from the runner's timeline with the slot
-// width set to the phase width, so run_phase_point's multi-seed merge
-// (slot-wise accumulate) keeps them exact and deterministic.
+// width set to the phase width, so run_point's multi-seed merge (slot-wise
+// accumulate) keeps them exact and deterministic.
 #pragma once
 
 #include <array>
@@ -43,9 +43,6 @@ struct PhasePoint {
   tsx::AvalancheConfig avalanche;
   int seeds = 2;
   std::uint64_t seed = 42;
-  // Host threads the multi-seed fan-out may use; never affects simulated
-  // results (see RbPoint::host_threads).
-  int host_threads = 1;
 };
 
 // Ops committed in each phase, read off the run's timeline (slot width ==
@@ -55,9 +52,5 @@ struct PhasePoint {
 std::array<std::uint64_t, kPhaseCount> phase_ops_of(const RunStats& stats);
 
 RunStats run_phase_point_once(const PhasePoint& p);
-
-// Accumulates p.seeds independent runs (merged in seed order; byte-identical
-// across host_threads values).
-RunStats run_phase_point(const PhasePoint& p);
 
 }  // namespace elision::harness

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <type_traits>
-#include <vector>
 
 #include "ds/hashtable.hpp"
 #include "ds/rbtree.hpp"
@@ -13,7 +12,6 @@
 #include "locks/schemes.hpp"
 #include "locks/ticket_lock.hpp"
 #include "locks/ttas_lock.hpp"
-#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace elision::harness {
@@ -75,13 +73,8 @@ RunStats run_with_lock(const BenchConfig& cfg, const KeyedRun& run, Set& set) {
     });
   });
   if constexpr (std::is_same_v<Lock, locks::TtasLock>) {
-    if (run.arrival_held_frac != nullptr) {
-      *run.arrival_held_frac =
-          lock.arrivals() > 0
-              ? static_cast<double>(lock.arrivals_lock_held()) /
-                    static_cast<double>(lock.arrivals())
-              : 0.0;
-    }
+    stats.arrivals = lock.arrivals();
+    stats.arrivals_lock_held = lock.arrivals_lock_held();
   }
   if (run.adaptive_out != nullptr) *run.adaptive_out = cs.adaptive();
   return stats;
@@ -161,11 +154,7 @@ RunStats run_rb_point_once(const RbPoint& p) {
   cfg.duration_scale = env_duration_scale();
   cfg.tsx.hardware_extension = p.hardware_extension;
   cfg.machine.seed = p.seed;
-  if (p.n_cores != 0) cfg.machine.n_cores = p.n_cores;
-  if (p.smt_per_core != 0) cfg.machine.smt_per_core = p.smt_per_core;
-  if (p.yield_slack_cycles != 0) {
-    cfg.machine.yield_slack_cycles = p.yield_slack_cycles;
-  }
+  apply_machine_shape(p, cfg.machine);
   cfg.timeline_slot_cycles = p.timeline_slot_cycles;
   cfg.policy = p.scheme;
   cfg.telemetry = p.telemetry;
@@ -174,29 +163,7 @@ RunStats run_rb_point_once(const RbPoint& p) {
   return run_keyed(cfg, {.size = p.size,
                          .lock = p.lock,
                          .update_pct = p.update_pct,
-                         .arrival_held_frac = p.arrival_held_frac,
                          .adaptive_out = p.adaptive_out});
-}
-
-RunStats run_rb_point(const RbPoint& p) {
-  ELISION_CHECK_MSG(p.telemetry_sink == nullptr && p.adaptive_out == nullptr,
-                    "run_rb_point merges seeds; observe one run with "
-                    "run_rb_point_once");
-  const int n = p.seeds > 0 ? p.seeds : 1;
-  std::vector<double> arrivals(static_cast<std::size_t>(n), 0.0);
-  RunStats total = run_seeds(
-      n, p.seed, p.host_threads, [&](std::size_t s, std::uint64_t seed) {
-        RbPoint q = p;
-        q.host_threads = 1;
-        q.seed = seed;
-        q.arrival_held_frac =
-            p.arrival_held_frac != nullptr ? &arrivals[s] : nullptr;
-        return run_rb_point_once(q);
-      });
-  double arrival_sum = 0.0;
-  for (const double a : arrivals) arrival_sum += a;
-  if (p.arrival_held_frac != nullptr) *p.arrival_held_frac = arrival_sum / n;
-  return total;
 }
 
 }  // namespace elision::harness

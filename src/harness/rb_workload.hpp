@@ -2,6 +2,8 @@
 // protected tree, random insert/delete/lookup mix, fixed virtual duration,
 // parameterised over (lock, scheme, size, mix, threads), and the keyed-set
 // runner behind it, which also drives the hash-table and skiplist tables.
+// This file runs one seed; run_point (harness/suite.hpp) fans a point's
+// seeds out and merges them.
 #pragma once
 
 #include <cstddef>
@@ -53,18 +55,10 @@ struct RbPoint {
   unsigned smt_per_core = 0;
   std::uint64_t yield_slack_cycles = 0;
 
-  // Host threads the multi-seed fan-out may use (support/parallel.hpp).
-  // Each seed is an independent simulation; results are merged in seed
-  // order, so any value produces byte-identical RunStats to host_threads=1
-  // — only host wall time changes. Never affects a point with seeds <= 1.
-  int host_threads = 1;
-
-  // Observation out-params. None of them changes a simulated result, and
-  // none is part of the point schema.
+  // Observation out-params for a single run_rb_point_once (run_point
+  // rejects them). Neither changes a simulated result, and neither is part
+  // of the point schema.
   //
-  // Fraction of TTAS lock arrivals that found the lock held (the boxed
-  // series of Fig 3.1). Only filled for LockSel::kTtas.
-  double* arrival_held_frac = nullptr;
   // Caller-owned event sink (BenchConfig::telemetry_sink; implies
   // `telemetry`), so the raw event stream outlives the run.
   tsx::Telemetry* telemetry_sink = nullptr;
@@ -74,14 +68,10 @@ struct RbPoint {
 };
 
 // Builds the tree (random keys from a domain of 2*size, as in Ch. 3) and
-// runs the benchmark for the configured virtual duration, once.
+// runs the benchmark for the configured virtual duration, once. The paper
+// averages 10 three-second runs per point; run_point (harness/suite.hpp)
+// merges `p.seeds` such runs.
 RunStats run_rb_point_once(const RbPoint& p);
-
-// Accumulates `p.seeds` independent runs (the paper averages 10 three-second
-// runs per point). Every RunStats field is merged, including per-slot
-// timelines. arrival_held_frac receives the seed average; telemetry_sink
-// and adaptive_out describe a single run, so they must be null here.
-RunStats run_rb_point(const RbPoint& p);
 
 // The keyed sets the insert/erase/contains runner can drive.
 enum class KeyedSet { kRbTree, kHashTable, kSkipList };
@@ -91,7 +81,8 @@ enum class KeyedSet { kRbTree, kHashTable, kSkipList };
 // drawn from [0, 2*size) by an RNG seeded with cfg.machine.seed, guards it
 // with `lock` elided by cfg.policy, and runs the random insert/erase/
 // contains mix under cfg. Each op draws its key, then its dice, and splits
-// update_pct evenly between inserts and erases.
+// update_pct evenly between inserts and erases. A TTAS lock's arrival
+// counts land in RunStats::arrivals and arrivals_lock_held.
 struct KeyedRun {
   KeyedSet set = KeyedSet::kRbTree;
   std::size_t size = 0;
@@ -101,7 +92,6 @@ struct KeyedRun {
   // phase (virtual time now / phase_cycles == 1) uses storm_update_pct.
   std::uint64_t phase_cycles = 0;
   int storm_update_pct = 0;
-  double* arrival_held_frac = nullptr;
   locks::AdaptiveController* adaptive_out = nullptr;
 };
 

@@ -43,44 +43,6 @@ bool env_fastpath_enabled() {
   return std::strcmp(s, "0") != 0;
 }
 
-void RunStats::accumulate(const RunStats& o) {
-  if (elapsed_cycles == 0 && ops == 0) {
-    ghz = o.ghz;
-  } else {
-    ELISION_CHECK_MSG(ghz == o.ghz,
-                      "accumulated runs with different MachineConfig::ghz");
-  }
-  ops += o.ops;
-  spec_ops += o.spec_ops;
-  nonspec_ops += o.nonspec_ops;
-  attempts += o.attempts;
-  elapsed_cycles += o.elapsed_cycles;
-  perturb_points += o.perturb_points;
-  tx += o.tx;
-  fp_bound_recomputes += o.fp_bound_recomputes;
-  if (timeline.size() < o.timeline.size()) timeline.resize(o.timeline.size());
-  for (std::size_t s = 0; s < o.timeline.size(); ++s) {
-    timeline[s].ops += o.timeline[s].ops;
-    timeline[s].nonspec_ops += o.timeline[s].nonspec_ops;
-  }
-  attempts_hist.merge(o.attempts_hist);
-  rejoin_hist.merge(o.rejoin_hist);
-  episodes.insert(episodes.end(), o.episodes.begin(), o.episodes.end());
-  telemetry_events += o.telemetry_events;
-  telemetry_dropped += o.telemetry_dropped;
-  for (const auto& ol : o.op_latency) {
-    latency_series(ol.op)->merge(ol.hist);
-  }
-}
-
-QuantileHistogram* RunStats::latency_series(const std::string& op) {
-  for (auto& ol : op_latency) {
-    if (ol.op == op) return &ol.hist;
-  }
-  op_latency.push_back({op, {}});
-  return &op_latency.back().hist;
-}
-
 void validate_bench_config(const BenchConfig& cfg) {
   const auto die = [](const std::string& why) {
     std::fprintf(stderr, "error: invalid bench config: %s\n", why.c_str());
@@ -101,16 +63,18 @@ void validate_bench_config(const BenchConfig& cfg) {
   }
 }
 
-RunStats run_workload(const BenchConfig& cfg_in, const OpFn& op) {
+BenchConfig simulated_config(const BenchConfig& cfg_in) {
   validate_bench_config(cfg_in);
-  // ELISION_FASTPATH=0 disables both per-access fast paths (the engine's
-  // owned-line cache and the scheduler's switch-bound batching) for A/B
-  // speed measurement; simulated results are identical either way.
   BenchConfig cfg = cfg_in;
   if (!env_fastpath_enabled()) {
     cfg.machine.batch_switch_bound = false;
     cfg.tsx.owned_line_fastpath = false;
   }
+  return cfg;
+}
+
+RunStats run_workload(const BenchConfig& cfg_in, const OpFn& op) {
+  const BenchConfig cfg = simulated_config(cfg_in);
   sim::Scheduler sched(cfg.machine);
   tsx::Engine eng(sched, cfg.tsx);
 
@@ -211,14 +175,6 @@ RunStats run_seeds(
   RunStats total;
   for (const RunStats& r : per_seed) total.accumulate(r);
   return total;
-}
-
-RunStats run_workload(const BenchConfig& cfg, const OpFn& op,
-                      MetricsRegistry& registry,
-                      const std::string& lock_name) {
-  RunStats stats = run_workload(cfg, op);
-  registry.record(cfg.policy.name(), lock_name, stats);
-  return stats;
 }
 
 }  // namespace elision::harness

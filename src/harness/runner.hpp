@@ -1,10 +1,12 @@
 // Benchmark runner: spawns N simulated threads that execute operations in a
 // loop for a fixed amount of *virtual* time, and aggregates the paper's
-// metrics: S (speculative completions), N (non-speculative completions),
-// total execution attempts (A + N + S), throughput, and optional per-slot
-// timelines (Fig 3.3). With cfg.telemetry set it also attaches an event
-// trace to the engine and post-processes it into avalanche episodes and
-// SCM rejoin latencies.
+// metrics into a RunStats (harness/metrics.hpp): S (speculative
+// completions), N (non-speculative completions), total execution attempts
+// (A + N + S), throughput, and optional per-slot timelines (Fig 3.3). With
+// cfg.telemetry set it also attaches an event trace to the engine and
+// post-processes it into avalanche episodes and SCM rejoin latencies.
+// run_seeds is the one multi-seed fan-out; every workload point reaches it
+// through run_point (harness/suite.hpp).
 #pragma once
 
 #include <cstdint>
@@ -64,69 +66,6 @@ struct BenchConfig {
   }
 };
 
-struct SlotStats {
-  std::uint64_t ops = 0;
-  std::uint64_t nonspec_ops = 0;
-};
-
-struct RunStats {
-  std::uint64_t ops = 0;          // S + N
-  std::uint64_t spec_ops = 0;     // S
-  std::uint64_t nonspec_ops = 0;  // N
-  std::uint64_t attempts = 0;     // A + N + S
-  std::uint64_t elapsed_cycles = 0;
-  // Delay injections performed by the scheduler's perturbation layer
-  // (0 unless machine.perturb was configured; see src/stress).
-  std::uint64_t perturb_points = 0;
-  double ghz = 3.4;
-  tsx::TxStats tx;  // engine-level transaction counters
-  // Scheduler-side fast-path telemetry: how many times the cached
-  // context-switch bound was recomputed (once per actual switch under
-  // batching; 0 when machine.batch_switch_bound is off). Host-side
-  // observability only — the engine-side companions live in tx.
-  std::uint64_t fp_bound_recomputes = 0;
-  std::vector<SlotStats> timeline;
-
-  // Always collected (host-side, one Histogram::add per completed region).
-  Histogram attempts_hist;
-
-  // Populated only when BenchConfig::telemetry was set.
-  Histogram rejoin_hist;  // SCM aux-enter -> aux-exit, virtual cycles
-  std::vector<tsx::AvalancheEpisode> episodes;
-  std::uint64_t telemetry_events = 0;   // recorded into the rings
-  std::uint64_t telemetry_dropped = 0;  // lost to ring wrap-around
-
-  // Per-operation-kind virtual-time latency (request arrival -> completion),
-  // recorded by workloads that model request latency (src/service). Entries
-  // keep the workload's registration order; accumulate() merges by name.
-  struct OpLatency {
-    std::string op;
-    QuantileHistogram hist;
-  };
-  std::vector<OpLatency> op_latency;
-  QuantileHistogram* latency_series(const std::string& op);
-
-  // Folds another run into this one: every counter, histogram and episode
-  // list is merged, and timelines are added slot-wise (resizing to the
-  // longer of the two). ghz is taken from the first non-empty run and must
-  // match across all accumulated runs.
-  void accumulate(const RunStats& o);
-
-  double seconds() const { return elapsed_cycles / (ghz * 1e9); }
-  double throughput() const {
-    return seconds() > 0 ? static_cast<double>(ops) / seconds() : 0.0;
-  }
-  double attempts_per_op() const {
-    return ops > 0 ? static_cast<double>(attempts) / static_cast<double>(ops)
-                   : 0.0;
-  }
-  double nonspec_fraction() const {
-    return ops > 0
-               ? static_cast<double>(nonspec_ops) / static_cast<double>(ops)
-               : 0.0;
-  }
-};
-
 // One benchmark operation: runs a critical section (or several) and reports
 // how it completed.
 using OpFn = std::function<locks::RegionResult(tsx::Ctx&)>;
@@ -140,24 +79,37 @@ using OpFn = std::function<locks::RegionResult(tsx::Ctx&)>;
 // diagnostic and exit(2), matching the CLIs' usage-error convention.
 void validate_bench_config(const BenchConfig& cfg);
 
-// Runs `threads` copies of `op` in a loop until the virtual deadline.
-// Exits(2) on an invalid config (validate_bench_config).
+// A point's machine-shape overrides (RbPoint, MicroPoint): each non-zero
+// field replaces the MachineConfig default (the paper's 4-core / 2-SMT i7).
+template <typename Point>
+void apply_machine_shape(const Point& p, sim::MachineConfig& machine) {
+  if (p.n_cores != 0) machine.n_cores = p.n_cores;
+  if (p.smt_per_core != 0) machine.smt_per_core = p.smt_per_core;
+  if (p.yield_slack_cycles != 0) {
+    machine.yield_slack_cycles = p.yield_slack_cycles;
+  }
+}
+
+// The configuration a run simulates: `cfg` validated (exits 2 like
+// validate_bench_config), with both per-access fast paths (the engine's
+// owned-line cache and the scheduler's switch-bound batching) off under
+// ELISION_FASTPATH=0. Every run builds its scheduler and engine from it.
+BenchConfig simulated_config(const BenchConfig& cfg);
+
+// Runs `threads` copies of `op` in a loop until the virtual deadline, on
+// simulated_config(cfg).
 RunStats run_workload(const BenchConfig& cfg, const OpFn& op);
 
-// The multi-seed fan-out behind every run_*_point: runs body(s, seed_s) for
-// s in [0, max(seeds, 1)), seed_s being base_seed plus s steps of the 32-bit
-// golden-ratio constant, on up to `host_threads` host threads, and merges
-// the per-seed RunStats in seed order. Each seed is an independent simulation writing only its own slot,
-// so the result is byte-identical to host_threads=1 no matter which thread
-// ran which seed when. A body with per-seed out-params writes them to its
-// own slot s; the caller merges those in s order after the call.
+// The multi-seed fan-out behind run_point (harness/suite.hpp): runs
+// body(s, seed_s) for s in [0, max(seeds, 1)), seed_s being base_seed plus
+// s steps of the 32-bit golden-ratio constant, on up to `host_threads` host
+// threads, and merges the per-seed RunStats in seed order. Each seed is an
+// independent simulation writing only its own slot, so the result is
+// byte-identical to host_threads=1 no matter which thread ran which seed
+// when.
 RunStats run_seeds(
     int seeds, std::uint64_t base_seed, int host_threads,
     support::FunctionRef<RunStats(std::size_t s, std::uint64_t seed)> body);
-
-// Same, and folds the result into `registry` under (policy name, lock name).
-RunStats run_workload(const BenchConfig& cfg, const OpFn& op,
-                      MetricsRegistry& registry, const std::string& lock_name);
 
 // Reads ELISION_BENCH_SCALE (default 1.0) so users can lengthen runs.
 double env_duration_scale();

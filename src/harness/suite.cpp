@@ -4,8 +4,10 @@
 #include <chrono>
 #include <limits>
 #include <thread>
+#include <type_traits>
 
 #include "sim/machine_config.hpp"
+#include "support/check.hpp"
 #include "support/parallel.hpp"
 #include "tsx/telemetry.hpp"
 
@@ -300,48 +302,27 @@ const PointRecord* SuiteResult::find(const std::string& id) const {
 
 namespace {
 
-// Runs a point's workload, its multi-seed fan-out spread over host_threads.
-// Phase points also report their per-phase commits.
-struct RunWorkload {
-  int host_threads;
-  std::vector<std::uint64_t>& phase_ops;
-
-  RunStats operator()(RbPoint p) const {
-    p.host_threads = host_threads;
-    return run_rb_point(p);
-  }
-  RunStats operator()(const MicroPoint& p) const {
-    return run_micro_point(p);
-  }
-  RunStats operator()(BtPoint p) const {
-    p.host_threads = host_threads;
-    return run_bt_point(p);
-  }
-  RunStats operator()(PhasePoint p) const {
-    p.host_threads = host_threads;
-    RunStats stats = run_phase_point(p);
-    const auto per_phase = phase_ops_of(stats);
-    phase_ops.assign(per_phase.begin(), per_phase.end());
-    return stats;
-  }
-  RunStats operator()(service::KvPoint p) const {
-    p.host_threads = host_threads;
-    return service::run_kv_point(p);
-  }
-};
+RunStats run_once(const RbPoint& p) { return run_rb_point_once(p); }
+RunStats run_once(const MicroPoint& p) { return run_micro_point(p); }
+RunStats run_once(const BtPoint& p) { return run_bt_point_once(p); }
+RunStats run_once(const PhasePoint& p) { return run_phase_point_once(p); }
+RunStats run_once(const service::KvPoint& p) {
+  return service::run_kv_point_once(p);
+}
 
 // Runs a single point, measuring wall_ms / sim_ops_per_sec.
 PointRecord run_suite_point(const SuitePoint& sp, int host_threads) {
-  std::vector<std::uint64_t> phase_ops;
   const auto t0 = std::chrono::steady_clock::now();
-  const RunStats stats =
-      std::visit(RunWorkload{host_threads, phase_ops}, sp.workload);
+  const RunStats stats = run_point(sp.workload, host_threads);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
           .count();
   PointMetrics m = PointMetrics::derive(stats);
-  m.phase_ops = std::move(phase_ops);
+  if (sp.kind() == PointKind::kPhase) {
+    const auto per_phase = phase_ops_of(stats);
+    m.phase_ops.assign(per_phase.begin(), per_phase.end());
+  }
   m.wall_ms = wall_ms;
   m.sim_ops_per_sec =
       wall_ms > 0 ? static_cast<double>(m.ops) / (wall_ms / 1e3) : 0.0;
@@ -349,6 +330,28 @@ PointRecord run_suite_point(const SuitePoint& sp, int host_threads) {
 }
 
 }  // namespace
+
+RunStats run_point(const PointWorkload& w, int host_threads) {
+  return std::visit(
+      [host_threads](const auto& p) {
+        using Point = std::decay_t<decltype(p)>;
+        int seeds = 1;  // a micro point is one run
+        if constexpr (requires { p.seeds; }) seeds = p.seeds;
+        if constexpr (std::is_same_v<Point, RbPoint>) {
+          ELISION_CHECK_MSG(
+              p.telemetry_sink == nullptr && p.adaptive_out == nullptr,
+              "run_point merges seeds; observe one run with "
+              "run_rb_point_once");
+        }
+        return run_seeds(seeds, p.seed, host_threads,
+                         [&p](std::size_t, std::uint64_t seed) {
+                           Point q = p;
+                           q.seed = seed;
+                           return run_once(q);
+                         });
+      },
+      w);
+}
 
 SuiteResult run_suite(const std::vector<SuitePoint>& points, int jobs,
                       int host_threads) {

@@ -2,7 +2,8 @@
 // workload) points drawn from the paper's figures, tables and ablations.
 // Each point holds exactly one workload definition — RB-tree, engine
 // microbenchmark, B+tree, phase-shifting RB-tree or sharded KV service —
-// and runs through that workload's library entry point, with
+// and runs through run_point, the one seed fan-out and merge shared by
+// every kind (a kind contributes only its run_*_point_once), with
 //
 //   - canonical machine-readable results (BENCH_results.json) carrying
 //     per-point throughput, spec/nonspec fractions, attempts-per-op, the
@@ -59,6 +60,14 @@ using PointWorkload = std::variant<RbPoint, MicroPoint, BtPoint, PhasePoint,
                                    service::KvPoint>;
 
 const char* point_kind_name(PointKind k);
+
+// Runs any point: a multi-seed point's `seeds` fan out over up to
+// `host_threads` host threads through run_seeds and the kind's
+// run_*_point_once, and RunStats::accumulate merges them in seed order, so
+// the result is byte-identical at any host_threads. A micro point is one
+// run. An RbPoint's single-run observers (telemetry_sink, adaptive_out)
+// must be null here.
+RunStats run_point(const PointWorkload& w, int host_threads = 1);
 
 struct SuitePoint {
   std::string id;      // stable key used for baseline matching

@@ -114,40 +114,13 @@ RunStats run_kv_point_once(const KvPoint& p) {
     auto* series = stats.latency_series(kKvOpNames[k]);
     for (const auto& w : workers) series->merge(w.lat[static_cast<std::size_t>(k)]);
   }
-  if (p.shard_requests != nullptr) {
-    p.shard_requests->assign(static_cast<std::size_t>(p.shards), 0);
-    for (const auto& w : workers) {
-      for (int s = 0; s < p.shards; ++s) {
-        (*p.shard_requests)[static_cast<std::size_t>(s)] +=
-            w.shard_reqs[static_cast<std::size_t>(s)];
-      }
+  stats.shard_requests.assign(static_cast<std::size_t>(p.shards), 0);
+  for (const auto& w : workers) {
+    for (std::size_t s = 0; s < w.shard_reqs.size(); ++s) {
+      stats.shard_requests[s] += w.shard_reqs[s];
     }
   }
   return stats;
-}
-
-RunStats run_kv_point(const KvPoint& p) {
-  std::vector<std::vector<std::uint64_t>> shard_reqs(
-      static_cast<std::size_t>(p.seeds > 0 ? p.seeds : 1));
-  RunStats total = harness::run_seeds(
-      p.seeds, p.seed, p.host_threads, [&](std::size_t s, std::uint64_t seed) {
-        KvPoint q = p;
-        q.host_threads = 1;
-        q.seed = seed;
-        q.shard_requests =
-            p.shard_requests != nullptr ? &shard_reqs[s] : nullptr;
-        return run_kv_point_once(q);
-      });
-  if (p.shard_requests != nullptr) {
-    p.shard_requests->assign(static_cast<std::size_t>(p.shards), 0);
-    for (const auto& reqs : shard_reqs) {
-      for (int i = 0; i < p.shards; ++i) {
-        (*p.shard_requests)[static_cast<std::size_t>(i)] +=
-            reqs[static_cast<std::size_t>(i)];
-      }
-    }
-  }
-  return total;
 }
 
 }  // namespace elision::service

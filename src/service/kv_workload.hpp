@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "harness/runner.hpp"
 #include "locks/policy.hpp"
@@ -38,13 +37,6 @@ struct KvPoint {
   int seeds = 2;
   std::uint64_t timeline_slot_cycles = 0;
   std::uint64_t seed = 42;
-  // Host threads for the multi-seed fan-out; never affects simulated
-  // results (see RbPoint::host_threads).
-  int host_threads = 1;
-
-  // Out-param: completed requests routed to each shard (summed over seeds).
-  // Under Zipf skew the distribution is lopsided — the hot-shard signature.
-  std::vector<std::uint64_t>* shard_requests = nullptr;
 };
 
 // Latency series names registered (in this order) in RunStats::op_latency.
@@ -53,11 +45,9 @@ inline constexpr const char* kKvOpNames[] = {"get", "put", "multi_put",
 inline constexpr int kKvOpKinds = 4;
 
 // Builds and prefills the service, then drives it for the configured
-// virtual duration, once.
+// virtual duration, once, counting requests per shard into
+// RunStats::shard_requests; run_point (harness/suite.hpp) merges `p.seeds`
+// such runs.
 harness::RunStats run_kv_point_once(const KvPoint& p);
-
-// Accumulates `p.seeds` independent runs, merged in seed order
-// (byte-identical across host_threads values).
-harness::RunStats run_kv_point(const KvPoint& p);
 
 }  // namespace elision::service

@@ -65,6 +65,15 @@ class Scheduler;
 // scheduler may run the loop's remaining iterations itself; it resumes the
 // fiber only for a load that `quiet` rejects.
 struct SpinWait {
+  // `quiet` is kept by reference, so it must be a named probe that outlives
+  // the wait; a temporary would leave `quiet` dangling.
+  template <typename Probe>
+  SpinWait(Probe& probe, std::uint64_t load, std::uint64_t pause)
+      : quiet(probe), load_cycles(load), pause_cycles(pause) {}
+  template <typename Probe>
+  SpinWait(const Probe&& probe, std::uint64_t load,
+           std::uint64_t pause) = delete;
+
   // True iff the waiter's next load would only tick load_cycles and leave it
   // spinning: the line has no transactional writer, the waiter holds a
   // cached copy, and the predicate still holds for the word's value.

@@ -5,7 +5,7 @@
 
 #include <cstdint>
 
-#include "harness/phase_workload.hpp"
+#include "harness/suite.hpp"
 #include "locks/adaptive.hpp"
 #include "locks/policy.hpp"
 
@@ -188,19 +188,6 @@ TEST(AdaptiveController, AttemptsBelowOneAreTreatedAsOne) {
 
 // --- the phase workload the suite's adaptive invariants run on ---
 
-TEST(PhaseWorkload, PhaseOpsAreIdenticalAcrossHostThreads) {
-  harness::PhasePoint p;
-  p.phase_sec = 0.0002;
-  p.seeds = 3;
-  harness::PhasePoint q = p;
-  q.host_threads = 4;
-  const auto a = harness::run_phase_point(p);
-  const auto b = harness::run_phase_point(q);
-  EXPECT_EQ(a.ops, b.ops);
-  EXPECT_EQ(a.attempts, b.attempts);
-  EXPECT_EQ(harness::phase_ops_of(a), harness::phase_ops_of(b));
-}
-
 TEST(PhaseWorkload, StormPhaseSeesMoreAbortsThanCalmPhases) {
   // Sanity of the phase plumbing itself: the write storm must be visibly
   // stormier than the read-mostly phases for the adaptive headline to mean
@@ -212,8 +199,8 @@ TEST(PhaseWorkload, StormPhaseSeesMoreAbortsThanCalmPhases) {
   hle.scheme = ElisionPolicy::hle();
   harness::PhasePoint std_p = hle;
   std_p.scheme = ElisionPolicy::standard();
-  const auto h = harness::phase_ops_of(harness::run_phase_point(hle));
-  const auto s = harness::phase_ops_of(harness::run_phase_point(std_p));
+  const auto h = harness::phase_ops_of(harness::run_point(hle));
+  const auto s = harness::phase_ops_of(harness::run_point(std_p));
   ASSERT_GT(s[0], 0u);
   ASSERT_GT(s[1], 0u);
   const double calm_gap = static_cast<double>(h[0]) / s[0];

@@ -63,8 +63,10 @@ TEST(Histogram, MaxValuedSampleLandsInSaturatedTopBucket) {
   char* buf = nullptr;
   std::size_t len = 0;
   std::FILE* f = open_memstream(&buf, &len);
+  RunStats run;
+  run.attempts_hist.add(UINT64_MAX);
   MetricsRegistry reg;
-  reg.series("S", "L").attempts_hist.add(UINT64_MAX);
+  reg.record("S", "L", run);
   reg.export_json(f);
   std::fclose(f);
   const std::string out(buf, len);
@@ -184,16 +186,37 @@ TEST(Histogram, SumSaturatesInsteadOfWrapping) {
 }
 
 TEST(MetricsRegistry, SeriesAreKeyedAndOrdered) {
+  RunStats run;
   MetricsRegistry reg;
-  reg.series("HLE", "MCS").ops = 10;
-  reg.series("HLE", "TTAS").ops = 20;
-  reg.series("HLE", "MCS").ops += 5;  // same series again
+  run.ops = 10;
+  reg.record("HLE", "MCS", run);
+  run.ops = 20;
+  reg.record("HLE", "TTAS", run);
+  run.ops = 5;
+  reg.record("HLE", "MCS", run);  // same series again
   ASSERT_EQ(reg.entries().size(), 2u);
-  EXPECT_EQ(reg.entries()[0].metrics.ops, 15u);
-  EXPECT_EQ(reg.entries()[1].metrics.ops, 20u);
+  EXPECT_EQ(reg.entries()[0].stats.ops, 15u);
+  EXPECT_EQ(reg.entries()[0].runs, 2u);
+  EXPECT_EQ(reg.entries()[1].stats.ops, 20u);
+  EXPECT_EQ(reg.entries()[1].runs, 1u);
 }
 
-TEST(MetricsRegistry, AbsorbAggregatesRunStats) {
+std::string export_to_string(const MetricsRegistry& reg, bool csv) {
+  char* buf = nullptr;
+  std::size_t len = 0;
+  std::FILE* f = open_memstream(&buf, &len);
+  if (csv) {
+    reg.export_csv(f);
+  } else {
+    reg.export_json(f);
+  }
+  std::fclose(f);
+  std::string out(buf, len);
+  std::free(buf);
+  return out;
+}
+
+TEST(MetricsRegistry, RecordAccumulatesRunStats) {
   RunStats run;
   run.ops = 100;
   run.spec_ops = 90;
@@ -214,38 +237,44 @@ TEST(MetricsRegistry, AbsorbAggregatesRunStats) {
   MetricsRegistry reg;
   reg.record("HLE", "MCS", run);
   reg.record("HLE", "MCS", run);
-  const auto& m = reg.entries()[0].metrics;
-  EXPECT_EQ(m.runs, 2u);
+  EXPECT_EQ(reg.entries()[0].runs, 2u);
+  const RunStats& m = reg.entries()[0].stats;
   EXPECT_EQ(m.ops, 200u);
   EXPECT_EQ(m.attempts, 240u);
   EXPECT_EQ(m.tx.aborts_by_cause[static_cast<std::size_t>(
                 tsx::AbortCause::kConflict)],
             2u);
   EXPECT_EQ(m.attempts_hist.samples(), 4u);
-  EXPECT_EQ(m.avalanche_episodes, 2u);
-  EXPECT_EQ(m.avalanche_victims, 6u);
-  EXPECT_EQ(m.avalanche_max_victims, 3);
-  EXPECT_EQ(m.avalanche_cycles, 1000u);
+  EXPECT_EQ(m.episodes.size(), 2u);
+  // The export sums the merged episodes.
+  const auto doc = support::json::parse(export_to_string(reg, /*csv=*/false));
+  ASSERT_TRUE(doc.has_value());
+  const auto* av = doc->find("series")->items()[0].find("avalanche");
+  ASSERT_NE(av, nullptr);
+  EXPECT_EQ(av->find("episodes")->as_u64(), 2u);
+  EXPECT_EQ(av->find("victims")->as_u64(), 6u);
+  EXPECT_EQ(av->find("max_victims")->as_u64(), 3u);
+  EXPECT_EQ(av->find("serialized_cycles")->as_u64(), 1000u);
 }
 
-// Regression: absorb used to keep whatever ghz the previous run had (and
+// Regression: a series used to keep whatever ghz the previous run had (and
 // the default 3.4 before that), so series from non-default MachineConfig
 // runs reported wrong throughput. It must propagate the first run's ghz and
 // reject mixing machines within one series.
-TEST(MetricsRegistry, AbsorbPropagatesGhzFromRun) {
+TEST(MetricsRegistry, RecordPropagatesGhzFromRun) {
   RunStats run;
   run.ops = 1000;
   run.elapsed_cycles = 2'000'000'000;  // 1 virtual second at 2 GHz
   run.ghz = 2.0;
   MetricsRegistry reg;
   reg.record("HLE", "MCS", run);
-  const auto& m = reg.entries()[0].metrics;
+  const RunStats& m = reg.entries()[0].stats;
   EXPECT_DOUBLE_EQ(m.ghz, 2.0);
   EXPECT_NEAR(m.seconds(), 1.0, 1e-9);
   EXPECT_NEAR(m.throughput(), 1000.0, 1e-6);
 }
 
-TEST(MetricsRegistry, AbsorbRejectsMixedGhzWithinASeries) {
+TEST(MetricsRegistry, RecordRejectsMixedGhzWithinASeries) {
   RunStats a;
   a.ops = 10;
   a.elapsed_cycles = 100;
@@ -256,21 +285,6 @@ TEST(MetricsRegistry, AbsorbRejectsMixedGhzWithinASeries) {
   reg.record("HLE", "MCS", a);
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(reg.record("HLE", "MCS", b), "different MachineConfig");
-}
-
-std::string export_to_string(const MetricsRegistry& reg, bool csv) {
-  char* buf = nullptr;
-  std::size_t len = 0;
-  std::FILE* f = open_memstream(&buf, &len);
-  if (csv) {
-    reg.export_csv(f);
-  } else {
-    reg.export_json(f);
-  }
-  std::fclose(f);
-  std::string out(buf, len);
-  std::free(buf);
-  return out;
 }
 
 std::size_t count_occurrences(const std::string& hay,
@@ -297,13 +311,12 @@ TEST(MetricsExport, SixSchemeSweepHasMatrixAndHistogramPerScheme) {
     cfg.telemetry = true;
     locks::TtasLock lock;
     locks::CriticalSection<locks::TtasLock> cs(cfg.policy, lock);
-    run_workload(
-        cfg,
-        [&](tsx::Ctx& ctx) {
-          return cs.run(ctx,
-                        [&] { counter.store(ctx, counter.load(ctx) + 1); });
-        },
-        reg, locks::TtasLock::kName);
+    reg.record(cfg.policy.name(), locks::TtasLock::kName,
+               run_workload(cfg, [&](tsx::Ctx& ctx) {
+                 return cs.run(ctx, [&] {
+                   counter.store(ctx, counter.load(ctx) + 1);
+                 });
+               }));
   }
   ASSERT_EQ(reg.entries().size(), 6u);
 
@@ -320,8 +333,8 @@ TEST(MetricsExport, SixSchemeSweepHasMatrixAndHistogramPerScheme) {
 
   // Every scheme completed regions, so every histogram has samples.
   for (const auto& e : reg.entries()) {
-    EXPECT_GT(e.metrics.ops, 0u) << e.scheme;
-    EXPECT_GT(e.metrics.attempts_hist.samples(), 0u) << e.scheme;
+    EXPECT_GT(e.stats.ops, 0u) << e.scheme;
+    EXPECT_GT(e.stats.attempts_hist.samples(), 0u) << e.scheme;
   }
 
   const std::string csv = export_to_string(reg, /*csv=*/true);

@@ -1,7 +1,8 @@
 // Tier-1 tests of the in-process parallel-simulation primitive
 // (support/parallel.hpp) and its determinism contract at every layer that
 // fans out across host threads: raw parallel_for_each, the stress sweep,
-// the multi-seed RB-tree point, and the STAMP job runner. The contract
+// run_point's multi-seed fan-out for every seeded point kind, and the STAMP
+// job runner. The contract
 // under test is always the same: any host-thread count produces results
 // byte-identical to sequential execution.
 #include <gtest/gtest.h>
@@ -11,10 +12,12 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
-#include "harness/rb_workload.hpp"
-#include "harness/runner.hpp"
+#include "harness/suite.hpp"
 #include "stamp/common.hpp"
 #include "stress/stress.hpp"
 #include "support/parallel.hpp"
@@ -155,45 +158,181 @@ TEST(ParallelStress, SweepByteIdenticalAcrossHostThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-seed RB point: every merged RunStats field must match sequential.
+// run_point: every multi-seed point kind must merge to the same RunStats at
+// any host-thread count, and its arrival and shard counters must be the sums
+// of its single-seed runs.
 // ---------------------------------------------------------------------------
 
-harness::RunStats rb_stats(int host_threads, double* arrival) {
-  harness::RbPoint p;
-  p.size = 64;
-  p.threads = 4;
-  p.seeds = 4;
-  p.duration_sec = 0.001;
-  p.scheme = locks::ElisionPolicy::hle_scm();
-  p.timeline_slot_cycles = 20000;  // exercise timeline slot-wise merging
-  p.host_threads = host_threads;
-  p.arrival_held_frac = arrival;
-  return harness::run_rb_point(p);
+using harness::PointKind;
+using harness::PointWorkload;
+using harness::RunStats;
+
+PointWorkload small_point(PointKind kind) {
+  switch (kind) {
+    case PointKind::kRb: {
+      harness::RbPoint p;
+      p.size = 16;
+      p.threads = 4;
+      p.seeds = 4;
+      p.duration_sec = 0.001;
+      p.scheme = locks::ElisionPolicy::hle();
+      p.telemetry = true;
+      p.timeline_slot_cycles = 20000;  // exercise timeline slot-wise merging
+      return p;
+    }
+    case PointKind::kBtree: {
+      harness::BtPoint p;
+      p.threads = 4;
+      p.seeds = 3;
+      p.duration_sec = 0.0005;
+      p.policy = locks::ElisionPolicy::hle().shared();
+      return p;
+    }
+    case PointKind::kPhase: {
+      harness::PhasePoint p;
+      p.phase_sec = 0.0002;
+      p.seeds = 3;
+      return p;
+    }
+    case PointKind::kKv: {
+      service::KvPoint p;
+      p.keys = 2048;
+      p.clients = 500;
+      p.threads = 4;
+      p.duration_sec = 0.0004;
+      p.seeds = 3;
+      return p;
+    }
+    case PointKind::kMicro:
+      break;
+  }
+  return harness::MicroPoint{};
 }
 
-TEST(ParallelRbWorkload, MultiSeedPointByteIdenticalAcrossHostThreads) {
-  double arr1 = 0.0;
-  const harness::RunStats a = rb_stats(1, &arr1);
-  double arr4 = 0.0;
-  const harness::RunStats b = rb_stats(4, &arr4);
+// One seed of `w`, through its kind's run_*_point_once.
+RunStats run_one_seed(PointWorkload w, std::uint64_t seed) {
+  return std::visit(
+      [seed](auto p) {
+        using Point = decltype(p);
+        p.seed = seed;
+        if constexpr (std::is_same_v<Point, harness::RbPoint>) {
+          return harness::run_rb_point_once(p);
+        } else if constexpr (std::is_same_v<Point, harness::BtPoint>) {
+          return harness::run_bt_point_once(p);
+        } else if constexpr (std::is_same_v<Point, harness::PhasePoint>) {
+          return harness::run_phase_point_once(p);
+        } else if constexpr (std::is_same_v<Point, service::KvPoint>) {
+          return service::run_kv_point_once(p);
+        } else {
+          return harness::run_micro_point(p);
+        }
+      },
+      w);
+}
+
+void expect_same_hist(const harness::Histogram& a,
+                      const harness::Histogram& b) {
+  EXPECT_EQ(a.buckets(), b.buckets());
+  EXPECT_EQ(a.samples(), b.samples());
+  EXPECT_EQ(a.sum(), b.sum());
+  EXPECT_EQ(a.max(), b.max());
+}
+
+// Every simulated field. The fast-path hit counts are left out: they depend
+// on host heap addresses, which differ with the thread that ran a seed.
+void expect_same_stats(const RunStats& a, const RunStats& b) {
   EXPECT_EQ(a.ops, b.ops);
   EXPECT_EQ(a.spec_ops, b.spec_ops);
   EXPECT_EQ(a.nonspec_ops, b.nonspec_ops);
   EXPECT_EQ(a.attempts, b.attempts);
   EXPECT_EQ(a.elapsed_cycles, b.elapsed_cycles);
   EXPECT_EQ(a.perturb_points, b.perturb_points);
+  EXPECT_EQ(a.ghz, b.ghz);
   EXPECT_EQ(a.tx.begins, b.tx.begins);
   EXPECT_EQ(a.tx.commits, b.tx.commits);
   EXPECT_EQ(a.tx.aborts, b.tx.aborts);
-  EXPECT_EQ(arr1, arr4);
+  EXPECT_EQ(a.tx.aborts_by_cause, b.tx.aborts_by_cause);
+  EXPECT_EQ(a.fp_bound_recomputes, b.fp_bound_recomputes);
   ASSERT_EQ(a.timeline.size(), b.timeline.size());
   for (std::size_t i = 0; i < a.timeline.size(); ++i) {
     EXPECT_EQ(a.timeline[i].ops, b.timeline[i].ops) << "slot " << i;
     EXPECT_EQ(a.timeline[i].nonspec_ops, b.timeline[i].nonspec_ops)
         << "slot " << i;
   }
-  EXPECT_GT(a.ops, 0u);
+  EXPECT_EQ(a.arrivals, b.arrivals);
+  EXPECT_EQ(a.arrivals_lock_held, b.arrivals_lock_held);
+  EXPECT_EQ(a.shard_requests, b.shard_requests);
+  expect_same_hist(a.attempts_hist, b.attempts_hist);
+  expect_same_hist(a.rejoin_hist, b.rejoin_hist);
+  ASSERT_EQ(a.episodes.size(), b.episodes.size());
+  for (std::size_t i = 0; i < a.episodes.size(); ++i) {
+    EXPECT_EQ(a.episodes[i].start, b.episodes[i].start) << "episode " << i;
+    EXPECT_EQ(a.episodes[i].end, b.episodes[i].end) << "episode " << i;
+    EXPECT_EQ(a.episodes[i].victims, b.episodes[i].victims);
+  }
+  EXPECT_EQ(a.telemetry_events, b.telemetry_events);
+  EXPECT_EQ(a.telemetry_dropped, b.telemetry_dropped);
+  ASSERT_EQ(a.op_latency.size(), b.op_latency.size());
+  for (std::size_t i = 0; i < a.op_latency.size(); ++i) {
+    EXPECT_EQ(a.op_latency[i].op, b.op_latency[i].op);
+    EXPECT_EQ(a.op_latency[i].hist.buckets(), b.op_latency[i].hist.buckets());
+    EXPECT_EQ(a.op_latency[i].hist.sum(), b.op_latency[i].hist.sum());
+    EXPECT_EQ(a.op_latency[i].hist.max(), b.op_latency[i].hist.max());
+  }
 }
+
+class RunPointHostThreads : public ::testing::TestWithParam<PointKind> {};
+
+TEST_P(RunPointHostThreads, MergeIsIdenticalAndSumsSeedCounters) {
+  const PointWorkload w = small_point(GetParam());
+  const RunStats serial = harness::run_point(w, 1);
+  const RunStats threaded = harness::run_point(w, 3);
+  EXPECT_GT(serial.ops, 0u);
+  expect_same_stats(serial, threaded);
+
+  // run_seeds' seed rule: seed s is the base seed plus s golden-ratio steps.
+  const auto [seeds, base] = std::visit(
+      [](const auto& p) -> std::pair<int, std::uint64_t> {
+        if constexpr (requires { p.seeds; }) return {p.seeds, p.seed};
+        return {1, p.seed};
+      },
+      w);
+  std::uint64_t arrivals = 0;
+  std::uint64_t held = 0;
+  std::vector<std::uint64_t> shards;
+  for (int s = 0; s < seeds; ++s) {
+    const RunStats one = run_one_seed(
+        w, base + static_cast<std::uint64_t>(s) * 0x9E3779B9ULL);
+    arrivals += one.arrivals;
+    held += one.arrivals_lock_held;
+    shards.resize(one.shard_requests.size());
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      shards[i] += one.shard_requests[i];
+    }
+  }
+  EXPECT_EQ(serial.arrivals, arrivals);
+  EXPECT_EQ(serial.arrivals_lock_held, held);
+  EXPECT_EQ(serial.shard_requests, shards);
+  // The rb and phase points run a TTAS lock and the kv point routes
+  // requests to shards, so the sums above are not vacuous.
+  const PointKind kind = GetParam();
+  if (kind == PointKind::kRb || kind == PointKind::kPhase) {
+    EXPECT_GT(held, 0u);
+    EXPECT_GT(arrivals, held);
+  }
+  if (kind == PointKind::kKv) {
+    ASSERT_EQ(shards.size(), 8u);
+    for (const std::uint64_t n : shards) EXPECT_GT(n, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSeededKinds, RunPointHostThreads,
+    ::testing::Values(PointKind::kRb, PointKind::kBtree, PointKind::kPhase,
+                      PointKind::kKv),
+    [](const ::testing::TestParamInfo<PointKind>& info) {
+      return std::string(harness::point_kind_name(info.param));
+    });
 
 // ---------------------------------------------------------------------------
 // STAMP: run_apps must return results in job order, byte-identical to

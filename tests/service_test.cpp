@@ -281,10 +281,7 @@ TEST(KvWorkload, PointRunsAndRecordsLatencyPerOpKind) {
   p.clients = 500;
   p.threads = 4;
   p.duration_sec = 0.0005;
-  p.seeds = 1;
-  std::vector<std::uint64_t> shard_reqs;
-  p.shard_requests = &shard_reqs;
-  const harness::RunStats s = run_kv_point(p);
+  const harness::RunStats s = run_kv_point_once(p);
   EXPECT_GT(s.ops, 0u);
   ASSERT_EQ(s.op_latency.size(), static_cast<std::size_t>(kKvOpKinds));
   std::uint64_t lat_samples = 0;
@@ -300,44 +297,13 @@ TEST(KvWorkload, PointRunsAndRecordsLatencyPerOpKind) {
   EXPECT_EQ(lat_samples, s.ops);
   // shard_requests counts per-shard touches: gets and puts one each,
   // multi_puts one per key in the batch, transfers two.
-  ASSERT_EQ(shard_reqs.size(), 8u);
+  ASSERT_EQ(s.shard_requests.size(), 8u);
   std::uint64_t routed = 0;
-  for (const std::uint64_t n : shard_reqs) routed += n;
+  for (const std::uint64_t n : s.shard_requests) routed += n;
   const std::uint64_t expected =
       s.op_latency[0].hist.samples() + s.op_latency[1].hist.samples() +
       4 * s.op_latency[2].hist.samples() + 2 * s.op_latency[3].hist.samples();
   EXPECT_EQ(routed, expected);
-}
-
-// The multi-seed fan-out must be byte-identical across host-thread counts:
-// identical total counters and identical latency histograms bucket-for-
-// bucket (what the suite serializes into bench JSON).
-TEST(KvWorkload, MultiSeedFanOutIsIdenticalAcrossHostThreads) {
-  KvPoint p;
-  p.shards = 8;
-  p.keys = 2048;
-  p.clients = 500;
-  p.threads = 4;
-  p.duration_sec = 0.0004;
-  p.seeds = 3;
-  p.host_threads = 1;
-  const harness::RunStats a = run_kv_point(p);
-  for (const int ht : {2, 4}) {
-    p.host_threads = ht;
-    const harness::RunStats b = run_kv_point(p);
-    EXPECT_EQ(a.ops, b.ops) << ht;
-    EXPECT_EQ(a.attempts, b.attempts) << ht;
-    EXPECT_EQ(a.spec_ops, b.spec_ops) << ht;
-    EXPECT_EQ(a.elapsed_cycles, b.elapsed_cycles) << ht;
-    ASSERT_EQ(a.op_latency.size(), b.op_latency.size()) << ht;
-    for (std::size_t i = 0; i < a.op_latency.size(); ++i) {
-      EXPECT_EQ(a.op_latency[i].op, b.op_latency[i].op);
-      EXPECT_EQ(a.op_latency[i].hist.samples(), b.op_latency[i].hist.samples());
-      EXPECT_EQ(a.op_latency[i].hist.sum(), b.op_latency[i].hist.sum());
-      EXPECT_EQ(a.op_latency[i].hist.max(), b.op_latency[i].hist.max());
-      EXPECT_EQ(a.op_latency[i].hist.buckets(), b.op_latency[i].hist.buckets());
-    }
-  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -221,6 +222,15 @@ SpinStop literal_spin(std::uint64_t clock, bool load_next,
     if (clock > bound) return {clock, load_next};
   }
 }
+
+// SpinWait keeps its probe by reference: a named probe is accepted, and a
+// temporary one, which would dangle once the statement ends, does not
+// compile.
+using QuietProbe = decltype([] { return true; });
+static_assert(std::is_constructible_v<SpinWait, QuietProbe&, std::uint64_t,
+                                      std::uint64_t>);
+static_assert(!std::is_constructible_v<SpinWait, QuietProbe, std::uint64_t,
+                                       std::uint64_t>);
 
 // A replay jumps a quiet waiter's clock to the tick that crosses the bound.
 // Thread 0 waits the way Engine::spin_word does on a flag only thread 1

@@ -1,7 +1,7 @@
 // Bench-suite tests: curated point list, canonical JSON round-trip, the
 // regression gate (including a planted regression and coverage loss), the
 // paper-qualitative invariant checks, the seed-merge regression test for
-// run_rb_point's timeline aggregation, and run_suite's point-level fan-out.
+// run_point's timeline aggregation, and run_suite's point-level fan-out.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -126,7 +126,7 @@ TEST(RbWorkload, TimelineMergedAcrossSeeds) {
   p.seeds = 2;
   p.scheme = locks::ElisionPolicy::hle();
   p.timeline_slot_cycles = 340000;  // ~4 slots per seed run
-  const RunStats merged = run_rb_point(p);
+  const RunStats merged = run_point(p);
   ASSERT_GT(merged.ops, 0u);
   ASSERT_FALSE(merged.timeline.empty());
   std::uint64_t timeline_ops = 0;
@@ -143,7 +143,7 @@ TEST(RbWorkload, TimelineMergedAcrossSeeds) {
   // strictly fewer ops.
   RbPoint single = p;
   single.seeds = 1;
-  const RunStats one = run_rb_point(single);
+  const RunStats one = run_point(single);
   EXPECT_GT(merged.ops, one.ops);
 }
 
@@ -611,8 +611,8 @@ TEST(SuiteRun, PointIsDeterministic) {
   ASSERT_FALSE(points.empty());
   RbPoint p = std::get<RbPoint>(points[1].workload);  // ttas-hle
   p.duration_sec = 0.0005;
-  const PointMetrics a = PointMetrics::derive(run_rb_point(p));
-  const PointMetrics b = PointMetrics::derive(run_rb_point(p));
+  const PointMetrics a = PointMetrics::derive(run_point(p));
+  const PointMetrics b = PointMetrics::derive(run_point(p));
   EXPECT_EQ(a.ops, b.ops);
   EXPECT_EQ(a.attempts, b.attempts);
   EXPECT_DOUBLE_EQ(a.throughput_ops_per_sec, b.throughput_ops_per_sec);

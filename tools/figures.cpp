@@ -9,6 +9,7 @@
 #include "harness/rb_workload.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
+#include "harness/suite.hpp"
 #include "locks/backoff_lock.hpp"
 #include "locks/grouped_scm.hpp"
 #include "locks/mcs_lock.hpp"
@@ -33,7 +34,7 @@ using harness::kTreeSizesSmall;
 using harness::LockSel;
 using harness::lock_sel_name;
 using harness::RbPoint;
-using harness::run_rb_point;
+using harness::run_point;
 using harness::RunStats;
 using harness::Table;
 using locks::ElisionPolicy;
@@ -114,12 +115,15 @@ void fig3_1() {
       p.update_pct = 20;
       p.lock = lock;
       p.scheme = ElisionPolicy::standard();
-      const auto std_stats = run_rb_point(p);
-
-      double arrival_held = 0.0;
+      const auto std_stats = run_point(p);
       p.scheme = ElisionPolicy::hle();
-      p.arrival_held_frac = &arrival_held;
-      const auto hle_stats = run_rb_point(p);
+      const auto hle_stats = run_point(p);
+      // Pooled over seeds, like every other column.
+      const double arrival_held =
+          hle_stats.arrivals > 0
+              ? static_cast<double>(hle_stats.arrivals_lock_held) /
+                    static_cast<double>(hle_stats.arrivals)
+              : 0.0;
 
       table.add_row({lock_sel_name(lock), fmt_int(size),
                      fmt(hle_stats.throughput() / std_stats.throughput(), 2),
@@ -141,7 +145,7 @@ void timeline_for(LockSel lock) {
   p.duration_sec = 0.004;
   // 1 ms slots in the paper; use 100 us so the short run has ~40 slots.
   p.timeline_slot_cycles = 340000;
-  const auto stats = run_rb_point(p);
+  const auto stats = run_point(p);
 
   // The timeline merges all seed runs slot-wise, so normalize against the
   // average over populated slots (elapsed_cycles spans seeds sequentially
@@ -188,9 +192,9 @@ void fig3_4() {
           p.threads = threads;
           p.lock = lock;
           p.scheme = ElisionPolicy::standard();
-          const auto std_stats = run_rb_point(p);
+          const auto std_stats = run_point(p);
           p.scheme = ElisionPolicy::hle();
-          const auto hle_stats = run_rb_point(p);
+          const auto hle_stats = run_point(p);
           table.add_row(
               {mix.name, lock_sel_name(lock), fmt_int(size),
                fmt(hle_stats.throughput() / std_stats.throughput(), 2)});
@@ -211,11 +215,11 @@ void fig3_5() {
         p.update_pct = mix.update_pct;
         p.lock = lock;
         p.scheme = ElisionPolicy::standard();
-        const auto std_stats = run_rb_point(p);
+        const auto std_stats = run_point(p);
         p.scheme = ElisionPolicy::hle();
-        const auto hle_stats = run_rb_point(p);
+        const auto hle_stats = run_point(p);
         p.scheme = ElisionPolicy::rtm_elide();
-        const auto rtm_stats = run_rb_point(p);
+        const auto rtm_stats = run_point(p);
         table.add_row({mix.name, lock_sel_name(lock), fmt_int(size),
                        fmt(hle_stats.throughput() / std_stats.throughput(), 2),
                        fmt(rtm_stats.throughput() / std_stats.throughput(),
@@ -274,7 +278,7 @@ void fig5_1() {
         p.threads = threads;
         p.lock = lock;
         p.scheme = ElisionPolicy::from_scheme(scheme);
-        row.push_back(fmt(run_rb_point(p).throughput() / base, 2));
+        row.push_back(fmt(run_point(p).throughput() / base, 2));
       }
       table.add_row(std::move(row));
     }
@@ -294,12 +298,12 @@ void fig5_2() {
         p.update_pct = mix.update_pct;
         p.lock = lock;
         p.scheme = ElisionPolicy::hle();
-        const double hle = run_rb_point(p).throughput();
+        const double hle = run_point(p).throughput();
         std::vector<std::string> row{lock_sel_name(lock), fmt_int(size)};
         for (const auto scheme : {Scheme::kHleScm, Scheme::kPesSlr,
                                   Scheme::kOptSlr, Scheme::kOptSlrScm}) {
           p.scheme = ElisionPolicy::from_scheme(scheme);
-          row.push_back(fmt(run_rb_point(p).throughput() / hle, 2));
+          row.push_back(fmt(run_point(p).throughput() / hle, 2));
         }
         table.add_row(std::move(row));
       }
@@ -319,9 +323,9 @@ void fig5_3() {
       p.update_pct = 100;
       p.lock = LockSel::kMcs;
       p.scheme = ElisionPolicy::hle();
-      const auto hle = run_rb_point(p);
+      const auto hle = run_point(p);
       p.scheme = ElisionPolicy::hle_scm();
-      const auto scm = run_rb_point(p);
+      const auto scm = run_point(p);
       table.add_row({fmt_int(size), fmt(hle.attempts_per_op(), 2),
                      fmt(hle.nonspec_fraction(), 3),
                      fmt(scm.attempts_per_op(), 2),
@@ -340,11 +344,11 @@ void fig5_3() {
       p.update_pct = 100;
       p.lock = LockSel::kTtas;
       p.scheme = ElisionPolicy::hle();
-      const auto hle = run_rb_point(p);
+      const auto hle = run_point(p);
       for (const auto scheme :
            {Scheme::kHleScm, Scheme::kOptSlr, Scheme::kOptSlrScm}) {
         p.scheme = ElisionPolicy::from_scheme(scheme);
-        const auto s = run_rb_point(p);
+        const auto s = run_point(p);
         table.add_row({fmt_int(size), locks::scheme_name(scheme),
                        fmt(s.attempts_per_op(), 2),
                        fmt(s.nonspec_fraction(), 3),
@@ -416,10 +420,10 @@ void tbl_fairlocks() {
       p.update_pct = 20;
       p.lock = lock;
       p.scheme = ElisionPolicy::standard();
-      const double std_thr = run_rb_point(p).throughput();
+      const double std_thr = run_point(p).throughput();
       for (const auto scheme : {Scheme::kHle, Scheme::kHleScm}) {
         p.scheme = ElisionPolicy::from_scheme(scheme);
-        const auto stats = run_rb_point(p);
+        const auto stats = run_point(p);
         table.add_row({lock_sel_name(lock), fmt_int(size),
                        locks::scheme_name(scheme),
                        fmt(stats.throughput() / std_thr, 2),
@@ -445,9 +449,9 @@ void fig7() {
         p.lock = lock;
         p.scheme = ElisionPolicy::hle();
         p.hardware_extension = false;
-        const auto plain = run_rb_point(p);
+        const auto plain = run_point(p);
         p.hardware_extension = true;
-        const auto ext = run_rb_point(p);
+        const auto ext = run_point(p);
         table.add_row({lock_sel_name(lock), fmt_int(size),
                        fmt(plain.throughput() / 1e6, 2),
                        fmt(ext.throughput() / 1e6, 2),
