@@ -24,8 +24,8 @@
 # std::unordered_map reference, plus the wide-thread-mask paths
 # (thread_set_test, line_table_test's 256-thread mutation fuzz), the
 # ready-queue differential fuzz (ready_queue_test) behind the O(1)
-# scheduling decision (a ring sorted by (clock, tid) up to 16 threads,
-# tournament tree above), and fastpath_test's on/off differential over the
+# scheduling decision (a ring sorted by (clock, tid) at every machine
+# size), and fastpath_test's on/off differential over the
 # per-access fast paths (owned-line cache, switch-bound batching and
 # spin-wait parking). The ctest run also proves the fast paths never change
 # a simulated result: suite_test's SmokeTierReproducesCommittedBaseline
@@ -37,12 +37,9 @@
 # on either end of the machine-size range fails the gate.
 # The per-access fast path gets its own section: a same-host A/B asserting
 # that the t64 canary runs >= 1.25x faster with the fast paths than with
-# ELISION_FASTPATH=0 (5 interleaved pairs, best-of-5 per side), a
-# planted-invalidation self-check (a
-# deliberately stale cached line ref must be caught by the generation
-# stamp, not silently served), and a gated full-tier run whose
-# machine-scale-points-elide invariant covers the 128- and 256-thread fig5.1
-# points.
+# ELISION_FASTPATH=0 (5 interleaved pairs, best-of-5 per side), and a
+# gated full-tier run whose machine-scale-points-elide invariant covers the
+# 128- and 256-thread fig5.1 points.
 # Uses its own build trees (build-check*/) so it never dirties build/, and
 # one temp directory, removed on exit.
 set -euo pipefail
@@ -210,19 +207,7 @@ print(f"fastpath: t64 canary best-of-5 {on:,.0f} vs {off:,.0f} sim ops/s"
 assert ratio >= 1.25, f"fast-path speedup {ratio:.2f}x fell below 1.25x"
 EOF
 
-# (b) Planted invalidation: the differential tests deliberately hold stale
-# cached (line, generation, record) refs across clear()/grow() and assert
-# the generation stamp forces a re-probe instead of serving the stale
-# payload. Run them named, under ASan, so a silently-served stale ref is a
-# loud failure here even if someone trims the ctest registration.
-"$SAN_BUILD"/tests/line_table_test --gtest_filter=\
-'LineTable.CacheSurvivesClearAndGrow:LineTableDifferential.*' || {
-  echo "check: planted stale cached ref was not caught by the generation" \
-       "stamp" >&2; exit 1; }
-"$SAN_BUILD"/tests/fastpath_test || {
-  echo "check: fast-path differential failed under ASan/UBSan" >&2; exit 1; }
-
-# (c) Machine scale: the full tier must gate green against the committed
+# (b) Machine scale: the full tier must gate green against the committed
 # baseline; its machine-scale-points-elide invariant requires the 128- and
 # 256-thread fig5.1 points the fast path paid for (the t256 shape is the
 # scheduler's kMaxSimThreads ceiling) to commit and run mostly

@@ -128,10 +128,10 @@ std::vector<SuitePoint> build_points() {
   add(S, "sim-speed", MicroPoint{});
   // Big-machine simulator-speed canary: 64 threads on a 32-core / 2-SMT
   // machine, striped stripes with a sparser shared-line period (every 64th
-  // op) and a little yield slack so the scheduler runs long bursts — the
-  // configuration the two-level ready-queue tournament exists for (above 16
-  // threads; sim/ready_queue.hpp). Gated like the t8 canary; the two
-  // together pin both ends of the machine-size range.
+  // op) and a little yield slack so the scheduler runs long bursts, with a
+  // ready-queue ring four times as full as at 16 threads
+  // (sim/ready_queue.hpp). Gated like the t8 canary; the two together pin
+  // both ends of the machine-size range.
   {
     MicroPoint p;
     p.threads = 64;
@@ -224,11 +224,10 @@ std::vector<SuitePoint> build_points() {
       rb(64, 20, 8, kTtas, ElisionPolicy::hle_grouped_scm()));
   // Big-machine scaling points: the fig5.1 shape at 64, 128 and 256 threads
   // on 2-SMT machines of half as many cores — the regime Fissile Locks / the
-  // HTM tree template report from and the reason the ready queue switches
-  // to a two-level tournament above 16 threads (256 is its kMaxSimThreads
-  // cap and exercises the full tournament). A bit of yield slack keeps the
-  // wide interleaving from degenerating into access-granularity
-  // round-robin.
+  // HTM tree template report from. 256 is kMaxSimThreads, so the last point
+  // fills the scheduler's ready-queue ring to capacity. A bit of yield
+  // slack keeps the wide interleaving from degenerating into
+  // access-granularity round-robin.
   // Their ids end in the machine shape (-m<cores>x<smt>), so future shapes
   // at the same (size, threads) stay distinct.
   for (const int threads : {64, 128, 256}) {

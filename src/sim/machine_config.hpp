@@ -12,10 +12,10 @@ namespace elision::sim {
 // Hard cap on simulated threads per Scheduler. The TSX layer identifies
 // readers with a fixed-width thread mask (tsx::kMaxThreads aliases this and
 // tsx::ThreadSet sizes its word array from it), and the scheduler's ready
-// queue indexes two tournament levels of 16, so the cap is load-bearing,
-// not just a sizing hint. 256 covers the big-machine scaling studies
-// (64-plus logical CPUs) with headroom; past it the ready queue would need
-// a third level.
+// queue is a fixed ring of this many slots (a power of two, so its indices
+// wrap with a mask), so the cap is load-bearing, not just a sizing hint.
+// 256 covers the big-machine scaling studies (64-plus logical CPUs) with
+// headroom.
 inline constexpr int kMaxSimThreads = 256;
 
 // Schedule-exploration knobs (src/stress). When `probability` is nonzero,
@@ -77,8 +77,8 @@ struct MachineConfig {
   // back-to-back against that one cached value. The bound can only change
   // when another thread runs, so recomputing it per switch instead of per
   // access produces the exact same schedule bit-for-bit (pinned by the
-  // golden switch-count tests). Off = the per-access ready-queue read, kept
-  // for differential schedule-equivalence tests.
+  // golden switch-count tests). Off = the per-access read of the ready
+  // queue's head, kept for differential schedule-equivalence tests.
   bool batch_switch_bound = true;
 
   // Safety valve: abort the simulation after this many context switches

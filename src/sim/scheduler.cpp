@@ -133,45 +133,19 @@ void Scheduler::yield_from(SimThread& t) {
   ++switches_;
   ELISION_CHECK_MSG(config_.max_switches == 0 || switches_ < config_.max_switches,
                     "simulation exceeded max_switches (livelock?)");
-  if (batch_) {
-    // The caller's slot is parked, so the queue's (min, argmin) covers the
-    // other threads only. Reproduce the global first-index-wins pick: an
-    // other thread beats the caller only with a strictly smaller clock, or
-    // an equal clock and a lower tid (a sentinel min means no other runnable
-    // thread, so the caller keeps running either way).
-    const ReadyQueue::Entry best = ready_.min_entry();
-    if (best.clock > t.vclock_ ||
-        (best.clock == t.vclock_ && best.tid > t.tid_)) {
-      return;
-    }
-    SimThread& picked = *threads_[static_cast<std::size_t>(best.tid)];
-    exchange_and_bound(t, picked);
-    SimThread& next = parked_ == 0 ? picked : resolve(picked, &t);
-    current_ = &next;
-    if (&next != &t) Fiber::switch_to(t.fiber_, next.fiber_);
+  // The caller's slot is parked, so the queue's (min, argmin) covers the
+  // other threads only. Reproduce the global first-index-wins pick: an
+  // other thread beats the caller only with a strictly smaller clock, or
+  // an equal clock and a lower tid (a sentinel min means no other runnable
+  // thread, so the caller keeps running either way). A yield over the bound
+  // always switches: some other clock sits more than the slack below.
+  const ReadyQueue::Entry best = ready_.min_entry();
+  if (best.clock > t.vclock_ ||
+      (best.clock == t.vclock_ && best.tid > t.tid_)) {
     return;
   }
-  SimThread* next = pick_next();
-  ELISION_DCHECK(next != nullptr);  // t itself is runnable
-  if (next == &t) return;
-  current_ = next;
-  Fiber::switch_to(t.fiber_, next->fiber_);
-}
-
-void Scheduler::yield_over_bound(SimThread& t) {
-  // Counted unconditionally (mirrors switch_counted) so that max_switches
-  // also catches a thread yielding forever without advancing its clock.
-  ++switches_;
-  ELISION_CHECK_MSG(config_.max_switches == 0 || switches_ < config_.max_switches,
-                    "simulation exceeded max_switches (livelock?)");
-  // The bound fired, so some other runnable thread's clock sits at least a
-  // slack below vclock_: the queue's (min, argmin) is a live thread and is
-  // the global argmin (the caller's own clock is strictly larger, so it can
-  // neither win nor tie).
-  const ReadyQueue::Entry best = ready_.min_entry();
-  ELISION_DCHECK(best.clock < t.vclock_);
   SimThread& picked = *threads_[static_cast<std::size_t>(best.tid)];
-  exchange_and_bound(t, picked);
+  exchange_and_bound(t);
   // With no thread parked the pick is the thread to run: resolve() would
   // replay nothing and return it unchanged, so skip it.
   SimThread& next = parked_ == 0 ? picked : resolve(picked, &t);
@@ -182,19 +156,19 @@ void Scheduler::yield_over_bound(SimThread& t) {
 void Scheduler::park_over_bound(SimThread& t, SpinWait& w) {
   t.spin_ = &w;
   ++parked_;
-  yield_over_bound(t);
+  yield_from(t);
 }
 
 SimThread& Scheduler::resolve(SimThread& next, const SimThread* self) {
   if (parked_ == runnable_) check_not_deadlocked();
   SimThread* p = &next;
   while (p->spin_ != nullptr && p != self && replay(*p)) {
-    // p yielded at a replayed tick: exactly yield_over_bound's pick, minus
+    // p yielded at a replayed tick: exactly yield_from's pick, minus
     // the fiber switch (and so not counted as one).
     const ReadyQueue::Entry best = ready_.min_entry();
     ELISION_DCHECK(best.clock < p->vclock_);
     SimThread& q = *threads_[static_cast<std::size_t>(best.tid)];
-    exchange_and_bound(*p, q, /*counted=*/false);
+    exchange_and_bound(*p, /*counted=*/false);
     p = &q;
   }
   if (p->spin_ != nullptr) {
@@ -276,16 +250,15 @@ void Scheduler::check_not_deadlocked() const {
 
 void Scheduler::finish_from(SimThread& t) {
   t.finished_ = true;
-  ready_.set(t.tid_, kFinishedClock);  // already parked there under batching
-  // Under batching the final clock was never folded into the running max
-  // (advance() skips it); a no-op otherwise.
+  // t ran, so its slot is already parked at the sentinel; only its final
+  // clock still has to be folded into the running max.
   if (t.vclock_ > max_clock_) max_clock_ = t.vclock_;
   --runnable_;
   --core_active_[t.core_];
   update_core_smt(t.core_);
   ++switches_;
   SimThread* next = pick_next();
-  if (next != nullptr && batch_) {
+  if (next != nullptr) {
     park_and_bound(*next);
     next = &resolve(*next, nullptr);
   }
@@ -305,7 +278,7 @@ void Scheduler::switch_from_host() {
   running_ = true;
   current_ = next;
   ++switches_;
-  if (batch_) park_and_bound(*next);
+  park_and_bound(*next);
   Fiber::switch_to(host_, next->fiber_);
   // Control returns here only when the last thread finished.
   current_ = nullptr;

@@ -9,19 +9,20 @@
 //
 // Hot-path layout: the tick path (advance + maybe_yield) runs once per
 // simulated memory access, tens of millions of times per benchmark point, so
-// its state is kept flat. With switch-bound batching (the default) an access
-// is one compare against a preemption bound cached at the last context
-// switch. Per-tid clocks (finished threads and the running thread hold a
-// max-uint64 sentinel) live in a ReadyQueue whose (min, argmin) read is O(1)
-// — a ring sorted by (clock, tid) on machines of up to 16 threads, an
-// arity-16 tournament tree above that — so a scheduling decision costs a
-// head read, an O(1) pop and one re-insertion scanned from the back. While
-// no thread is parked in a spin-wait (below), a switch goes straight to
-// the picked thread without the parked-waiter replay. Hyperthreading is a
-// per-core 0/1 flag maintained at spawn/finish instead of an O(threads)
-// sibling scan per advance, and an advance of a small cycle count reads its
-// scaled delta from a table built at construction instead of a double
-// multiply and two conversions.
+// its state is kept flat. Per-tid clocks live in a ReadyQueue, a ring sorted
+// by (clock, tid) whose (min, argmin) read is O(1). The running thread's
+// slot is parked there at the max-uint64 sentinel (as are finished
+// threads), so an access never writes the queue: with switch-bound
+// batching (the default) it is one compare against a preemption bound
+// cached at the last context switch, and with batching off one compare
+// against the queue's head. A scheduling decision costs a head read, an
+// O(1) pop and one re-insertion scanned from the back. While no thread is
+// parked in a spin-wait (below), a switch goes straight to the picked
+// thread without the parked-waiter replay. Hyperthreading is a per-core 0/1
+// flag maintained at spawn/finish instead of an O(threads) sibling scan per
+// advance, and an advance of a small cycle count reads its scaled delta
+// from a table built at construction instead of a double multiply and two
+// conversions.
 //
 // Spin-waiters (tsx::Engine::spin_while) park here: a thread that yields
 // inside a tick of a spin loop (its PAUSE, or a load with no side effect)
@@ -106,8 +107,7 @@ class SimThread {
   // Advances this thread's virtual clock by `cycles` scaled by the
   // hyperthreading model (a live sibling slows both siblings down),
   // saturating at the largest live clock instead of wrapping past the
-  // finished sentinel. Defined below Scheduler (touches its flat clock
-  // array).
+  // finished sentinel. Defined below Scheduler (reads its SMT table).
   ELISION_ALWAYS_INLINE void advance(std::uint64_t cycles);
 
   // Yields if this thread has run ahead of the earliest runnable thread by
@@ -196,9 +196,8 @@ class Scheduler {
 
   // Largest virtual clock reached by any thread: the simulated wall time.
   // Maintained incrementally (clocks are monotonic), so this is O(1) rather
-  // than a rescan of every thread. Under switch-bound batching the running
-  // thread folds its clock into max_clock_ only at switch points, so account
-  // for it here explicitly.
+  // than a rescan of every thread. The running thread folds its clock into
+  // max_clock_ only at switch points, so account for it here explicitly.
   std::uint64_t elapsed_cycles() const {
     if (current_ != nullptr && current_->vclock_ > max_clock_) {
       return current_->vclock_;
@@ -226,10 +225,9 @@ class Scheduler {
   // The thread currently executing, or nullptr when the host context runs.
   SimThread* current() { return current_; }
 
-  // Smallest clock among runnable threads (max uint64 if none). Finished
-  // threads hold the sentinel in the ready queue, so this is the root read —
-  // plus the running thread, whose slot is parked at the sentinel while
-  // switch-bound batching is on.
+  // Smallest clock among runnable threads (max uint64 if none): the ready
+  // queue's head, which leaves out finished threads and the running thread
+  // (its slot is parked at the sentinel), and the running thread's clock.
   std::uint64_t min_runnable_clock() const {
     const std::uint64_t m = ready_.min_clock();
     if (current_ != nullptr && current_->vclock_ < m) return current_->vclock_;
@@ -251,6 +249,9 @@ class Scheduler {
   static constexpr std::uint64_t kSmtMemoCycles = 256;
 
   // --- internal, used by SimThread ---
+  // Switches from the running thread t to the global (clock, tid) argmin,
+  // if that is another thread. Every yield goes through here: explicit
+  // ones, and maybe_yield()'s and spin_tick()'s when t passed the bound.
   void yield_from(SimThread& t);
   [[noreturn]] void finish_from(SimThread& t);
 
@@ -260,25 +261,8 @@ class Scheduler {
   static constexpr std::uint64_t kFinishedClock = ReadyQueue::kFinishedClock;
 
   SimThread* pick_next() const;  // earliest-clock runnable thread
-  // Counted switch directly to a known next thread (the fused tick path has
-  // already computed the argmin; skips the second scan of yield_from).
-  void switch_counted(SimThread& t, SimThread& next) {
-    // Counted unconditionally (mirrors yield_from) so that max_switches also
-    // catches a thread yielding forever without advancing its clock.
-    ++switches_;
-    ELISION_CHECK_MSG(
-        config_.max_switches == 0 || switches_ < config_.max_switches,
-        "simulation exceeded max_switches (livelock?)");
-    current_ = &next;
-    Fiber::switch_to(t.fiber_, next.fiber_);
-  }
   void switch_from_host();
-  // Batching slow path of maybe_yield(): the running thread crossed the
-  // cached preemption bound. Re-enters its clock into the ready queue, picks
-  // the new argmin, parks that thread's slot, refreshes the bound and
-  // switches. Out-of-line: it runs once per context switch, not per access.
-  ELISION_NOINLINE void yield_over_bound(SimThread& t);
-  // Slow path of spin_tick(): parks t on `w`, then yields as above.
+  // Slow path of spin_tick(): parks t on `w`, then yields.
   ELISION_NOINLINE void park_over_bound(SimThread& t, SpinWait& w);
   // `next` was just picked (its slot parked, the bound computed for it).
   // While it is a parked spin-waiter other than `self`, replays its loop
@@ -300,13 +284,14 @@ class Scheduler {
   // Caches the preemption bound the incoming thread will run against: min
   // clock of everyone else (its own slot is parked at the sentinel) plus the
   // yield slack, saturated so a lone thread (sentinel min) never yields.
-  // Counted unless it only serves a replay.
+  // Counted under batching unless it only serves a replay (with batching
+  // off, maybe_yield() reads the queue instead and nothing is counted).
   void recompute_bound(bool counted = true) {
     const std::uint64_t m = ready_.min_clock();
     switch_bound_ = m >= kFinishedClock - config_.yield_slack_cycles
                         ? kFinishedClock
                         : m + config_.yield_slack_cycles;
-    if (counted) ++bound_recomputes_;
+    if (counted && batch_) ++bound_recomputes_;
   }
   // Parks `next`'s ready-queue slot at the sentinel (its live clock now
   // lives only in vclock_) and refreshes the cached bound.
@@ -314,12 +299,12 @@ class Scheduler {
     ready_.set(next.tid_, kFinishedClock);
     recompute_bound();
   }
-  // Batching context switch: folds the outgoing thread's clock back into the
-  // ready queue and the running max, parks the incoming thread and refreshes
-  // the bound — one fused queue repair instead of two full set() rescans.
-  void exchange_and_bound(SimThread& out, SimThread& next,
-                          bool counted = true) {
-    ready_.exchange(out.tid_, out.vclock_, next.tid_);
+  // Context switch: folds the outgoing thread's clock back into the ready
+  // queue and the running max, parks the incoming thread (the queue's head)
+  // and refreshes the bound — one fused queue repair instead of two set()
+  // calls.
+  void exchange_and_bound(SimThread& out, bool counted = true) {
+    ready_.exchange(out.tid_, out.vclock_);
     if (out.vclock_ > max_clock_) max_clock_ = out.vclock_;
     recompute_bound(counted);
   }
@@ -330,14 +315,13 @@ class Scheduler {
 
   MachineConfig config_;
   std::vector<std::unique_ptr<SimThread>> threads_;
-  // ready_.clock_of(tid) mirrors threads_[tid]->vclock_ while the thread is
-  // runnable and holds kFinishedClock once it finishes; the tournament tree
-  // over those clocks is the single min/argmin implementation every consumer
-  // (tick path, pick_next, min_runnable_clock) reads. Under switch-bound
-  // batching the *running* thread's slot is additionally parked at the
-  // sentinel, so min_clock() is the min over the other runnable threads —
-  // a value that cannot change while the current thread runs, which is what
-  // makes caching switch_bound_ across accesses exact.
+  // Holds threads_[tid]->vclock_ for every runnable thread but the running
+  // one; finished threads and the running thread are parked at
+  // kFinishedClock. Its sorted ring is the single min/argmin implementation
+  // every consumer (tick path, pick_next, min_runnable_clock) reads. Since
+  // the running thread is parked, min_clock() is the min over the other
+  // runnable threads — a value that cannot change while the current thread
+  // runs, which is what makes caching switch_bound_ across accesses exact.
   ReadyQueue ready_;
   // Cached preemption bound of the running thread (batching only): min
   // other-thread clock + yield slack, recomputed at every context switch.
@@ -347,7 +331,8 @@ class Scheduler {
   bool batch_ = true;
   bool spin_parking_ = false;
   std::size_t parked_ = 0;  // threads parked in a spin-wait
-  // Running max of every clock ever set: elapsed_cycles() without a rescan.
+  // Running max of every clock folded back at a switch or a finish:
+  // elapsed_cycles() without a rescan.
   std::uint64_t max_clock_ = 0;
   // Live threads per core, and whether a live sibling slows the core down
   // (1: advance() scales by smt_slowdown), maintained at spawn and finish.
@@ -384,32 +369,27 @@ ELISION_ALWAYS_INLINE void SimThread::advance(std::uint64_t cycles) {
   } else {
     vclock_ += sched_.smt_memo_[sched_.core_smt_[core_]][cycles];
   }
-  if (sched_.batch_) return;  // slot is parked; maybe_yield compares against
-                              // the cached switch bound instead
-  sched_.ready_.set(tid_, vclock_);
-  if (vclock_ > sched_.max_clock_) sched_.max_clock_ = vclock_;
 }
 
 ELISION_ALWAYS_INLINE void SimThread::maybe_yield() {
   if (sched_.batch_) {
-    // One compare against the bound cached at switch-in. Equivalent to the
-    // legacy condition below: the bound is min-over-others + slack, and
+    // One compare against the bound cached at switch-in: min-over-others +
+    // slack. Equivalent to the seed's `vclock_ > min(all) + slack`, since
     // `vclock_ > min(vclock_, others) + slack` can only fire via the others
     // term (a clock never exceeds itself plus a non-negative slack).
     if (vclock_ > sched_.switch_bound_) [[unlikely]] {
-      sched_.yield_over_bound(*this);
+      sched_.yield_from(*this);
     }
     return;
   }
-  // The ready queue hands back the minimum runnable clock (the yield
-  // condition) and its lowest-tid holder (the thread to resume) — the same
-  // (min, argmin) the old fused sweep produced.
-  const ReadyQueue::Entry best = sched_.ready_.min_entry();
-  if (vclock_ > best.clock + sched_.config_.yield_slack_cycles) {
-    // best.clock < vclock_ and clock_of(tid_) == vclock_, so best.tid is
-    // never this thread.
-    sched_.switch_counted(
-        *this, *sched_.threads_[static_cast<std::size_t>(best.tid)]);
+  // Batching off: the same condition read from the queue at every access.
+  // Its head is the earliest other runnable thread; with none it is the
+  // sentinel, which `vclock_ > clock` rejects before the subtraction, so
+  // the slack is never added to the sentinel (where it would wrap).
+  const std::uint64_t other = sched_.ready_.min_clock();
+  if (vclock_ > other &&
+      vclock_ - other > sched_.config_.yield_slack_cycles) {
+    sched_.yield_from(*this);
   }
 }
 

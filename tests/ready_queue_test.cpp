@@ -1,5 +1,5 @@
-// Unit tests for the scheduler's ready queue (sorted ring up to 16 threads,
-// tournament tree above) and advance()'s SMT scaling, plus the
+// Unit tests for the scheduler's ready queue (a ring sorted by
+// (clock, tid)) and advance()'s SMT scaling, plus the
 // schedule-equivalence suite: golden switch counts recorded from the seed's
 // O(N) linear-sweep scheduler on a grid of machine shapes, which the
 // ready-queue scheduler must reproduce exactly
@@ -7,8 +7,10 @@
 // byte-identity guarantee downstream rests on them).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "sim/machine_config.hpp"
@@ -35,6 +37,24 @@ ReadyQueue::Entry linear_min(const std::vector<std::uint64_t>& clocks) {
   return {m, static_cast<std::int32_t>(mi)};
 }
 
+// Pops the queue's head until it is empty and checks that the heads come
+// out in (clock, tid) order of the reference's live clocks: the whole ring
+// is sorted, not just its head.
+void expect_drains_in_order(ReadyQueue& q,
+                            const std::vector<std::uint64_t>& ref) {
+  std::vector<std::pair<std::uint64_t, int>> want;
+  for (std::size_t t = 0; t < ref.size(); ++t) {
+    if (ref[t] != kFin) want.emplace_back(ref[t], static_cast<int>(t));
+  }
+  std::sort(want.begin(), want.end());
+  for (const auto& [clock, tid] : want) {
+    ASSERT_EQ(q.min_clock(), clock);
+    ASSERT_EQ(q.min_tid(), tid);
+    q.set(tid, kFin);
+  }
+  EXPECT_EQ(q.min_clock(), kFin);
+}
+
 TEST(ReadyQueue, SingleThread) {
   ReadyQueue q;
   EXPECT_EQ(q.min_clock(), kFin);  // empty queue degrades to the sentinel
@@ -49,8 +69,7 @@ TEST(ReadyQueue, TiesGoToLowestTid) {
   for (int n : {2, 5, 16, 17, 40, 256}) {
     ReadyQueue q;
     for (int t = 0; t < n; ++t) q.add_thread();
-    // All clocks equal: the lowest tid must win at every size, on both the
-    // single-level and the two-level path.
+    // All clocks equal: the lowest tid must win at every size.
     for (int t = 0; t < n; ++t) q.set(t, 77);
     EXPECT_EQ(q.min_tid(), 0) << "n=" << n;
     // Tie between a middle pair only.
@@ -80,45 +99,66 @@ TEST(ReadyQueue, FinishSentinelLosesToLiveThreads) {
   EXPECT_EQ(q.min_clock(), kFin);
 }
 
-TEST(ReadyQueue, UpdateInPlaceKeepsCachesCoherent) {
+TEST(ReadyQueue, MovesKeepTheRingSorted) {
+  // set() moves of live entries, in both directions: the argmin moving up
+  // (past many entries, or none), and threads anywhere in the ring moving
+  // up or down, some onto a tied clock. The drain then checks every slot,
+  // not only the head.
   ReadyQueue q;
-  for (int t = 0; t < 48; ++t) q.add_thread();
-  std::vector<std::uint64_t> ref(48, 0);
-  // Monotonic updates that alternate between the argmin (forcing rescans)
-  // and threads far from it (taking the O(1) early-out).
-  std::uint64_t clk = 1;
-  for (int round = 0; round < 200; ++round) {
-    const int tid = round % 2 == 0 ? q.min_tid() : (round * 7) % 48;
-    ref[static_cast<std::size_t>(tid)] = clk;
-    q.set(tid, clk);
-    ++clk;
+  std::vector<std::uint64_t> ref(200, 0);
+  for (int t = 0; t < 200; ++t) q.add_thread();
+  support::Xoshiro256 rng(7);
+  for (int round = 0; round < 2000; ++round) {
+    const int tid = round % 2 == 0
+                        ? q.min_tid()
+                        : static_cast<int>(rng.next_below(200));
+    const std::size_t ti = static_cast<std::size_t>(tid);
+    std::uint64_t clock;
+    switch (rng.next_below(4)) {
+      case 0:
+        clock = ref[ti] / 2;  // towards the head
+        break;
+      case 1:  // onto another thread's clock
+        clock = ref[static_cast<std::size_t>(rng.next_below(200))];
+        break;
+      default:
+        clock = ref[ti] + rng.next_below(round % 3 == 0 ? 3 : 5000);
+        break;
+    }
+    ref[ti] = clock;
+    q.set(tid, clock);
     const auto want = linear_min(ref);
-    EXPECT_EQ(q.min_clock(), want.clock);
-    EXPECT_EQ(q.min_tid(), want.tid);
+    ASSERT_EQ(q.min_clock(), want.clock) << "round=" << round;
+    ASSERT_EQ(q.min_tid(), want.tid) << "round=" << round;
   }
+  expect_drains_in_order(q, ref);
 }
 
-TEST(ReadyQueue, GroupBoundaryGrowth) {
-  // Crossing the one-group/two-group boundary (16 -> 17) must rebuild the
-  // cached levels; a stale cache here is a schedule bug, not a crash.
+TEST(ReadyQueue, GrowthInsertsNewThreadsInOrder) {
+  // A thread registers at clock 0, which is not the back of the ring once
+  // earlier threads have moved on: every add_thread() must sort its entry
+  // in front of theirs (and behind any equal clock of a lower tid), up to
+  // the full capacity.
   ReadyQueue q;
   std::vector<std::uint64_t> ref;
-  for (int t = 0; t < 16; ++t) {
-    q.add_thread();
+  for (int t = 0; t < static_cast<int>(ReadyQueue::kCapacity); ++t) {
+    ASSERT_EQ(q.add_thread(), t);
     ref.push_back(0);
-    q.set(t, static_cast<std::uint64_t>(100 - t));
-    ref[static_cast<std::size_t>(t)] = static_cast<std::uint64_t>(100 - t);
+    const auto fresh = linear_min(ref);
+    ASSERT_EQ(q.min_clock(), fresh.clock) << "t=" << t;
+    ASSERT_EQ(q.min_tid(), fresh.tid) << "t=" << t;
+    // Every third thread stays at 0 (a tie with the next registration);
+    // the others move to descending clocks.
+    if (t % 3 != 0) {
+      const std::uint64_t clock = 1000 - static_cast<std::uint64_t>(t);
+      q.set(t, clock);
+      ref[static_cast<std::size_t>(t)] = clock;
+    }
+    const auto want = linear_min(ref);
+    ASSERT_EQ(q.min_clock(), want.clock) << "t=" << t;
+    ASSERT_EQ(q.min_tid(), want.tid) << "t=" << t;
   }
-  EXPECT_EQ(q.min_tid(), 15);
-  q.add_thread();  // 17th: two-level mode from here on
-  ref.push_back(0);
-  EXPECT_EQ(q.min_tid(), 16);
-  EXPECT_EQ(q.min_clock(), 0u);
-  q.set(16, 200);
-  ref[16] = 200;
-  const auto want = linear_min(ref);
-  EXPECT_EQ(q.min_clock(), want.clock);
-  EXPECT_EQ(q.min_tid(), want.tid);
+  expect_drains_in_order(q, ref);
 }
 
 TEST(ReadyQueue, DifferentialFuzzAgainstLinearSweep) {
@@ -148,7 +188,7 @@ TEST(ReadyQueue, DifferentialFuzzAgainstLinearSweep) {
             q.set(best.tid, kFin);
           } else {
             running_clock += rng.next_below(max_inc);
-            q.exchange(running, running_clock, best.tid);
+            q.exchange(running, running_clock);
             ref[static_cast<std::size_t>(running)] = running_clock;
           }
           running = best.tid;
@@ -164,8 +204,7 @@ TEST(ReadyQueue, DifferentialFuzzAgainstLinearSweep) {
               clock = kFin;  // finish
               break;
             case 1:
-              // Decrease (rebuild-style update): exercises the full rescan.
-              clock = ref[ti] / 2;
+              clock = ref[ti] / 2;  // a move towards the head
               break;
             default:
               clock = ref[ti] == kFin ? kFin
@@ -187,14 +226,18 @@ TEST(ReadyQueue, DifferentialFuzzAgainstLinearSweep) {
     }
   }
 
-  // Ring pass: at every one-group size, 10k exchange() steps, so the ring
-  // head wraps hundreds of times. Out-clocks land on the ring's edges: equal
-  // to the new front, equal to the back, tied on clock with a lower tid,
-  // ahead of everything, or (the round-robin case) at or past the back.
-  // set() removals, re-insertions and moves of the other threads happen
-  // wherever the head has wrapped to. A lone thread has no one to exchange
-  // with, so n = 1 runs 10k set() steps instead.
-  for (int n = 1; n <= 16; ++n) {
+  // Ring pass: at every size up to 16 and at sizes around the powers of two
+  // up to the capacity, 10k exchange() steps, so the ring head wraps
+  // around the capacity many times. Out-clocks land on the ring's edges:
+  // equal to the new front, equal to the back, tied on clock with a lower
+  // tid, ahead of everything, or (the round-robin case) at or past the
+  // back. set() removals, re-insertions and moves of the other threads
+  // happen wherever the head has wrapped to. A lone thread has no one to
+  // exchange with, so n = 1 runs 10k set() steps instead.
+  std::vector<int> ring_sizes;
+  for (int n = 1; n <= 16; ++n) ring_sizes.push_back(n);
+  for (const int n : {17, 31, 64, 65, 128, 255, 256}) ring_sizes.push_back(n);
+  for (const int n : ring_sizes) {
     ReadyQueue q;
     std::vector<std::uint64_t> ref;
     for (int t = 0; t < n; ++t) {
@@ -250,7 +293,7 @@ TEST(ReadyQueue, DifferentialFuzzAgainstLinearSweep) {
             out = (front != kFin ? back : best.clock) + rng.next_below(4);
             break;
         }
-        q.exchange(running, out, best.tid);
+        q.exchange(running, out);
         ref[static_cast<std::size_t>(running)] = out;
         running = best.tid;
         ref[static_cast<std::size_t>(best.tid)] = kFin;
@@ -290,11 +333,11 @@ TEST(ReadyQueue, DifferentialFuzzAgainstLinearSweep) {
   }
 }
 
-TEST(ReadyQueueDeath, RejectsMoreThanIndexable) {
+TEST(ReadyQueueDeath, RejectsMoreThanCapacity) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ReadyQueue q;
-  for (std::size_t t = 0; t < ReadyQueue::kMaxIndexable; ++t) q.add_thread();
-  EXPECT_DEATH(q.add_thread(), "kMaxIndexable");
+  for (std::size_t t = 0; t < ReadyQueue::kCapacity; ++t) q.add_thread();
+  EXPECT_DEATH(q.add_thread(), "kMaxSimThreads");
 }
 
 // --- schedule equivalence vs the seed scheduler ---
@@ -355,8 +398,8 @@ TEST(ScheduleEquivalence, MatchesSeedSchedulerGoldenSwitchCounts) {
 }
 
 TEST(ScheduleEquivalence, BatchingPreservesSchedulesAcrossSizes) {
-  // Differential batching-on vs batching-off sweep across the 16->17 group
-  // boundary, both yield-slack regimes, and the full 1..256 size range:
+  // Differential batching-on vs batching-off sweep across both yield-slack
+  // regimes and the full 1..256 size range:
   // switch counts and elapsed cycles (the schedule's fingerprint) must be
   // bit-identical, and batching must recompute the bound once per switch.
   for (const int threads : {1, 2, 15, 16, 17, 33, 64, 128, 256}) {
@@ -408,7 +451,7 @@ TEST(ScheduleEquivalence, BatchingPreservesSchedulesAcrossSizes) {
 TEST(ScheduleEquivalence, BigMachineShapesRunDeterministically) {
   // Past the seed's 64-thread cap there is no seed schedule to compare
   // against; pin determinism instead (two identical runs, identical switch
-  // counts) at shapes that exercise many groups including the 256 cap.
+  // counts) at shapes up to the 256 cap, where the ring is full.
   for (const int threads : {100, 256}) {
     std::uint64_t first = 0;
     for (int rep = 0; rep < 2; ++rep) {
@@ -462,6 +505,55 @@ TEST(Scheduler, AdvanceSaturatesInsteadOfWrapping) {
         << "live thread reached the finished sentinel";
   }
   EXPECT_EQ(seen.back(), ReadyQueue::kFinishedClock - 1);
+}
+
+TEST(Scheduler, LastRunnableThreadNeverYields) {
+  // With no other runnable thread the queue's head is the finished
+  // sentinel, and the sentinel plus a nonzero slack wraps to a small clock:
+  // a yield test that adds the slack to it fires at every access. A lone
+  // thread, and the last thread left after its siblings finish, must run
+  // to the end without a yield, with batching off as well as on.
+  for (const bool batch : {false, true}) {
+    MachineConfig m;
+    m.n_cores = 2;
+    m.smt_per_core = 2;
+    m.yield_slack_cycles = 200;
+    m.batch_switch_bound = batch;
+    {
+      Scheduler s(m);
+      s.spawn([](SimThread& st) {
+        for (int i = 0; i < 5000; ++i) st.tick(3);
+      });
+      s.run();
+      // The dispatch from the host and the finish, nothing in between.
+      EXPECT_EQ(s.switch_count(), 2u) << "batch=" << batch;
+      EXPECT_EQ(s.elapsed_cycles(), 15000u) << "batch=" << batch;
+    }
+    {
+      Scheduler s(m);
+      int finished = 0;
+      std::uint64_t lone_switches = 0;
+      std::uint64_t lone_cycles = 0;
+      s.spawn([&](SimThread& st) {
+        while (finished < 2) st.tick(3);
+        const std::uint64_t switches = s.switch_count();
+        const std::uint64_t start = st.now();
+        for (int i = 0; i < 5000; ++i) st.tick(3);
+        lone_switches = s.switch_count() - switches;
+        lone_cycles = st.now() - start;
+      });
+      for (int t = 1; t < 3; ++t) {
+        s.spawn([&finished](SimThread& st) {
+          for (int i = 0; i < 1000; ++i) st.tick(5);
+          ++finished;
+        });
+      }
+      s.run();
+      EXPECT_EQ(finished, 2) << "batch=" << batch;
+      EXPECT_EQ(lone_switches, 0u) << "batch=" << batch;
+      EXPECT_EQ(lone_cycles, 15000u) << "batch=" << batch;  // no SMT sibling
+    }
+  }
 }
 
 TEST(Scheduler, SmtMemoMatchesTheDoubleProduct) {
