@@ -17,7 +17,7 @@
 //     e.g. SCM >= plain HLE on the contended MCS point, adjusted ticket/CLH
 //     locks committing speculatively when solo.
 //
-// tools/bench_suite is the CLI front-end; scripts/check.sh runs the smoke
+// `elide suite` is the CLI front-end; scripts/check.sh runs the smoke
 // tier as a pre-merge gate. See docs/benchmarks.md for the schema and the
 // baseline-update workflow.
 #pragma once
@@ -84,7 +84,7 @@ struct SuitePoint {
 // big-machine point ends in its shape, -m<cores>x<smt>.
 std::string point_id(const PointWorkload& w);
 
-// bench_suite --list: the point's fields that fill `column`, as their JSON
+// elide suite --list: the point's fields that fill `column`, as their JSON
 // values joined with '/', or "-" when its kind lists none there.
 inline constexpr const char* kPointListColumns[] = {"lock", "scheme", "size",
                                                     "upd%", "thr",    "seeds"};

@@ -2,7 +2,7 @@
 // workload kind, the keys every point starts with, the per-point "metrics"
 // (whose gated rows also carry the gate's rule) and the run metadata. Each
 // row names a key once — its member, its printed form, when it is written
-// and, for point fields, the bench_suite --list column it fills — and that
+// and, for point fields, the elide suite --list column it fills — and that
 // row drives JSON writing, strict parsing, the --list table and the gate.
 // Adding a field or a gated metric is one row.
 #include <cmath>
@@ -163,7 +163,7 @@ template <typename S>
 struct Field {
   const char* key;
   Presence presence = Presence::kOptional;
-  const char* column = nullptr;  // bench_suite --list column, or nullptr
+  const char* column = nullptr;  // elide suite --list column, or nullptr
   std::function<void(const S&, std::string&)> put;
   std::function<bool(const Value&, S&)> get;
   std::optional<GatedMetric> gate = {};  // metrics rows the gate compares

@@ -20,8 +20,8 @@
 //   policy.spec()                           ->  "hle-scm+shared"
 //
 // The spec grammar is `<scheme>[+shared][:knob=N...]` with the lower-case
-// scheme slugs of scheme_slug(); bench point ids, bench JSON, stress_cli
-// and elide_cli flags all use this one spelling.
+// scheme slugs of scheme_slug(); bench point ids, bench JSON and every
+// `elide` flag use this one spelling.
 #pragma once
 
 #include <cctype>

@@ -10,9 +10,9 @@
 // injected delays are what keep the reader crowd overlapped long enough for
 // the lockout to exceed the watchdog thresholds.
 //
-// Self-test instrument for src/stress (stress_cli --selftest-shared): the
-// RoleLockoutChecker / StarvationWatchdog must catch the planted writer
-// starvation. Excluded from all_locks(); only meaningful under the standard
+// Self-test instrument for src/stress (stress_test's
+// SelfTestFindsPlantedWriterStarvation): the RoleLockoutChecker /
+// StarvationWatchdog must catch the planted writer starvation. Excluded from all_locks(); only meaningful under the standard
 // (non-speculative) policy — it performs no XACQUIRE, so there is nothing
 // to elide.
 #pragma once

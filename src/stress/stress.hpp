@@ -17,7 +17,7 @@
 //    seed; minimize_case() shrinks a failing seed's perturbation budget to
 //    the smallest injection prefix that still reproduces the violation.
 //
-// Reproduce any reported failure with tools/stress_cli (see docs/stress.md).
+// Reproduce any reported failure with `elide stress` (see docs/stress.md).
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,11 @@
 #!/bin/sh
-# Usage: reject_baseline.sh BENCH_SUITE BASELINE FROM TO
+# Usage: reject_baseline.sh ELIDE BASELINE FROM TO
 #
 # Copies BASELINE with its first occurrence of the literal text FROM
-# replaced by TO, then requires `bench_suite --baseline COPY --gate` to
+# replaced by TO, then requires `elide suite --baseline COPY --gate` to
 # refuse it: exit status 2 and the "cannot parse baseline" diagnostic.
 set -u
-suite=$1 baseline=$2 from=$3 to=$4
+elide=$1 baseline=$2 from=$3 to=$4
 bad=$(mktemp)
 trap 'rm -f "$bad"' EXIT
 awk -v from="$from" -v to="$to" '
@@ -16,11 +16,11 @@ awk -v from="$from" -v to="$to" '
 if ! grep -qF -- "$to" "$bad"; then
   echo "FAIL: '$from' not found in $baseline"; exit 1
 fi
-out=$("$suite" --tier smoke --baseline "$bad" --gate --out /dev/null \
+out=$("$elide" suite --tier smoke --baseline "$bad" --gate --out /dev/null \
       --quiet 2>&1)
 rc=$?
 if [ "$rc" -ne 2 ] || ! printf '%s\n' "$out" | grep -q "cannot parse baseline"
 then
-  echo "FAIL: bench_suite exited $rc on a baseline with $to: $out"; exit 1
+  echo "FAIL: elide suite exited $rc on a baseline with $to: $out"; exit 1
 fi
 echo "ok: baseline with $to rejected (exit 2)"

@@ -1,33 +1,25 @@
-// elide — command-line explorer for the elision library.
+// elide — the command-line front end of the elision library:
 //
-// Run any of the paper's workloads with your own parameters:
+//   elide tree       one traced red-black tree run: abort telemetry,
+//                    avalanche episodes, the adaptive decision trace
+//   elide stamp APP  one STAMP application
+//   elide schemes    every scheme over TTAS and MCS on one tree
+//   elide figure ID  one of the paper's figures/tables (figures.hpp)
+//   elide suite      the benchmark suite and its gate (docs/benchmarks.md)
+//   elide stress     schedule-exploration stress sweeps (docs/stress.md)
 //
-//   elide tree   [--lock L] [--scheme S] [--threads N] [--size K]
-//                [--updates PCT] [--ms VIRTUAL_MS] [--seed X] [--hwext]
-//                [--window CYCLES] [--min-victims N]
-//                [--trace FILE] [--metrics FILE]
-//   elide stamp  APP [--lock L] [--scheme S] [--threads N] [--scale X]
-//   elide schemes [--size K] [--updates PCT] [--threads N] [--ms VIRTUAL_MS]
-//                 [--metrics FILE]                          (compare all)
-//   elide figure  ID         (one of the paper's figures/tables; figures.hpp)
-//
-// Locks: ttas mcs ticket ticket-adj clh clh-adj
-// Schemes: any canonical policy spec (locks/policy.hpp), including tuned
-//          ones like `hle:spec-attempts=4` and the adaptive controller
-//          (`adaptive[:window=N:up=N:down=N:dwell=N]`).
-//
-// `tree` always records abort telemetry (tsx/telemetry.hpp; it never moves
-// virtual time) and prints its summary and the avalanche episodes found
-// with the --window/--min-victims detector. An adaptive scheme also prints
-// the controller's decision trace (docs/adaptive.md). --trace FILE writes
-// the raw event log and --metrics FILE the MetricsRegistry export of every
-// run (`schemes` exports all of its runs); either is JSON when FILE ends
-// in .json and CSV otherwise.
-//
-// tree and schemes run harness::run_rb_point_once, so ELISION_BENCH_SCALE
-// multiplies their --ms as it does for every RB-tree point, and every
-// figure's virtual durations.
+// Every flag is a row of the table in flags.cpp, which names the commands
+// that read it. A usage error (a flag the command does not read, a
+// malformed value, an unknown name) prints the diagnostic and the command's
+// usage and exits 2. --trace/--metrics/--out files that cannot be written
+// exit 1 (2 for `suite`). tree and schemes run harness::run_rb_point_once,
+// so ELISION_BENCH_SCALE multiplies their --ms as it does every figure's.
+// `suite` exits 1 if the gate found a regression or a paper-qualitative
+// invariant failed; `stress` exits 1 if any case failed. Neither output
+// depends on --jobs or --host-threads, except the host wall-time fields.
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,142 +27,37 @@
 #include "harness/metrics.hpp"
 #include "harness/rb_workload.hpp"
 #include "harness/report.hpp"
+#include "harness/suite.hpp"
 #include "locks/policy.hpp"
-#include "sim/machine_config.hpp"
 #include "stamp/common.hpp"
-#include "support/parse.hpp"
+#include "stress/stress.hpp"
 #include "tsx/telemetry.hpp"
 
 #include "figures.hpp"
+#include "flags.hpp"
 
 namespace {
 
 using namespace elision;
+using cli::Options;
 
-struct Options {
-  harness::LockSel lock = harness::LockSel::kTtas;
-  std::string scheme = "hle-scm";
-  int threads = 8;
-  std::size_t size = 1024;
-  int updates = 20;
-  double ms = 2.0;
-  std::uint64_t seed = 42;
-  double scale = 1.0;
-  bool hwext = false;
-  tsx::AvalancheConfig avalanche;
-  std::string trace_file;
-  std::string metrics_file;
-};
-
-[[noreturn]] void usage(const char* why) {
-  std::fprintf(stderr, "error: %s\n\n", why);
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  elide tree    [--lock L] [--scheme S] [--threads N] [--size K]\n"
-      "                [--updates PCT] [--ms MS] [--seed X] [--hwext]\n"
-      "                [--window CYCLES] [--min-victims N]\n"
-      "                [--trace FILE] [--metrics FILE]\n"
-      "  elide stamp   APP [--lock ttas|mcs] [--scheme S] [--threads N]\n"
-      "                [--scale X]\n"
-      "  elide schemes [--size K] [--updates PCT] [--threads N] [--ms MS]\n"
-      "                [--metrics FILE]\n"
-      "  elide figure  ID\n"
-      "\n"
-      "--trace writes the abort-telemetry event log, --metrics the metrics\n"
-      "registry: JSON if FILE ends in .json, CSV otherwise\n"
-      "\n"
-      "locks:   ttas mcs ticket ticket-adj clh clh-adj\n"
-      "schemes: any canonical policy spec (locks/policy.hpp), e.g.\n"
-      "         standard hle hle-scm pes-slr opt-slr opt-slr-scm rtm-elide\n"
-      "         hle-scm-nested hle-gscm adaptive hle:spec-attempts=4\n"
-      "         adaptive:window=16:up=50:down=10:dwell=4\n"
-      "stamp apps: genome intruder kmeans_high kmeans_low ssca2\n"
-      "            vacation_high vacation_low labyrinth\n"
-      "figures:");
-  for (const figures::Figure& f : figures::all()) {
-    std::fprintf(stderr, " %s", f.id);
+// Prints `why` and the usage of `cmds`; returns the usage-error status.
+int usage_error(unsigned cmds, const std::string& why) {
+  std::string text = "error: " + why + "\n\n" + cli::usage(cmds);
+  if ((cmds & cli::kStamp) != 0) {
+    text += "\nstamp apps:";
+    for (const char* app : stamp::kAllAppNames) text += std::string(" ") + app;
+    text += "\n";
   }
-  std::fprintf(stderr, "\n");
-  std::exit(2);
-}
-
-Options parse(int argc, char** argv, int first, std::string* positional) {
-  Options o;
-  for (int i = first; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(("missing value for " + a).c_str());
-      return argv[++i];
-    };
-    if (a == "--lock") {
-      const std::string v = next();
-      const auto lock = harness::parse_lock_sel(v);
-      if (!lock) usage(("unknown lock " + v).c_str());
-      o.lock = *lock;
-    } else if (a == "--scheme") {
-      o.scheme = next();
-    } else if (a == "--threads") {
-      const auto v = support::parse_int(next());
-      if (!v) usage("--threads must be a decimal integer");
-      o.threads = *v;
-    } else if (a == "--size") {
-      const auto v = support::parse_u64(next());
-      if (!v || *v < 1) usage("--size must be a decimal integer >= 1");
-      o.size = static_cast<std::size_t>(*v);
-    } else if (a == "--updates") {
-      const auto v = support::parse_int(next());
-      if (!v) usage("--updates must be a decimal integer");
-      o.updates = *v;
-    } else if (a == "--ms") {
-      const auto v = support::parse_double(next());
-      if (!v || *v <= 0) usage("--ms must be a number > 0");
-      o.ms = *v;
-    } else if (a == "--seed") {
-      const auto v = support::parse_u64(next());
-      if (!v) usage("--seed must be a decimal integer");
-      o.seed = *v;
-    } else if (a == "--scale") {
-      const auto v = support::parse_double(next());
-      if (!v || *v <= 0) usage("--scale must be a number > 0");
-      o.scale = *v;
-    } else if (a == "--hwext") {
-      o.hwext = true;
-    } else if (a == "--window") {
-      const auto v = support::parse_u64(next());
-      if (!v || *v < 1) usage("--window must be a decimal integer >= 1");
-      o.avalanche.window_cycles = *v;
-    } else if (a == "--min-victims") {
-      const auto v = support::parse_int(next());
-      if (!v || *v < 1) usage("--min-victims must be a decimal integer >= 1");
-      o.avalanche.min_victims = *v;
-    } else if (a == "--trace") {
-      o.trace_file = next();
-    } else if (a == "--metrics") {
-      o.metrics_file = next();
-    } else if (!a.empty() && a[0] != '-' && positional != nullptr &&
-               positional->empty()) {
-      *positional = a;
-    } else {
-      usage(("unknown argument " + a).c_str());
+  if ((cmds & cli::kFigure) != 0) {
+    text += "\nfigures:";
+    for (const figures::Figure& f : figures::all()) {
+      text += std::string(" ") + f.id;
     }
+    text += "\n";
   }
-  if (o.threads < 1 || o.threads > sim::kMaxSimThreads) {
-    usage(("--threads must be in [1," + std::to_string(sim::kMaxSimThreads) +
-           "] (kMaxSimThreads)")
-              .c_str());
-  }
-  if (o.updates < 0 || o.updates > 100) usage("--updates must be in [0,100]");
-  return o;
-}
-
-// One shared policy-spec grammar across every CLI (see locks/policy.hpp):
-// `<scheme>[+shared][:knob=N...]`, e.g. "hle-scm:scm-retries=5". The scheme
-// spellings are the canonical scheme_slug() ones listed in usage().
-locks::ElisionPolicy parse_policy(const std::string& s) {
-  const std::optional<locks::ElisionPolicy> p = locks::ElisionPolicy::parse(s);
-  if (!p) usage(("unknown policy spec " + s).c_str());
-  return *p;
+  std::fputs(text.c_str(), stderr);
+  return 2;
 }
 
 // The tree the `tree` and `schemes` flags describe.
@@ -181,7 +68,7 @@ harness::RbPoint tree_point(const Options& o) {
   p.threads = o.threads;
   p.duration_sec = o.ms / 1e3;
   p.seed = o.seed;
-  p.avalanche = o.avalanche;
+  p.avalanche = {.window_cycles = o.window, .min_victims = o.min_victims};
   return p;
 }
 
@@ -239,8 +126,8 @@ void print_adaptive_trace(const locks::ElisionPolicy& policy,
 
 int cmd_tree(const Options& o) {
   harness::RbPoint p = tree_point(o);
-  p.scheme = parse_policy(o.scheme);
-  p.lock = o.lock;
+  p.scheme = *locks::ElisionPolicy::parse(o.scheme);
+  p.lock = *harness::parse_lock_sel(o.lock);
   p.hardware_extension = o.hwext;
   tsx::Telemetry telemetry;
   p.telemetry_sink = &telemetry;
@@ -249,9 +136,9 @@ int cmd_tree(const Options& o) {
   const harness::RunStats stats = harness::run_rb_point_once(p);
 
   std::printf("workload:   red-black tree, size %zu, %d%% updates, %d threads\n",
-              o.size, o.updates, o.threads);
+              p.size, o.updates, o.threads);
   std::printf("scheme:     %s on %s%s\n", p.scheme.spec().c_str(),
-              harness::lock_sel_name(o.lock),
+              harness::lock_sel_name(p.lock),
               o.hwext ? " + Ch.7 hardware extension" : "");
   std::printf("throughput: %.2f Mops/s  (%llu ops in %.2f simulated ms)\n",
               stats.throughput() / 1e6,
@@ -283,27 +170,27 @@ int cmd_tree(const Options& o) {
                 o.trace_file.c_str());
   }
   harness::MetricsRegistry registry;
-  registry.record(p.scheme.spec(), harness::lock_sel_name(o.lock), stats);
+  registry.record(p.scheme.spec(), harness::lock_sel_name(p.lock), stats);
   return export_metrics(o, registry);
 }
 
-int cmd_stamp(const Options& o, const std::string& app) {
-  if (app.empty()) usage("stamp requires an APP argument");
-  bool known = false;
-  for (const char* name : stamp::kAllAppNames) {
-    if (app == name) known = true;
+int cmd_stamp(const Options& o) {
+  const std::string& app = o.positional;
+  if (std::ranges::find(stamp::kAllAppNames, app) ==
+      std::end(stamp::kAllAppNames)) {
+    return usage_error(cli::kStamp, "unknown STAMP app " + app);
   }
-  if (!known) usage(("unknown STAMP app " + app).c_str());
   stamp::StampConfig cfg;
   cfg.threads = o.threads;
   cfg.scale = o.scale;
-  cfg.scheme = parse_policy(o.scheme).scheme;  // STAMP is scheme-only
-  if (o.lock == harness::LockSel::kTtas) {
+  // STAMP is scheme-only.
+  cfg.scheme = locks::ElisionPolicy::parse(o.scheme)->scheme;
+  if (o.lock == "ttas") {
     cfg.lock = stamp::LockKind::kTtas;
-  } else if (o.lock == harness::LockSel::kMcs) {
+  } else if (o.lock == "mcs") {
     cfg.lock = stamp::LockKind::kMcs;
   } else {
-    usage("stamp supports --lock ttas|mcs");
+    return usage_error(cli::kStamp, "stamp supports --lock ttas|mcs");
   }
   const auto r = stamp::run_app(app, cfg);
   std::printf("app:        %s (scale %.2f, %d threads)\n", app.c_str(),
@@ -325,7 +212,7 @@ int cmd_stamp(const Options& o, const std::string& app) {
 int cmd_schemes(const Options& o) {
   std::printf("All schemes on a %zu-node tree, %d%% updates, %d threads "
               "(TTAS / MCS Mops/s):\n\n",
-              o.size, o.updates, o.threads);
+              static_cast<std::size_t>(o.size), o.updates, o.threads);
   harness::Table table({"scheme", "TTAS Mops/s", "MCS Mops/s"});
   harness::MetricsRegistry registry;
   for (const locks::Scheme s : locks::kAllSchemes) {
@@ -345,23 +232,212 @@ int cmd_schemes(const Options& o) {
   return export_metrics(o, registry);
 }
 
+int cmd_figure(const Options& o) {
+  const figures::Figure* f = figures::find(o.positional);
+  if (f == nullptr) {
+    return usage_error(cli::kFigure, "unknown figure " + o.positional);
+  }
+  harness::banner(f->title, f->caption);
+  f->render();
+  return 0;
+}
+
+void print_point_list(harness::SuiteTier tier) {
+  std::vector<std::string> header = {"id", "tier", "figure", "kind"};
+  header.insert(header.end(), std::begin(harness::kPointListColumns),
+                std::end(harness::kPointListColumns));
+  harness::Table table(header);
+  for (const auto& sp : harness::suite_points_for(tier)) {
+    std::vector<std::string> row = {sp.id, harness::suite_tier_name(sp.tier),
+                                    sp.figure,
+                                    harness::point_kind_name(sp.kind())};
+    for (const char* column : harness::kPointListColumns) {
+      row.push_back(harness::point_column(sp, column));
+    }
+    table.add_row(std::move(row));
+  }
+  table.print();
+}
+
+int cmd_suite(const Options& o) {
+  if (o.gate && o.baseline_file.empty()) {
+    return usage_error(cli::kSuite, "--gate requires --baseline FILE");
+  }
+  if (o.gate && !o.point.empty()) {
+    return usage_error(cli::kSuite,
+                       "--gate cannot be combined with --point (every other "
+                       "baseline point would read as coverage loss)");
+  }
+  const harness::SuiteTier tier = *harness::suite_tier_from_name(o.tier);
+  if (o.list) {
+    print_point_list(tier);
+    return 0;
+  }
+
+  // Parse the baseline before running anything, so a malformed one fails
+  // fast (exit 2) instead of after the whole tier.
+  std::optional<harness::SuiteResult> baseline;
+  if (o.gate) {
+    baseline = harness::load_results_file(o.baseline_file);
+    if (!baseline) {
+      std::fprintf(stderr, "elide suite: cannot parse baseline %s\n",
+                   o.baseline_file.c_str());
+      return 2;
+    }
+  }
+
+  std::vector<harness::SuitePoint> points = harness::suite_points_for(tier);
+  if (!o.point.empty()) {
+    std::erase_if(points, [&](const harness::SuitePoint& sp) {
+      return sp.id != o.point;
+    });
+    if (points.empty()) {
+      return usage_error(cli::kSuite, "no point " + o.point + " in the " +
+                                          o.tier + " tier");
+    }
+  }
+
+  harness::SuiteResult result =
+      harness::run_suite(points, o.jobs, o.host_threads);
+  harness::Table progress({"id", "Mops/s", "att/op", "nonspec", "episodes"});
+  for (auto& p : result.points) {
+    auto& m = p.metrics;
+    m.throughput_ops_per_sec *= o.plant_regression;
+    m.sim_ops_per_sec *= o.plant_slowdown;
+    progress.add_row({p.def.id, harness::fmt(m.throughput_ops_per_sec / 1e6, 2),
+                      harness::fmt(m.attempts_per_op, 2),
+                      harness::fmt(m.nonspec_fraction, 3),
+                      harness::fmt_int(m.avalanche_episodes)});
+  }
+  if (!o.quiet) progress.print();
+  if (o.plant_regression != 1.0 || o.plant_slowdown != 1.0) {
+    std::fprintf(stderr,
+                 "elide suite: self-check mode: throughputs scaled by %.3f, "
+                 "sim_ops_per_sec by %.3f\n",
+                 o.plant_regression, o.plant_slowdown);
+  }
+
+  if (!write_file(o.out_file, [&](std::FILE* f, bool) {
+        harness::write_results_json(result, f);
+      })) {
+    return 2;
+  }
+  if (!o.quiet) {
+    std::printf("results: %zu points -> %s (jobs %d, %.0f ms)\n",
+                result.points.size(), o.out_file.c_str(), result.jobs,
+                result.total_wall_ms);
+  }
+
+  int rc = 0;
+  for (const auto& inv : harness::check_invariants(result)) {
+    const bool failed = !inv.skipped && !inv.ok;
+    if (failed) rc = 1;
+    if (failed || !o.quiet) {
+      std::fprintf(failed ? stderr : stdout, "invariant %-34s %s (%s)\n",
+                   inv.name.c_str(),
+                   failed ? "FAIL" : inv.skipped ? "SKIP" : "ok  ",
+                   inv.detail.c_str());
+    }
+  }
+  if (baseline) {
+    const auto report =
+        harness::compare_to_baseline(result, *baseline, o.tol_simops);
+    harness::print_gate_report(report, report.ok() ? stdout : stderr);
+    if (!report.ok()) rc = 1;
+  }
+  return rc;
+}
+
+// The items a stress list names, or all of them for an empty list.
+template <typename T, typename Find>
+std::vector<T> pick(const std::vector<std::string>& names, std::vector<T> all,
+                    Find find) {
+  if (names.empty()) return all;
+  std::vector<T> out;
+  for (const std::string& name : names) out.push_back(*find(name));
+  return out;
+}
+
+int cmd_stress(const Options& o) {
+  stress::StressOptions so;
+  so.threads = o.threads;
+  so.host_threads = o.host_threads;
+  so.duration_ms = o.duration_ms;
+  so.perturb_probability = o.prob;
+  so.perturb_max_delay_cycles = o.max_delay;
+  so.minimize = !o.no_minimize;
+  so.telemetry = o.telemetry;
+  // The table checked every name.
+  const auto policies =
+      pick(o.schemes, stress::all_policies(), locks::ElisionPolicy::parse);
+  const auto locks =
+      pick(o.locks, stress::all_locks(), cli::find_stress_lock);
+  const auto workloads =
+      pick(o.workloads, stress::all_workloads(), cli::find_stress_workload);
+  // The planted-bug locks run only non-speculatively (run_case checks it).
+  const bool planted = std::ranges::any_of(locks, [](stress::LockKind k) {
+    return k == stress::LockKind::kRacy || k == stress::LockKind::kGreedyShared;
+  });
+  if (planted && !std::ranges::all_of(policies, [](const auto& p) {
+        return p.scheme == locks::Scheme::kStandard;
+      })) {
+    return usage_error(cli::kStress,
+                       "--locks racy and greedy-shared need --schemes standard");
+  }
+
+  int done = 0;
+  const int total = o.seeds * static_cast<int>(policies.size()) *
+                    static_cast<int>(locks.size()) *
+                    static_cast<int>(workloads.size());
+  const stress::SweepStats s = stress::sweep(
+      so, policies, locks, workloads, o.first_seed, o.seeds,
+      [&](const stress::StressCase& c, const stress::RunOutcome& out) {
+        ++done;
+        if (!out.ok()) {
+          std::printf("[%d/%d] VIOLATION %s\n", done, total,
+                      stress::case_name(c).c_str());
+        } else if (!o.quiet && done % 100 == 0) {
+          std::printf("[%d/%d] ok\n", done, total);
+          std::fflush(stdout);
+        }
+      });
+
+  std::printf("%d runs, %llu total ops, %zu failing\n", s.runs,
+              static_cast<unsigned long long>(s.total_ops),
+              s.failures.size());
+  for (const stress::FailureReport& f : s.failures) {
+    std::printf("FAIL %s (minimized budget=%llu)\n",
+                stress::case_name(f.c).c_str(),
+                static_cast<unsigned long long>(f.minimized_points));
+    for (const std::string& v : f.outcome.violations) {
+      std::printf("     %s\n", v.c_str());
+    }
+  }
+  return s.ok() ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage("missing command");
-  const std::string cmd = argv[1];
-  if (cmd == "figure") {
-    if (argc != 3) usage("figure takes exactly one ID");
-    const figures::Figure* f = figures::find(argv[2]);
-    if (f == nullptr) usage((std::string("unknown figure ") + argv[2]).c_str());
-    harness::banner(f->title, f->caption);
-    f->render();
-    return 0;
+  if (argc < 2) return usage_error(cli::kAllCommands, "missing command");
+  const std::string_view name = argv[1];
+  const auto c = std::ranges::find(cli::commands(), name, &cli::CommandInfo::name);
+  if (c == cli::commands().end()) {
+    return usage_error(cli::kAllCommands,
+                       std::string("unknown command ") + argv[1]);
   }
-  std::string positional;
-  const Options o = parse(argc, argv, 2, &positional);
-  if (cmd == "tree") return cmd_tree(o);
-  if (cmd == "stamp") return cmd_stamp(o, positional);
-  if (cmd == "schemes") return cmd_schemes(o);
-  usage(("unknown command " + cmd).c_str());
+  Options o;
+  const std::vector<const char*> args(argv + 2, argv + argc);
+  if (const auto diag = cli::parse(c->cmd, args, o)) {
+    return usage_error(c->cmd, *diag);
+  }
+  switch (c->cmd) {
+    case cli::kTree: return cmd_tree(o);
+    case cli::kStamp: return cmd_stamp(o);
+    case cli::kSchemes: return cmd_schemes(o);
+    case cli::kFigure: return cmd_figure(o);
+    case cli::kSuite: return cmd_suite(o);
+    case cli::kStress: return cmd_stress(o);
+  }
+  return 2;
 }
