@@ -12,9 +12,9 @@
 # fast-path on/off identity (suite_smoke_baseline_fastpath_off) and the
 # differential fuzzes of the line table and the ready queue.
 # What stays here:
-# - a ThreadSanitizer build of the parallel paths (parallel_test,
-#   fastpath_test and a threaded `elide stress` smoke), with the engine's
-#   fiber switches annotated via the TSan fiber API;
+# - a ThreadSanitizer build of the parallel paths (parallel_test and a
+#   threaded `elide stress` smoke), with the engine's fiber switches
+#   annotated via the TSan fiber API;
 # - the smoke tier gated against the committed baseline
 #   (bench/baseline.json) with the cross-host --tol-simops 0.9;
 # - two host-timing gates: `elide stress --host-threads 4` must buy >= 1.5x
@@ -52,18 +52,17 @@ cmake --build "$SAN_BUILD" -j
 ctest --test-dir "$SAN_BUILD" --output-on-failure -j
 
 # ThreadSanitizer over the in-process parallel paths: the pool itself, the
-# per-run simulations fanned out across host threads (fiber switches are
-# annotated through the TSan fiber API), and a threaded stress smoke. Only
-# the parallel-facing targets are built — everything else is identical
-# single-threaded code already covered above.
+# per-run simulations fanned out across host threads (parallel_test's
+# stress sweep, point seeds and STAMP jobs switch annotated fibers on up to
+# 4 host threads; fiber switches go through the TSan fiber API), and a
+# threaded stress smoke. Only the parallel-facing targets are built —
+# everything else is identical single-threaded code already covered above.
 TSAN_BUILD=build-check-tsan
 cmake -B "$TSAN_BUILD" -S . -DELISION_WERROR=ON -DELISION_TSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$TSAN_BUILD" -j --target parallel_test elide fastpath_test
+cmake --build "$TSAN_BUILD" -j --target parallel_test elide
 "$TSAN_BUILD"/tests/parallel_test || {
   echo "check: parallel_test failed under ThreadSanitizer" >&2; exit 1; }
-"$TSAN_BUILD"/tests/fastpath_test || {
-  echo "check: fastpath_test failed under ThreadSanitizer" >&2; exit 1; }
 "$TSAN_BUILD"/tools/elide stress --schemes hle --locks ttas --seeds 2 \
     --host-threads 4 --quiet || {
   echo "check: threaded stress smoke failed under ThreadSanitizer" >&2
@@ -71,8 +70,10 @@ cmake --build "$TSAN_BUILD" -j --target parallel_test elide fastpath_test
 
 # Stress fan-out over host threads must buy wall time on multi-core hosts:
 # demand at least 1.5x at --host-threads 4 (the target on an idle 4+-core
-# machine is 2x; 1.5x keeps a loaded CI box from flaking). Meaningless on
-# fewer than 4 cores, so skipped there.
+# machine is 2x; 1.5x keeps a loaded CI box from flaking). Both sides run in
+# 5 interleaved pairs and each keeps its best run, as the fast-path gate
+# below does, so a slow first run after other work does not read as a
+# missing speedup. Meaningless on fewer than 4 cores, so skipped there.
 if [ "$(nproc 2>/dev/null || echo 1)" -ge 4 ]; then
   python3 - "$BUILD" <<'EOF'
 import subprocess, sys, time
@@ -84,10 +85,13 @@ def run(ht):
                     "--host-threads", str(ht)],
                    check=True, stdout=subprocess.DEVNULL)
     return time.monotonic() - t0
-serial, par = run(1), run(4)
+pairs = [(run(1), run(4)) for _ in range(5)]
+serial, par = min(s for s, _ in pairs), min(p for _, p in pairs)
 speedup = serial / par if par > 0 else 0.0
-print(f"stress: --host-threads 4 speedup {speedup:.2f}x"
-      f" ({serial:.1f}s -> {par:.1f}s)")
+print("stress: --host-threads 1/4 pairs " +
+      " ".join(f"{s:.2f}s/{p:.2f}s" for s, p in pairs))
+print(f"stress: --host-threads 4 best-of-5 speedup {speedup:.2f}x"
+      f" ({serial:.2f}s -> {par:.2f}s)")
 assert speedup >= 1.5, "threaded stress smoke speedup below 1.5x"
 EOF
 else

@@ -10,12 +10,9 @@
 #include <cstdint>
 
 #include "harness/runner.hpp"
+#include "locks/registry.hpp"
 
 namespace elision::harness {
-
-enum class SharedLockSel { kSharedTtas, kSharedMcs };
-
-const char* shared_lock_sel_name(SharedLockSel s);
 
 struct BtPoint {
   std::size_t size = 128;
@@ -28,7 +25,7 @@ struct BtPoint {
   // Reads follow this policy's access mode; `.shared()` is the elided-reader
   // configuration the suite compares against the exclusive equivalent.
   locks::ElisionPolicy policy = locks::ElisionPolicy::hle();
-  SharedLockSel lock = SharedLockSel::kSharedTtas;
+  locks::LockId lock = locks::LockId::kSharedTtas;  // one of locks::SharedLocks
   double duration_sec = 0.003;
   bool telemetry = false;
   tsx::AvalancheConfig avalanche;

@@ -35,7 +35,7 @@ struct PhasePoint {
   std::size_t size = 12;  // small tree: the storm must actually conflict
   int threads = 16;
   locks::ElisionPolicy scheme = locks::ElisionPolicy::adaptive();
-  LockSel lock = LockSel::kTtas;
+  locks::LockId lock = locks::LockId::kTtas;  // one of locks::ExclusiveLocks
   int calm_update_pct = 10;    // phases 0 and 2
   int storm_update_pct = 100;  // phase 1
   double phase_sec = 0.001;    // virtual seconds per phase

@@ -1,45 +1,16 @@
 #include "harness/rb_workload.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <type_traits>
 
 #include "ds/hashtable.hpp"
 #include "ds/rbtree.hpp"
 #include "ds/skiplist.hpp"
-#include "locks/clh_lock.hpp"
-#include "locks/mcs_lock.hpp"
 #include "locks/schemes.hpp"
-#include "locks/ticket_lock.hpp"
 #include "locks/ttas_lock.hpp"
 #include "support/rng.hpp"
 
 namespace elision::harness {
-
-const char* lock_sel_name(LockSel s) {
-  switch (s) {
-    case LockSel::kTtas: return "TTAS";
-    case LockSel::kMcs: return "MCS";
-    case LockSel::kTicketAdj: return "Ticket-adj";
-    case LockSel::kClhAdj: return "CLH-adj";
-    case LockSel::kTicket: return "Ticket";
-    case LockSel::kClh: return "CLH";
-  }
-  return "?";
-}
-
-std::string lock_sel_slug(LockSel s) {
-  std::string out = lock_sel_name(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(c));
-  return out;
-}
-
-std::optional<LockSel> parse_lock_sel(std::string_view slug) {
-  for (const LockSel s : kAllLockSels) {
-    if (lock_sel_slug(s) == slug) return s;
-  }
-  return std::nullopt;
-}
 
 namespace {
 
@@ -92,21 +63,10 @@ void prefill(std::size_t size, std::uint64_t seed, Insert&& insert) {
 
 template <typename Set>
 RunStats run_on_set(const BenchConfig& cfg, const KeyedRun& run, Set& set) {
-  switch (run.lock) {
-    case LockSel::kTtas:
-      return run_with_lock<locks::TtasLock>(cfg, run, set);
-    case LockSel::kMcs:
-      return run_with_lock<locks::McsLock>(cfg, run, set);
-    case LockSel::kTicketAdj:
-      return run_with_lock<locks::TicketLockAdjusted>(cfg, run, set);
-    case LockSel::kClhAdj:
-      return run_with_lock<locks::ClhLockAdjusted>(cfg, run, set);
-    case LockSel::kTicket:
-      return run_with_lock<locks::TicketLock>(cfg, run, set);
-    case LockSel::kClh:
-      return run_with_lock<locks::ClhLock>(cfg, run, set);
-  }
-  return {};
+  return locks::with_lock<locks::ExclusiveLocks>(
+      run.lock, [&]<typename Lock>() {
+        return run_with_lock<Lock>(cfg, run, set);
+      });
 }
 
 }  // namespace

@@ -8,34 +8,25 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string>
-#include <string_view>
 
 #include "harness/runner.hpp"
 #include "locks/adaptive.hpp"
+#include "locks/registry.hpp"
 
 namespace elision::harness {
 
-enum class LockSel { kTtas, kMcs, kTicketAdj, kClhAdj, kTicket, kClh };
-
-inline constexpr LockSel kAllLockSels[] = {
-    LockSel::kTtas,   LockSel::kMcs, LockSel::kTicketAdj,
-    LockSel::kClhAdj, LockSel::kTicket, LockSel::kClh};
-
-const char* lock_sel_name(LockSel s);
-
-// Lower-case lock_sel_name ("ttas", "ticket-adj", ...): the spelling of
-// suite point ids and of every CLI's --lock flag.
-std::string lock_sel_slug(LockSel s);
-std::optional<LockSel> parse_lock_sel(std::string_view slug);
+// bench/e2e still names harness::LockSel::kMcs and
+// harness::SharedLockSel::kSharedTtas; delete both aliases once e2e runs
+// through run_*_point_once (ROADMAP item 1).
+using LockSel = locks::LockId;
+using SharedLockSel = locks::LockId;
 
 struct RbPoint {
   std::size_t size = 128;
   int update_pct = 20;  // split evenly between inserts and deletes
   int threads = 8;
   locks::ElisionPolicy scheme = locks::ElisionPolicy::standard();
-  LockSel lock = LockSel::kTtas;
+  locks::LockId lock = locks::LockId::kTtas;  // one of locks::ExclusiveLocks
   double duration_sec = 0.003;
   // Collect an event trace and derive avalanche/rejoin statistics.
   bool telemetry = false;
@@ -86,7 +77,7 @@ enum class KeyedSet { kRbTree, kHashTable, kSkipList };
 struct KeyedRun {
   KeyedSet set = KeyedSet::kRbTree;
   std::size_t size = 0;
-  LockSel lock = LockSel::kTtas;
+  locks::LockId lock = locks::LockId::kTtas;  // one of locks::ExclusiveLocks
   int update_pct = 0;
   // The phase workload's write storm: when phase_cycles > 0, the second
   // phase (virtual time now / phase_cycles == 1) uses storm_update_pct.

@@ -21,7 +21,7 @@ const char* suite_tier_name(SuiteTier t) {
   return "?";
 }
 
-std::optional<SuiteTier> suite_tier_from_name(const std::string& name) {
+std::optional<SuiteTier> suite_tier_from_name(std::string_view name) {
   if (name == "smoke") return SuiteTier::kSmoke;
   if (name == "full") return SuiteTier::kFull;
   return std::nullopt;
@@ -38,7 +38,7 @@ SuitePoint point(SuiteTier tier, const char* figure, PointWorkload w) {
   return sp;
 }
 
-RbPoint rb(std::size_t size, int update_pct, int threads, LockSel lock,
+RbPoint rb(std::size_t size, int update_pct, int threads, locks::LockId lock,
            locks::ElisionPolicy scheme, bool telemetry = false) {
   RbPoint p;
   p.size = size;
@@ -52,7 +52,7 @@ RbPoint rb(std::size_t size, int update_pct, int threads, LockSel lock,
 }
 
 BtPoint bt(std::size_t size, int update_pct, int scan_pct,
-           std::size_t scan_len, SharedLockSel lock,
+           std::size_t scan_len, locks::LockId lock,
            locks::ElisionPolicy policy, bool telemetry = false) {
   BtPoint p;
   p.size = size;
@@ -86,7 +86,7 @@ PhasePoint phase(locks::ElisionPolicy policy) {
   p.calm_update_pct = 10;
   p.storm_update_pct = 100;
   p.threads = 16;
-  p.lock = LockSel::kTtas;
+  p.lock = locks::LockId::kTtas;
   p.scheme = policy;
   return p;
 }
@@ -95,10 +95,7 @@ std::vector<SuitePoint> build_points() {
   using locks::ElisionPolicy;
   constexpr SuiteTier S = SuiteTier::kSmoke;
   constexpr SuiteTier F = SuiteTier::kFull;
-  constexpr LockSel kTtas = LockSel::kTtas;
-  constexpr LockSel kMcs = LockSel::kMcs;
-  constexpr SharedLockSel kShTtas = SharedLockSel::kSharedTtas;
-  constexpr SharedLockSel kShMcs = SharedLockSel::kSharedMcs;
+  using enum locks::LockId;
   std::vector<SuitePoint> v;
   auto add = [&](SuiteTier tier, const char* figure, PointWorkload w) {
     v.push_back(point(tier, figure, std::move(w)));
@@ -118,9 +115,9 @@ std::vector<SuitePoint> build_points() {
   add(S, "fig3.4", rb(8192, 20, 8, kTtas, ElisionPolicy::hle()));
   // Ch. 6 fair locks, solo: adjusted ticket/CLH must elide, the unadjusted
   // ticket must not (XRELEASE mismatch on every attempt).
-  add(S, "ch6", rb(64, 20, 1, LockSel::kTicketAdj, ElisionPolicy::hle()));
-  add(S, "ch6", rb(64, 20, 1, LockSel::kClhAdj, ElisionPolicy::hle()));
-  add(S, "ch6", rb(64, 20, 1, LockSel::kTicket, ElisionPolicy::hle()));
+  add(S, "ch6", rb(64, 20, 1, kTicketAdj, ElisionPolicy::hle()));
+  add(S, "ch6", rb(64, 20, 1, kClhAdj, ElisionPolicy::hle()));
+  add(S, "ch6", rb(64, 20, 1, kTicket, ElisionPolicy::hle()));
   // Simulator-speed canary: fixed-work RTM microbenchmark whose
   // sim_ops_per_sec (simulated ops per host second) gates host-side engine
   // performance. Its simulated metrics are deterministic like every other
@@ -155,11 +152,11 @@ std::vector<SuitePoint> build_points() {
   // reader-writer word aborts the whole subscribed reader crowd) through
   // telemetry.
   add(S, "shared-elision",
-      bt(1024, 10, 100, 64, kShTtas, ElisionPolicy::hle()));
+      bt(1024, 10, 100, 64, kSharedTtas, ElisionPolicy::hle()));
   add(S, "shared-elision",
-      bt(1024, 10, 100, 64, kShTtas, ElisionPolicy::hle().shared()));
+      bt(1024, 10, 100, 64, kSharedTtas, ElisionPolicy::hle().shared()));
   add(S, "shared-avalanche",
-      bt(128, 80, 30, 16, kShTtas, ElisionPolicy::hle().shared(), true));
+      bt(128, 80, 30, 16, kSharedTtas, ElisionPolicy::hle().shared(), true));
 
   // Phase-shifting adaptive headline: one read-mostly -> write-storm ->
   // read-mostly run, adaptive against each of its four static modes. The
@@ -197,14 +194,15 @@ std::vector<SuitePoint> build_points() {
   // so the two run identically — speculation already admits everyone), and
   // the no-speculation shared baseline.
   add(F, "shared-elision",
-      bt(1024, 10, 100, 64, kShMcs, ElisionPolicy::hle().shared()));
-  add(F, "shared-elision", bt(1024, 10, 100, 64, kShMcs, ElisionPolicy::hle()));
+      bt(1024, 10, 100, 64, kSharedMcs, ElisionPolicy::hle().shared()));
   add(F, "shared-elision",
-      bt(1024, 10, 100, 64, kShTtas, ElisionPolicy::hle_scm().shared()));
+      bt(1024, 10, 100, 64, kSharedMcs, ElisionPolicy::hle()));
   add(F, "shared-elision",
-      bt(1024, 10, 100, 64, kShTtas, ElisionPolicy::hle_scm()));
+      bt(1024, 10, 100, 64, kSharedTtas, ElisionPolicy::hle_scm().shared()));
   add(F, "shared-elision",
-      bt(1024, 10, 100, 64, kShTtas, ElisionPolicy::standard().shared()));
+      bt(1024, 10, 100, 64, kSharedTtas, ElisionPolicy::hle_scm()));
+  add(F, "shared-elision",
+      bt(1024, 10, 100, 64, kSharedTtas, ElisionPolicy::standard().shared()));
   add(F, "fig5.2", rb(64, 20, 8, kTtas, ElisionPolicy::pes_slr()));
   add(F, "fig5.2", rb(64, 20, 8, kTtas, ElisionPolicy::opt_slr()));
   add(F, "fig5.1", rb(64, 20, 8, kMcs, ElisionPolicy::standard()));
@@ -214,9 +212,9 @@ std::vector<SuitePoint> build_points() {
   add(F, "fig5.1", rb(64, 0, 8, kTtas, ElisionPolicy::hle_scm()));
   add(F, "fig5.1", rb(64, 100, 8, kTtas, ElisionPolicy::hle_scm()));
   add(F, "tbl-fairlocks",
-      rb(64, 20, 8, LockSel::kTicketAdj, ElisionPolicy::hle_scm()));
+      rb(64, 20, 8, kTicketAdj, ElisionPolicy::hle_scm()));
   add(F, "tbl-fairlocks",
-      rb(64, 20, 8, LockSel::kClhAdj, ElisionPolicy::hle_scm()));
+      rb(64, 20, 8, kClhAdj, ElisionPolicy::hle_scm()));
   add(F, "fig3.5", rb(64, 20, 8, kTtas, ElisionPolicy::rtm_elide()));
   add(F, "abl-scm-nested",
       rb(64, 20, 8, kTtas, ElisionPolicy::hle_scm_nested()));

@@ -45,7 +45,7 @@ inline constexpr int kSuiteSchemaVersion = 1;
 enum class SuiteTier { kSmoke, kFull };
 
 const char* suite_tier_name(SuiteTier t);
-std::optional<SuiteTier> suite_tier_from_name(const std::string& name);
+std::optional<SuiteTier> suite_tier_from_name(std::string_view name);
 
 // What workload a suite point runs: the RB-tree benchmark (fixed virtual
 // duration), the B+tree range-scan benchmark over the two-mode locks

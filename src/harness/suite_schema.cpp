@@ -60,10 +60,6 @@ void put(std::string& o, const PointWorkload& v) {
 void put(std::string& o, const locks::ElisionPolicy& v) {
   put_string(o, v.spec());
 }
-void put(std::string& o, LockSel v) { put_string(o, lock_sel_name(v)); }
-void put(std::string& o, SharedLockSel v) {
-  put_string(o, shared_lock_sel_name(v));
-}
 
 bool get(const Value& v, bool& out) {
   if (!v.is_bool()) return false;
@@ -124,28 +120,12 @@ bool get(const Value& v, locks::ElisionPolicy& out) {
   out = *p;
   return true;
 }
-template <typename E, std::size_t N>
-bool get_named(const Value& v, E& out, const E (&all)[N],
-               const char* (*name)(E)) {
-  for (const E e : all) {
-    if (v.is_string() && v.as_string() == name(e)) {
-      out = e;
-      return true;
-    }
-  }
-  return false;
-}
-bool get(const Value& v, LockSel& out) {
-  return get_named(v, out, kAllLockSels, lock_sel_name);
-}
-bool get(const Value& v, SharedLockSel& out) {
-  constexpr SharedLockSel kAll[] = {SharedLockSel::kSharedTtas,
-                                    SharedLockSel::kSharedMcs};
-  return get_named(v, out, kAll, shared_lock_sel_name);
-}
 bool get(const Value& v, SuiteTier& out) {
-  constexpr SuiteTier kAll[] = {SuiteTier::kSmoke, SuiteTier::kFull};
-  return get_named(v, out, kAll, suite_tier_name);
+  const auto t =
+      v.is_string() ? suite_tier_from_name(v.as_string()) : std::nullopt;
+  if (!t) return false;
+  out = *t;
+  return true;
 }
 
 // ---- field tables ----
@@ -271,6 +251,27 @@ Field<S> group(const char* key, Presence presence,
           [=](const Value& v, S& s) { return get_object(fields, v, s); }};
 }
 
+// The "lock" key (the --list "lock" column): the lock's name
+// (locks::lock_name) or its slug, read back only as that exact spelling of a
+// lock in Set. rb and phase points write the name, bt points the slug.
+template <typename Set, typename S>
+Field<S> lock_field(locks::LockId S::*m, bool slug) {
+  const auto spell = [slug](locks::LockId id) {
+    return slug ? locks::lock_slug(id) : std::string(locks::lock_name(id));
+  };
+  return {"lock", Presence::kOptional, "lock",
+          [=](const S& s, std::string& o) { put_string(o, spell(s.*m)); },
+          [=](const Value& v, S& s) {
+            for (const locks::LockId id : Set::kIds) {
+              if (v.is_string() && v.as_string() == spell(id)) {
+                s.*m = id;
+                return true;
+              }
+            }
+            return false;
+          }};
+}
+
 template <typename P>
 struct Kind {
   std::vector<Field<P>> fields;
@@ -292,7 +293,7 @@ template <>
 const Kind<RbPoint>& schema() {
   using P = RbPoint;
   static const Kind<P> k{
-      {field("lock", &P::lock, "lock"),
+      {lock_field<locks::ExclusiveLocks>(&P::lock, /*slug=*/false),
        field("scheme", &P::scheme, "scheme"),
        field("size", &P::size, "size"),
        field("update_pct", &P::update_pct, "upd%"),
@@ -307,7 +308,7 @@ const Kind<RbPoint>& schema() {
       [](const P& p) {
         return "rb-s" + to_string(p.size) + "-u" + to_string(p.update_pct) +
                "-t" + to_string(p.threads) + "-" +
-               lock_sel_slug(p.lock) + "-" + p.scheme.spec() +
+               locks::lock_slug(p.lock) + "-" + p.scheme.spec() +
                machine_suffix(p.n_cores, p.smt_per_core);
       }};
   return k;
@@ -317,7 +318,8 @@ template <>
 const Kind<MicroPoint>& schema() {
   using P = MicroPoint;
   static const Kind<P> k{
-      {fixed<P>("lock", LockSel::kTtas, "lock"),
+      {fixed<P>("lock", std::string(locks::lock_name(locks::LockId::kTtas)),
+                "lock"),
        fixed<P>("scheme", locks::ElisionPolicy::standard(), "scheme"),
        field("size", &P::array_words, "size"),
        fixed<P>("update_pct", 0, "upd%"),
@@ -339,7 +341,7 @@ template <>
 const Kind<BtPoint>& schema() {
   using P = BtPoint;
   static const Kind<P> k{
-      {field("lock", &P::lock, "lock"),
+      {lock_field<locks::SharedLocks>(&P::lock, /*slug=*/true),
        field("scheme", &P::policy, "scheme"),
        field("size", &P::size, "size"),
        field("update_pct", &P::update_pct, "upd%"),
@@ -354,7 +356,7 @@ const Kind<BtPoint>& schema() {
         return "bt-s" + to_string(p.size) + "-u" + to_string(p.update_pct) +
                "-c" + to_string(p.scan_pct) + "-l" + to_string(p.scan_len) +
                "-t" + to_string(p.threads) + "-" +
-               shared_lock_sel_name(p.lock) + "-" + p.policy.spec();
+               locks::lock_slug(p.lock) + "-" + p.policy.spec();
       }};
   return k;
 }
@@ -363,7 +365,7 @@ template <>
 const Kind<PhasePoint>& schema() {
   using P = PhasePoint;
   static const Kind<P> k{
-      {field("lock", &P::lock, "lock"),
+      {lock_field<locks::ExclusiveLocks>(&P::lock, /*slug=*/false),
        field("scheme", &P::scheme, "scheme"),
        field("size", &P::size, "size"),
        field("calm_update_pct", &P::calm_update_pct, "upd%"),
@@ -377,7 +379,7 @@ const Kind<PhasePoint>& schema() {
         return "ph-s" + to_string(p.size) + "-u" +
                to_string(p.calm_update_pct) + "-" +
                to_string(p.storm_update_pct) + "-t" + to_string(p.threads) +
-               "-" + lock_sel_slug(p.lock) + "-" + p.scheme.spec();
+               "-" + locks::lock_slug(p.lock) + "-" + p.scheme.spec();
       }};
   return k;
 }

@@ -12,9 +12,10 @@
 //
 // Self-test instrument for src/stress (stress_test's
 // SelfTestFindsPlantedWriterStarvation): the RoleLockoutChecker /
-// StarvationWatchdog must catch the planted writer starvation. Excluded from all_locks(); only meaningful under the standard
-// (non-speculative) policy — it performs no XACQUIRE, so there is nothing
-// to elide.
+// StarvationWatchdog must catch the planted writer starvation. Its registry
+// row (locks/registry.hpp) is marked planted, so no `--locks all` sweep runs
+// it; only meaningful under the standard (non-speculative) policy — it
+// performs no XACQUIRE, so there is nothing to elide.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +24,7 @@
 #include "support/align.hpp"
 #include "tsx/shared.hpp"
 
-namespace elision::stress {
+namespace elision::locks {
 
 class GreedySharedLock {
  public:
@@ -32,12 +33,12 @@ class GreedySharedLock {
 
   // --- exclusive mode (correct; mirrors SharedTtasLock's standard path) ---
   void lock(tsx::Ctx& ctx) {
-    word().fetch_add(ctx, locks::rw::kPendingUnit);
+    word().fetch_add(ctx, rw::kPendingUnit);
     for (;;) {
       const std::uint64_t v = word().load(ctx);
-      if ((v & locks::rw::kWriter) == 0 && readers().load(ctx) == 0) {
+      if ((v & rw::kWriter) == 0 && readers().load(ctx) == 0) {
         if (word().compare_exchange(
-                ctx, v, v - locks::rw::kPendingUnit + locks::rw::kWriter)) {
+                ctx, v, v - rw::kPendingUnit + rw::kWriter)) {
           return;
         }
         continue;
@@ -47,7 +48,7 @@ class GreedySharedLock {
   }
 
   void unlock(tsx::Ctx& ctx) {
-    word().fetch_add(ctx, std::uint64_t{0} - locks::rw::kWriter);
+    word().fetch_add(ctx, std::uint64_t{0} - rw::kWriter);
   }
 
   // --- shared mode (the planted bug) ---
@@ -56,11 +57,11 @@ class GreedySharedLock {
       // BUG: tests kWriter instead of kReaderBlockMask — pending writers
       // are invisible to readers, so readers barge past announced intent
       // and the writer never sees the count drain.
-      while ((word().load(ctx) & locks::rw::kWriter) != 0) {
+      while ((word().load(ctx) & rw::kWriter) != 0) {
         ctx.engine().pause(ctx);
       }
       readers().fetch_add(ctx, 1);
-      if ((word().load(ctx) & locks::rw::kWriter) == 0) return;
+      if ((word().load(ctx) & rw::kWriter) == 0) return;
       readers().fetch_add(ctx, std::uint64_t{0} - 1);
     }
   }
@@ -73,7 +74,7 @@ class GreedySharedLock {
     return word().load(ctx) != 0 || readers().load(ctx) != 0;
   }
   bool is_write_locked(tsx::Ctx& ctx) {
-    return (word().load(ctx) & locks::rw::kReaderBlockMask) != 0;
+    return (word().load(ctx) & rw::kReaderBlockMask) != 0;
   }
 
   bool reissue_acquire_standard(tsx::Ctx& ctx) {
@@ -81,9 +82,9 @@ class GreedySharedLock {
     return true;
   }
   bool reissue_acquire_shared_standard(tsx::Ctx& ctx) {
-    if ((word().load(ctx) & locks::rw::kWriter) != 0) return false;
+    if ((word().load(ctx) & rw::kWriter) != 0) return false;
     readers().fetch_add(ctx, 1);
-    if ((word().load(ctx) & locks::rw::kWriter) == 0) return true;
+    if ((word().load(ctx) & rw::kWriter) == 0) return true;
     readers().fetch_add(ctx, std::uint64_t{0} - 1);
     return false;
   }
@@ -96,4 +97,4 @@ class GreedySharedLock {
   support::CacheAligned<tsx::Shared<std::uint64_t>> readers_;
 };
 
-}  // namespace elision::stress
+}  // namespace elision::locks

@@ -6,8 +6,9 @@
 // unperturbed earliest-first schedule often never interleaves inside it,
 // which is exactly what the schedule-exploration stress harness exists to
 // do. This lock is a self-test instrument for src/stress (is the harness
-// able to find and shrink a real interleaving bug?); it is excluded from
-// all_locks() and must never be used as a baseline in experiments.
+// able to find and shrink a real interleaving bug?); its registry row
+// (locks/registry.hpp) is marked planted, so no experiment and no
+// `--locks all` sweep runs it.
 //
 // Only meaningful under Scheme::kStandard: it performs no XACQUIRE, so
 // there is nothing to elide.
@@ -18,7 +19,7 @@
 #include "support/align.hpp"
 #include "tsx/shared.hpp"
 
-namespace elision::stress {
+namespace elision::locks {
 
 class RacyLock {
  public:
@@ -46,4 +47,4 @@ class RacyLock {
   support::CacheAligned<tsx::Shared<std::uint64_t>> word_;
 };
 
-}  // namespace elision::stress
+}  // namespace elision::locks

@@ -33,10 +33,6 @@ enum class AccessMode : std::uint8_t {
   kShared,
 };
 
-inline const char* access_mode_name(AccessMode m) {
-  return m == AccessMode::kShared ? "shared" : "exclusive";
-}
-
 // How a critical section eventually completed.
 struct RegionResult {
   bool speculative = false;  // completed as a committed transaction

@@ -26,8 +26,6 @@ class CriticalSection {
 
   Scheme scheme() const { return policy_.scheme; }
   const ElisionPolicy& policy() const { return policy_; }
-  Lock& main_lock() { return main_; }
-  McsLock& aux_lock() { return aux_; }
   // The online mode controller consulted by Scheme::kAdaptive dispatch
   // (mode ladder, hysteresis state, decision trace). Inert under every
   // other scheme.

@@ -50,10 +50,6 @@ inline constexpr std::uint64_t kReaderUnit = std::uint64_t{1} << kReaderShift;
 // A reader may enter only while no writer holds *or awaits* the lock.
 inline constexpr std::uint64_t kReaderBlockMask = kWriter | kPendingMask;
 
-inline constexpr std::uint64_t reader_count(std::uint64_t v) {
-  return v >> kReaderShift;
-}
-
 // Spins until no writer holds or awaits the lock.
 inline void wait_readable(tsx::Ctx& ctx, tsx::Shared<std::uint64_t>& word) {
   ctx.engine().spin_while(ctx, word, [](std::uint64_t v) {

@@ -54,7 +54,6 @@ class TtasLock {
   // Arrival statistics ("TTAS Arrival with Lock Held" series of Fig 3.1).
   std::uint64_t arrivals() const { return arrivals_; }
   std::uint64_t arrivals_lock_held() const { return arrivals_lock_held_; }
-  void reset_arrival_stats() { arrivals_ = arrivals_lock_held_ = 0; }
 
  private:
   void wait_free(tsx::Ctx& ctx) {

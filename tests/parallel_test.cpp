@@ -131,7 +131,7 @@ std::vector<std::string> sweep_log(int host_threads, stress::SweepStats* out) {
   std::vector<std::string> log;
   *out = stress::sweep(
       o, {locks::ElisionPolicy::hle(), locks::ElisionPolicy::hle_scm()},
-      {stress::LockKind::kTtas, stress::LockKind::kMcs},
+      {locks::LockId::kTtas, locks::LockId::kMcs},
       stress::all_workloads(), /*first_seed=*/1, /*n_seeds=*/2,
       [&](const stress::StressCase& c, const stress::RunOutcome& r) {
         log.push_back(stress::case_name(c) + " ops=" + std::to_string(r.ops) +

@@ -13,7 +13,7 @@ awk -v from="$from" -v to="$to" '
     $0 = substr($0, 1, i - 1) to substr($0, i + length(from)); done = 1
   }
   { print }' "$baseline" > "$bad"
-if ! grep -qF -- "$to" "$bad"; then
+if ! grep -qF -- "$from" "$baseline"; then
   echo "FAIL: '$from' not found in $baseline"; exit 1
 fi
 out=$("$elide" suite --tier smoke --baseline "$bad" --gate --out /dev/null \

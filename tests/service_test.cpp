@@ -249,7 +249,7 @@ TEST(ShardedKv, StressPerturbationFindsNoTornCrossShardUpdates) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       stress::StressCase c;
       c.policy = policy;
-      c.lock = stress::LockKind::kTtas;
+      c.lock = locks::LockId::kTtas;
       c.workload = stress::Workload::kShardedKv;
       c.perturb_seed = seed;
       const stress::RunOutcome out = stress::run_case(o, c);

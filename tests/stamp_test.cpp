@@ -27,12 +27,12 @@ bool deterministic_app(const std::string& name) {
 struct StampParam {
   std::string app;
   locks::Scheme scheme;
-  LockKind lock;
+  locks::LockId lock;
 };
 
 std::string stamp_param_name(const ::testing::TestParamInfo<StampParam>& i) {
   std::string s = i.param.app + "_" + locks::scheme_name(i.param.scheme) +
-                  (i.param.lock == LockKind::kTtas ? "_TTAS" : "_MCS");
+                  "_" + locks::lock_name(i.param.lock);
   for (auto& c : s) {
     if (c == '-') c = '_';
   }
@@ -81,8 +81,9 @@ std::vector<StampParam> stamp_params() {
          {locks::Scheme::kStandard, locks::Scheme::kHle,
           locks::Scheme::kHleScm, locks::Scheme::kPesSlr,
           locks::Scheme::kOptSlr, locks::Scheme::kOptSlrScm}) {
-      out.push_back({app, scheme, LockKind::kTtas});
-      out.push_back({app, scheme, LockKind::kMcs});
+      for (const locks::LockId lock : locks::StampLocks::kIds) {
+        out.push_back({app, scheme, lock});
+      }
     }
   }
   return out;

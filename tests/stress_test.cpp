@@ -21,7 +21,8 @@ StressOptions quick_options() {
 }
 
 TEST(Stress, SweepAllSchemesAllLocksHoldsInvariants) {
-  const SweepStats s = sweep(quick_options(), all_policies(), all_locks(),
+  const SweepStats s = sweep(quick_options(), all_policies(),
+                             locks::lock_ids(0, locks::kPlanted),
                              all_workloads(), /*first_seed=*/1,
                              /*n_seeds=*/2);
   EXPECT_EQ(s.runs, 8 * 8 * 4 * 2);  // 8 policies incl. the adaptive one
@@ -35,7 +36,7 @@ TEST(Stress, PerturbationFiresAndIsDeterministic) {
   const StressOptions o = quick_options();
   StressCase c;
   c.policy = ElisionPolicy::hle_scm();
-  c.lock = LockKind::kTtas;
+  c.lock = locks::LockId::kTtas;
   c.workload = Workload::kHashTable;
   c.perturb_seed = 7;
   const RunOutcome a = run_case(o, c);
@@ -51,7 +52,7 @@ TEST(Stress, PerturbationSeedChangesTheSchedule) {
   const StressOptions o = quick_options();
   StressCase c;
   c.policy = ElisionPolicy::hle();
-  c.lock = LockKind::kTtas;
+  c.lock = locks::LockId::kTtas;
   c.workload = Workload::kCounter;
   c.perturb_seed = 1;
   const RunOutcome a = run_case(o, c);
@@ -66,7 +67,7 @@ TEST(Stress, BudgetCapsInjections) {
   StressOptions o = quick_options();
   StressCase c;
   c.policy = ElisionPolicy::hle();
-  c.lock = LockKind::kMcs;
+  c.lock = locks::LockId::kMcs;
   c.workload = Workload::kCounter;
   c.perturb_seed = 3;
   c.perturb_points = 5;
@@ -81,7 +82,7 @@ TEST(Stress, SelfTestFindsPlantedRacyLockBug) {
   StressOptions o = quick_options();
   o.duration_ms = 0.05;
   const SweepStats s =
-      sweep(o, {ElisionPolicy::standard()}, {LockKind::kRacy},
+      sweep(o, {ElisionPolicy::standard()}, {locks::LockId::kRacy},
             {Workload::kCounter}, /*first_seed=*/1, /*n_seeds=*/10);
   ASSERT_FALSE(s.failures.empty())
       << "perturbed sweep missed the planted RacyLock bug";
@@ -109,7 +110,7 @@ TEST(Stress, SelfTestFindsPlantedWriterStarvation) {
   o.btree_writer_gap_cycles = 4000;  // reader windows on a correct lock
   o.btree_read_dwell_cycles = 1500;
   const SweepStats broken =
-      sweep(o, {ElisionPolicy::standard()}, {LockKind::kGreedyShared},
+      sweep(o, {ElisionPolicy::standard()}, {locks::LockId::kGreedyShared},
             {Workload::kBtree}, /*first_seed=*/1, /*n_seeds=*/5);
   bool found = false;
   for (const FailureReport& f : broken.failures) {
@@ -120,7 +121,7 @@ TEST(Stress, SelfTestFindsPlantedWriterStarvation) {
   EXPECT_TRUE(found)
       << "perturbed sweep missed the planted writer starvation";
   const SweepStats control =
-      sweep(o, {ElisionPolicy::standard()}, {LockKind::kSharedTtas},
+      sweep(o, {ElisionPolicy::standard()}, {locks::LockId::kSharedTtas},
             {Workload::kBtree}, /*first_seed=*/1, /*n_seeds=*/5);
   for (const FailureReport& f : control.failures) {
     ADD_FAILURE() << "correct lock flagged: " << case_name(f.c) << ": "

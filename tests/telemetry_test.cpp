@@ -326,7 +326,7 @@ harness::RunStats run_rb(locks::ElisionPolicy policy, bool telemetry,
   p.update_pct = 20;
   p.threads = 8;
   p.scheme = policy;
-  p.lock = harness::LockSel::kMcs;
+  p.lock = locks::LockId::kMcs;
   p.duration_sec = 0.001;
   p.telemetry = telemetry;
   p.telemetry_sink = sink;

@@ -127,7 +127,7 @@ void print_adaptive_trace(const locks::ElisionPolicy& policy,
 int cmd_tree(const Options& o) {
   harness::RbPoint p = tree_point(o);
   p.scheme = *locks::ElisionPolicy::parse(o.scheme);
-  p.lock = *harness::parse_lock_sel(o.lock);
+  p.lock = *locks::find_lock(o.lock);
   p.hardware_extension = o.hwext;
   tsx::Telemetry telemetry;
   p.telemetry_sink = &telemetry;
@@ -138,7 +138,7 @@ int cmd_tree(const Options& o) {
   std::printf("workload:   red-black tree, size %zu, %d%% updates, %d threads\n",
               p.size, o.updates, o.threads);
   std::printf("scheme:     %s on %s%s\n", p.scheme.spec().c_str(),
-              harness::lock_sel_name(p.lock),
+              locks::lock_name(p.lock),
               o.hwext ? " + Ch.7 hardware extension" : "");
   std::printf("throughput: %.2f Mops/s  (%llu ops in %.2f simulated ms)\n",
               stats.throughput() / 1e6,
@@ -170,7 +170,7 @@ int cmd_tree(const Options& o) {
                 o.trace_file.c_str());
   }
   harness::MetricsRegistry registry;
-  registry.record(p.scheme.spec(), harness::lock_sel_name(p.lock), stats);
+  registry.record(p.scheme.spec(), locks::lock_name(p.lock), stats);
   return export_metrics(o, registry);
 }
 
@@ -185,18 +185,18 @@ int cmd_stamp(const Options& o) {
   cfg.scale = o.scale;
   // STAMP is scheme-only.
   cfg.scheme = locks::ElisionPolicy::parse(o.scheme)->scheme;
-  if (o.lock == "ttas") {
-    cfg.lock = stamp::LockKind::kTtas;
-  } else if (o.lock == "mcs") {
-    cfg.lock = stamp::LockKind::kMcs;
-  } else {
-    return usage_error(cli::kStamp, "stamp supports --lock ttas|mcs");
+  // The table checked the name.
+  cfg.lock = *locks::find_lock(o.lock);
+  if (!locks::StampLocks::contains(cfg.lock)) {
+    return usage_error(cli::kStamp,
+                       "stamp supports --lock " +
+                           cli::lock_slugs(locks::StampLocks::kIds, "|"));
   }
   const auto r = stamp::run_app(app, cfg);
   std::printf("app:        %s (scale %.2f, %d threads)\n", app.c_str(),
               o.scale, o.threads);
   std::printf("scheme:     %s on %s\n", locks::scheme_name(cfg.scheme),
-              stamp::lock_name(cfg.lock));
+              locks::lock_name(cfg.lock));
   std::printf("run time:   %.3f simulated ms\n",
               1e3 * r.seconds(cfg.machine.ghz));
   std::printf("critical sections: %llu   attempts/op %.2f   "
@@ -220,10 +220,10 @@ int cmd_schemes(const Options& o) {
     harness::RbPoint p = tree_point(o);
     p.scheme = locks::ElisionPolicy::from_scheme(s);
     std::vector<std::string> row = {p.scheme.spec()};
-    for (const auto lock : {harness::LockSel::kTtas, harness::LockSel::kMcs}) {
+    for (const auto lock : {locks::LockId::kTtas, locks::LockId::kMcs}) {
       p.lock = lock;
       const harness::RunStats stats = harness::run_rb_point_once(p);
-      registry.record(p.scheme.spec(), harness::lock_sel_name(lock), stats);
+      registry.record(p.scheme.spec(), locks::lock_name(lock), stats);
       row.push_back(harness::fmt(stats.throughput() / 1e6, 2));
     }
     table.add_row(row);
@@ -370,27 +370,30 @@ int cmd_stress(const Options& o) {
   // The table checked every name.
   const auto policies =
       pick(o.schemes, stress::all_policies(), locks::ElisionPolicy::parse);
-  const auto locks =
-      pick(o.locks, stress::all_locks(), cli::find_stress_lock);
+  const auto lock_ids =
+      pick(o.locks, locks::lock_ids(0, locks::kPlanted), locks::find_lock);
   const auto workloads =
       pick(o.workloads, stress::all_workloads(), cli::find_stress_workload);
   // The planted-bug locks run only non-speculatively (run_case checks it).
-  const bool planted = std::ranges::any_of(locks, [](stress::LockKind k) {
-    return k == stress::LockKind::kRacy || k == stress::LockKind::kGreedyShared;
+  const bool planted = std::ranges::any_of(lock_ids, [](locks::LockId id) {
+    return locks::lock_has(id, locks::kPlanted);
   });
   if (planted && !std::ranges::all_of(policies, [](const auto& p) {
         return p.scheme == locks::Scheme::kStandard;
       })) {
-    return usage_error(cli::kStress,
-                       "--locks racy and greedy-shared need --schemes standard");
+    return usage_error(
+        cli::kStress, "--locks " +
+                          cli::lock_slugs(locks::lock_ids(locks::kPlanted),
+                                          " and ") +
+                          " need --schemes standard");
   }
 
   int done = 0;
   const int total = o.seeds * static_cast<int>(policies.size()) *
-                    static_cast<int>(locks.size()) *
+                    static_cast<int>(lock_ids.size()) *
                     static_cast<int>(workloads.size());
   const stress::SweepStats s = stress::sweep(
-      so, policies, locks, workloads, o.first_seed, o.seeds,
+      so, policies, lock_ids, workloads, o.first_seed, o.seeds,
       [&](const stress::StressCase& c, const stress::RunOutcome& out) {
         ++done;
         if (!out.ok()) {

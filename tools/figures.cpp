@@ -31,16 +31,16 @@ using harness::fmt_int;
 using harness::kMixes;
 using harness::kTreeSizes;
 using harness::kTreeSizesSmall;
-using harness::LockSel;
-using harness::lock_sel_name;
 using harness::RbPoint;
 using harness::run_point;
 using harness::RunStats;
 using harness::Table;
 using locks::ElisionPolicy;
+using locks::lock_name;
+using locks::LockId;
 using locks::Scheme;
 
-constexpr LockSel kTtasMcs[] = {LockSel::kTtas, LockSel::kMcs};
+constexpr LockId kTtasMcs[] = {LockId::kTtas, LockId::kMcs};
 
 // ---- Figure 2.1 ----
 
@@ -108,7 +108,7 @@ void fig2_1() {
 void fig3_1() {
   Table table({"lock", "tree-size", "speedup-vs-std", "attempts-per-op",
                "nonspec-frac", "arrival-lock-held-frac"});
-  for (const LockSel lock : kTtasMcs) {
+  for (const LockId lock : kTtasMcs) {
     for (const std::size_t size : kTreeSizes) {
       RbPoint p;
       p.size = size;
@@ -125,18 +125,18 @@ void fig3_1() {
                     static_cast<double>(hle_stats.arrivals)
               : 0.0;
 
-      table.add_row({lock_sel_name(lock), fmt_int(size),
+      table.add_row({lock_name(lock), fmt_int(size),
                      fmt(hle_stats.throughput() / std_stats.throughput(), 2),
                      fmt(hle_stats.attempts_per_op(), 2),
                      fmt(hle_stats.nonspec_fraction(), 3),
-                     lock == LockSel::kTtas ? fmt(arrival_held, 3)
+                     lock == LockId::kTtas ? fmt(arrival_held, 3)
                                             : std::string("-")});
     }
   }
   table.print();
 }
 
-void timeline_for(LockSel lock) {
+void timeline_for(LockId lock) {
   RbPoint p;
   p.size = 64;
   p.update_pct = 20;
@@ -160,7 +160,7 @@ void timeline_for(LockSel lock) {
   if (populated == 0) return;
   const double avg_ops =
       static_cast<double>(timeline_ops) / static_cast<double>(populated);
-  std::printf("\n-- %s lock (HLE), 100us slots --\n", lock_sel_name(lock));
+  std::printf("\n-- %s lock (HLE), 100us slots --\n", lock_name(lock));
   Table table({"slot", "normalized-throughput", "nonspec-frac"});
   for (std::size_t s = 0; s < stats.timeline.size(); ++s) {
     const auto& slot = stats.timeline[s];
@@ -175,8 +175,8 @@ void timeline_for(LockSel lock) {
 }
 
 void fig3_3() {
-  timeline_for(LockSel::kMcs);
-  timeline_for(LockSel::kTtas);
+  timeline_for(LockId::kMcs);
+  timeline_for(LockId::kTtas);
 }
 
 void fig3_4() {
@@ -184,7 +184,7 @@ void fig3_4() {
     std::printf("\n-- %d threads --\n", threads);
     Table table({"mix", "lock", "tree-size", "hle-speedup"});
     for (const auto& mix : kMixes) {
-      for (const LockSel lock : kTtasMcs) {
+      for (const LockId lock : kTtasMcs) {
         for (const std::size_t size : kTreeSizesSmall) {
           RbPoint p;
           p.size = size;
@@ -196,7 +196,7 @@ void fig3_4() {
           p.scheme = ElisionPolicy::hle();
           const auto hle_stats = run_point(p);
           table.add_row(
-              {mix.name, lock_sel_name(lock), fmt_int(size),
+              {mix.name, lock_name(lock), fmt_int(size),
                fmt(hle_stats.throughput() / std_stats.throughput(), 2)});
         }
       }
@@ -208,7 +208,7 @@ void fig3_4() {
 void fig3_5() {
   Table table({"mix", "lock", "tree-size", "hle-speedup", "rtm-speedup"});
   for (const auto& mix : kMixes) {
-    for (const LockSel lock : kTtasMcs) {
+    for (const LockId lock : kTtasMcs) {
       for (const std::size_t size : kTreeSizesSmall) {
         RbPoint p;
         p.size = size;
@@ -220,7 +220,7 @@ void fig3_5() {
         const auto hle_stats = run_point(p);
         p.scheme = ElisionPolicy::rtm_elide();
         const auto rtm_stats = run_point(p);
-        table.add_row({mix.name, lock_sel_name(lock), fmt_int(size),
+        table.add_row({mix.name, lock_name(lock), fmt_int(size),
                        fmt(hle_stats.throughput() / std_stats.throughput(), 2),
                        fmt(rtm_stats.throughput() / std_stats.throughput(),
                            2)});
@@ -263,8 +263,8 @@ double no_lock_baseline() {
 
 void fig5_1() {
   const double base = no_lock_baseline();
-  for (const LockSel lock : kTtasMcs) {
-    std::printf("\n-- %s lock --\n", lock_sel_name(lock));
+  for (const LockId lock : kTtasMcs) {
+    std::printf("\n-- %s lock --\n", lock_name(lock));
     Table table({"scheme", "1-thread", "2-threads", "4-threads",
                  "8-threads"});
     for (const auto scheme : {Scheme::kStandard, Scheme::kHle,
@@ -291,7 +291,7 @@ void fig5_2() {
     std::printf("\n-- %s --\n", mix.name);
     Table table({"lock", "tree-size", "HLE-SCM", "pes-SLR", "opt-SLR",
                  "opt-SLR-SCM"});
-    for (const LockSel lock : kTtasMcs) {
+    for (const LockId lock : kTtasMcs) {
       for (const std::size_t size : kTreeSizesSmall) {
         RbPoint p;
         p.size = size;
@@ -299,7 +299,7 @@ void fig5_2() {
         p.lock = lock;
         p.scheme = ElisionPolicy::hle();
         const double hle = run_point(p).throughput();
-        std::vector<std::string> row{lock_sel_name(lock), fmt_int(size)};
+        std::vector<std::string> row{lock_name(lock), fmt_int(size)};
         for (const auto scheme : {Scheme::kHleScm, Scheme::kPesSlr,
                                   Scheme::kOptSlr, Scheme::kOptSlrScm}) {
           p.scheme = ElisionPolicy::from_scheme(scheme);
@@ -321,7 +321,7 @@ void fig5_3() {
       RbPoint p;
       p.size = size;
       p.update_pct = 100;
-      p.lock = LockSel::kMcs;
+      p.lock = LockId::kMcs;
       p.scheme = ElisionPolicy::hle();
       const auto hle = run_point(p);
       p.scheme = ElisionPolicy::hle_scm();
@@ -342,7 +342,7 @@ void fig5_3() {
       RbPoint p;
       p.size = size;
       p.update_pct = 100;
-      p.lock = LockSel::kTtas;
+      p.lock = LockId::kTtas;
       p.scheme = ElisionPolicy::hle();
       const auto hle = run_point(p);
       for (const auto scheme :
@@ -366,10 +366,8 @@ void fig5_4() {
   // six evaluated schemes per app — fan it out across host threads
   // (every hardware thread), and print from the in-order results, so the
   // tables are byte-identical at any host-thread count.
-  constexpr stamp::LockKind kLocks[] = {stamp::LockKind::kTtas,
-                                        stamp::LockKind::kMcs};
   std::vector<stamp::StampJob> jobs;
-  for (const auto lock : kLocks) {
+  for (const LockId lock : locks::StampLocks::kIds) {
     for (const char* app : stamp::kAllAppNames) {
       stamp::StampConfig cfg;
       cfg.lock = lock;
@@ -386,8 +384,8 @@ void fig5_4() {
       stamp::run_apps(jobs, support::host_hardware_threads());
 
   std::size_t j = 0;
-  for (const auto lock : kLocks) {
-    std::printf("\n-- %s lock --\n", stamp::lock_name(lock));
+  for (const LockId lock : locks::StampLocks::kIds) {
+    std::printf("\n-- %s lock --\n", lock_name(lock));
     Table table({"app", "scheme", "norm-time", "att/op", "nonspec-frac"});
     // The paper's seven configurations plus the labyrinth extension.
     for (const char* app : stamp::kAllAppNames) {
@@ -411,9 +409,9 @@ void fig5_4() {
 void tbl_fairlocks() {
   Table table({"lock", "tree-size", "scheme", "speedup-vs-std", "att/op",
                "nonspec-frac"});
-  for (const LockSel lock : {LockSel::kTicket, LockSel::kClh,
-                             LockSel::kTicketAdj, LockSel::kClhAdj,
-                             LockSel::kMcs}) {
+  for (const LockId lock : {LockId::kTicket, LockId::kClh,
+                             LockId::kTicketAdj, LockId::kClhAdj,
+                             LockId::kMcs}) {
     for (const std::size_t size : {64ULL, 2048ULL, 32768ULL}) {
       RbPoint p;
       p.size = size;
@@ -424,7 +422,7 @@ void tbl_fairlocks() {
       for (const auto scheme : {Scheme::kHle, Scheme::kHleScm}) {
         p.scheme = ElisionPolicy::from_scheme(scheme);
         const auto stats = run_point(p);
-        table.add_row({lock_sel_name(lock), fmt_int(size),
+        table.add_row({lock_name(lock), fmt_int(size),
                        locks::scheme_name(scheme),
                        fmt(stats.throughput() / std_thr, 2),
                        fmt(stats.attempts_per_op(), 2),
@@ -441,7 +439,7 @@ void fig7() {
     Table table({"lock", "tree-size", "HLE Mops/s", "ext Mops/s",
                  "ext-speedup", "HLE att/op", "ext att/op", "HLE nonspec",
                  "ext nonspec"});
-    for (const LockSel lock : kTtasMcs) {
+    for (const LockId lock : kTtasMcs) {
       for (const std::size_t size : {8ULL, 128ULL, 2048ULL, 32768ULL}) {
         RbPoint p;
         p.size = size;
@@ -452,7 +450,7 @@ void fig7() {
         const auto plain = run_point(p);
         p.hardware_extension = true;
         const auto ext = run_point(p);
-        table.add_row({lock_sel_name(lock), fmt_int(size),
+        table.add_row({lock_name(lock), fmt_int(size),
                        fmt(plain.throughput() / 1e6, 2),
                        fmt(ext.throughput() / 1e6, 2),
                        fmt(ext.throughput() / plain.throughput(), 2),
@@ -484,7 +482,7 @@ void keyed_set_table(harness::KeyedSet set, const std::size_t (&sizes)[2],
                "nonspec"});
   for (const auto& mix : kMixes) {
     for (const std::size_t size : sizes) {
-      for (const LockSel lock : kTtasMcs) {
+      for (const LockId lock : kTtasMcs) {
         for (const auto scheme : locks::kAllSixSchemes) {
           harness::BenchConfig cfg =
               keyed_cfg(ElisionPolicy::from_scheme(scheme));
@@ -494,7 +492,7 @@ void keyed_set_table(harness::KeyedSet set, const std::size_t (&sizes)[2],
                     .size = size,
                     .lock = lock,
                     .update_pct = mix.update_pct});
-          table.add_row({mix.name, lock_sel_name(lock), fmt_int(size),
+          table.add_row({mix.name, lock_name(lock), fmt_int(size),
                          locks::scheme_name(scheme),
                          fmt(stats.throughput() / 1e6, 2),
                          fmt(stats.attempts_per_op(), 2),
@@ -521,7 +519,7 @@ void abl_tuning() {
     for (const int r : {0, 1, 2, 5, 10, 20, 50}) {
       const auto stats = harness::run_keyed(
           keyed_cfg(ElisionPolicy::hle_scm().with_scm_retries(r)),
-          {.size = 128, .lock = LockSel::kMcs, .update_pct = 100});
+          {.size = 128, .lock = LockId::kMcs, .update_pct = 100});
       table.add_row({fmt_int(r), fmt(stats.throughput() / 1e6, 2)});
     }
     table.print();
@@ -529,7 +527,7 @@ void abl_tuning() {
 
   // The spurious and backoff sections draw their own op sequences (lookups
   // only; a coin flip between insert and erase), and backoff-TTAS is not a
-  // LockSel, so they keep their own loops.
+  // registry lock, so they keep their own loops.
   harness::banner("Ablation: spurious-abort sensitivity (Sec 2.2)",
                   "HLE-MCS on a lookup-only 2K tree: even pure-read "
                   "workloads serialize when spurious aborts rise.\n"
@@ -625,7 +623,7 @@ void abl_scm_nested() {
                              : ElisionPolicy::hle_scm());
         cfg.tsx.allow_hle_in_rtm = nested;
         return harness::run_keyed(
-            cfg, {.size = size, .lock = LockSel::kTtas, .update_pct = update});
+            cfg, {.size = size, .lock = LockId::kTtas, .update_pct = update});
       };
       const auto workaround = run(false);
       const auto nested = run(true);
@@ -714,7 +712,7 @@ void abl_conflict_policy() {
             keyed_cfg(ElisionPolicy::from_scheme(scheme));
         cfg.tsx.conflict_policy = policy;
         const auto stats = harness::run_keyed(
-            cfg, {.size = size, .lock = LockSel::kTtas, .update_pct = 100});
+            cfg, {.size = size, .lock = LockId::kTtas, .update_pct = 100});
         table.add_row(
             {fmt_int(size),
              policy == tsx::ConflictPolicy::kRequestorWins ? "req-wins"

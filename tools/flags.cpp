@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <type_traits>
@@ -26,40 +25,40 @@ constexpr CommandInfo kCommands[] = {
     {kSuite, "suite", nullptr},    {kStress, "stress", nullptr},
 };
 
-// Every stress lock, the planted-bug instruments included.
-using enum stress::LockKind;
-constexpr stress::LockKind kStressLocks[] = {
-    kTtas,   kMcs,        kTicket,    kTicketAdj, kClh,
-    kClhAdj, kSharedTtas, kSharedMcs, kRacy,      kGreedyShared,
-};
+// Where usage() starts a flag's help, and the width it keeps to.
+constexpr std::size_t kHelpColumn = 24;
+constexpr std::size_t kWidth = 78;
 
+// tree and stamp run the keyed-set runner's locks (stamp narrows them
+// further, in its command).
 bool known_lock(std::string_view s) {
-  return harness::parse_lock_sel(s).has_value();
+  const auto id = locks::find_lock(s);
+  return id && locks::ExclusiveLocks::contains(*id);
 }
-bool known_policy(std::string_view s) {
-  return locks::ElisionPolicy::parse(s).has_value();
-}
-bool known_tier(std::string_view s) {
-  return harness::suite_tier_from_name(std::string(s)).has_value();
-}
-bool known_stress_lock(std::string_view s) {
-  return find_stress_lock(s).has_value();
-}
-bool known_workload(std::string_view s) {
-  return find_stress_workload(s).has_value();
+// Whether `parse` reads the name.
+template <auto parse>
+bool known(std::string_view s) {
+  return parse(s).has_value();
 }
 
 constexpr unsigned kRbRuns = kTree | kSchemes;
 
+// The --lock and --locks help: the registry's slugs.
+const std::string kLockHelp = lock_slugs(locks::ExclusiveLocks::kIds, " ") +
+                              " (stamp: " +
+                              lock_slugs(locks::StampLocks::kIds, " ") + ")";
+const std::string kLocksHelp =
+    lock_slugs(locks::AllLocks::kIds, " ", kWidth - kHelpColumn) +
+    " (any case)";
+
 const Flag kFlags[] = {
     // Red-black tree runs (tree, schemes) and STAMP apps.
     {"--lock", Kind::kString, kTree | kStamp, &Options::lock, "L",
-     "ttas mcs ticket ticket-adj clh clh-adj (stamp: ttas mcs)", {},
-     known_lock},
+     kLockHelp.c_str(), {}, known_lock},
     {"--scheme", Kind::kString, kTree | kStamp, &Options::scheme, "S",
      "policy spec (locks/policy.hpp), e.g. hle-scm,\n"
      "hle:spec-attempts=4 or adaptive:window=16:up=50",
-     {}, known_policy},
+     {}, known<locks::ElisionPolicy::parse>},
     {"--threads", Kind::kInt, kRbRuns | kStamp | kStress, &Options::threads,
      "N", "simulated threads", {1, sim::kMaxSimThreads}},
     {"--size", Kind::kU64, kRbRuns, &Options::size, "K", "tree size",
@@ -83,7 +82,7 @@ const Flag kFlags[] = {
      "write the metrics registry\n(JSON for *.json, else CSV)"},
     // The benchmark suite.
     {"--tier", Kind::kString, kSuite, &Options::tier, "T", "smoke or full",
-     {}, known_tier},
+     {}, known<harness::suite_tier_from_name>},
     {"--point", Kind::kString, kSuite, &Options::point, "ID",
      "run only this point of the tier (not with --gate)"},
     {"--jobs", Kind::kInt, kSuite, &Options::jobs, "N",
@@ -110,14 +109,12 @@ const Flag kFlags[] = {
      "sim_ops_per_sec gate tolerance for same-host runs", {0}},
     // Stress sweeps.
     {"--schemes", Kind::kList, kStress, &Options::schemes, "all|SPEC,...",
-     "policy specs, as --scheme", {}, known_policy},
+     "policy specs, as --scheme", {}, known<locks::ElisionPolicy::parse>},
     {"--locks", Kind::kList, kStress, &Options::locks, "all|NAME,...",
-     "ttas mcs ticket ticket-adj clh clh-adj shared-ttas\n"
-     "shared-mcs racy greedy-shared (any case)",
-     {}, known_stress_lock},
+     kLocksHelp.c_str(), {}, known<locks::find_lock>},
     {"--workloads", Kind::kList, kStress, &Options::workloads,
      "all|NAME,...", "counter hashtable btree sharded-kv", {},
-     known_workload},
+     known<find_stress_workload>},
     {"--seeds", Kind::kInt, kStress, &Options::seeds, "N",
      "perturbation seeds per case", {1}},
     {"--first-seed", Kind::kU64, kStress, &Options::first_seed, "S",
@@ -133,13 +130,6 @@ const Flag kFlags[] = {
     {"--telemetry", Kind::kBool, kStress, &Options::telemetry, "",
      "count avalanche episodes per case"},
 };
-
-bool iequals(std::string_view a, std::string_view b) {
-  return std::ranges::equal(a, b, [](char x, char y) {
-    return std::tolower(static_cast<unsigned char>(x)) ==
-           std::tolower(static_cast<unsigned char>(y));
-  });
-}
 
 std::string number(double x) {
   char buf[32];
@@ -268,7 +258,6 @@ std::optional<std::string> parse(Command cmd,
 }
 
 std::string usage(unsigned cmds) {
-  constexpr std::size_t kWidth = 78;
   std::string out = "usage:\n";
   for (const CommandInfo& c : kCommands) {
     if ((cmds & c.cmd) == 0) continue;
@@ -295,25 +284,33 @@ std::string usage(unsigned cmds) {
     if ((f.commands & cmds) == 0) continue;
     std::string head = std::string("  ") + f.name;
     if (*f.metavar != '\0') head += std::string(" ") + f.metavar;
-    head = head.size() < 24 ? head + std::string(24 - head.size(), ' ')
-                            : head + "\n" + std::string(24, ' ');
+    head = head.size() < kHelpColumn
+               ? head + std::string(kHelpColumn - head.size(), ' ')
+               : head + "\n" + std::string(kHelpColumn, ' ');
     std::string help = f.help;
     const std::string range = describe(f);
     if (!range.empty()) help += " (" + range + ")";
     for (std::size_t nl = help.find('\n'); nl != std::string::npos;
          nl = help.find('\n', nl + 1)) {
-      help.insert(nl + 1, std::string(24, ' '));
+      help.insert(nl + 1, std::string(kHelpColumn, ' '));
     }
     rows += head + help + "\n";
   }
   return rows.empty() ? out : out + "\n" + rows;
 }
 
-std::optional<stress::LockKind> find_stress_lock(std::string_view name) {
-  for (const stress::LockKind k : kStressLocks) {
-    if (iequals(name, stress::lock_name(k))) return k;
+std::string lock_slugs(std::span<const locks::LockId> ids,
+                       std::string_view sep, std::size_t width) {
+  std::string out, line;
+  for (const locks::LockId id : ids) {
+    const std::string slug = locks::lock_slug(id);
+    if (!line.empty() && line.size() + sep.size() + slug.size() > width) {
+      out += line + "\n";
+      line.clear();
+    }
+    line += (line.empty() ? "" : std::string(sep)) + slug;
   }
-  return std::nullopt;
+  return out + line;
 }
 
 std::optional<stress::Workload> find_stress_workload(std::string_view name) {

@@ -133,10 +133,12 @@ std::optional<std::string> parse(Command cmd,
 // The usage text of the commands in `cmds`, generated from the table.
 std::string usage(unsigned cmds);
 
-// The stress lock `name` spells, matched without regard to case, so the
-// `--lock` slugs (`ticket-adj`) and the printed names (`Ticket-adj`) both
-// parse.
-std::optional<stress::LockKind> find_stress_lock(std::string_view name);
 std::optional<stress::Workload> find_stress_workload(std::string_view name);
+
+// The slugs of `ids` joined by `sep`, starting a new line before a slug
+// that would take a line past `width` characters.
+std::string lock_slugs(std::span<const locks::LockId> ids,
+                       std::string_view sep,
+                       std::size_t width = std::string::npos);
 
 }  // namespace elision::cli
