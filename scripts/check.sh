@@ -27,7 +27,8 @@
 # - `elide suite --jobs 2 --host-threads 2` reproducing the sequential
 #   smoke results bit for bit (modulo host wall-time fields);
 # - self-checks that a planted 50% throughput regression and a planted 5x
-#   simulator slowdown are caught by the gate.
+#   simulator slowdown are caught by the suite gate, and a planted 5x
+#   slowdown by the fast-path gate.
 # Uses its own build trees (build-check*/) so it never dirties build/, and
 # one temp directory, removed on exit.
 set -euo pipefail
@@ -118,26 +119,33 @@ bench_json=$tmp/smoke.json
 # benchmark's rb-wide64 point) >= 1.25x faster than the same binary with
 # ELISION_FASTPATH=0. Both sides run on this host in 5 interleaved pairs and
 # each keeps its best run, so the ratio measures the fast paths, not the
-# machine.
+# machine. Self-check: one more fast-side run with --plant-slowdown 0.2 (its
+# sim_ops_per_sec scaled 5x down) must fail the same bound.
 python3 - "$BUILD" <<'EOF'
 import json, os, subprocess, sys, tempfile
 build = sys.argv[1]
 point = "rb-s64-u20-t64-ttas-hle-scm-m32x2"
-def sim_ops(fast):
+def sim_ops(fast, *extra):
     env = dict(os.environ, ELISION_FASTPATH="1" if fast else "0")
     with tempfile.NamedTemporaryFile(suffix=".json") as f:
         subprocess.run([f"{build}/tools/elide", "suite", "--tier", "full",
-                        "--point", point, "--out", f.name, "--quiet"],
-                       check=True, env=env)
+                        "--point", point, "--out", f.name, "--quiet", *extra],
+                       check=True, env=env,
+                       stderr=subprocess.DEVNULL if extra else None)
         return json.load(open(f.name))["points"][0]["metrics"]["sim_ops_per_sec"]
-on = off = 0.0
-for _ in range(5):
-    on = max(on, sim_ops(True))
-    off = max(off, sim_ops(False))
-ratio = on / off
+pairs = [(sim_ops(True), sim_ops(False)) for _ in range(5)]
+on, off = max(p for p, _ in pairs), max(q for _, q in pairs)
+def passes(fast_side):
+    return fast_side / off >= 1.25
+print("fastpath: t64 canary pairs (on/off sim ops/s) " +
+      " ".join(f"{p:,.0f}/{q:,.0f}" for p, q in pairs))
 print(f"fastpath: t64 canary best-of-5 {on:,.0f} vs {off:,.0f} sim ops/s"
-      f" with ELISION_FASTPATH=0, {ratio:.2f}x")
-assert ratio >= 1.25, f"fast-path speedup {ratio:.2f}x fell below 1.25x"
+      f" with ELISION_FASTPATH=0, {on / off:.2f}x")
+assert passes(on), f"fast-path speedup {on / off:.2f}x fell below 1.25x"
+planted = sim_ops(True, "--plant-slowdown", "0.2")
+assert not passes(planted), (
+    f"fast-path gate missed a planted 5x slowdown ({planted / off:.2f}x)")
+print(f"fastpath: planted-slowdown self-check caught {planted / off:.2f}x")
 EOF
 
 # (b) Machine scale: the full tier must gate green against the committed

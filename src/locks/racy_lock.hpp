@@ -1,12 +1,12 @@
 // A deliberately broken spinlock: the classic check-then-act race.
 //
 // lock() tests the word and then stores 1 in a *separate* access, so two
-// threads can both observe 0 and both "acquire". The window between the
-// test and the store is a handful of cycles wide — narrow enough that the
-// unperturbed earliest-first schedule often never interleaves inside it,
-// which is exactly what the schedule-exploration stress harness exists to
-// do. This lock is a self-test instrument for src/stress (is the harness
-// able to find and shrink a real interleaving bug?); its registry row
+// threads can both observe 0 and both "acquire". Each access is a tick
+// that may yield, so even the unperturbed earliest-first schedule
+// interleaves inside that window (stress_test's control run shows it).
+// This lock is a self-test instrument for src/stress (are the checkers
+// able to catch, and the harness to shrink, a real interleaving bug?); its
+// registry row
 // (locks/registry.hpp) is marked planted, so no experiment and no
 // `--locks all` sweep runs it.
 //

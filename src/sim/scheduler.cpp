@@ -9,9 +9,9 @@ SimThread::SimThread(Scheduler& sched, int tid, std::uint64_t seed,
                      std::function<void(SimThread&)> body,
                      std::size_t stack_bytes)
     : sched_(sched),
-      tid_(tid),
       core_(static_cast<unsigned>(tid) % sched.config().n_cores),
       sched_perturb_enabled_(sched.config().perturb.probability > 0),
+      tid_(tid),
       rng_(seed),
       perturb_rng_(sched.config().perturb.seed * 0xA0761D6478BD642FULL +
                    0xE7037ED1A0B428DBULL * static_cast<std::uint64_t>(tid + 1)),
@@ -153,8 +153,8 @@ void Scheduler::yield_from(SimThread& t) {
   if (&next != &t) Fiber::switch_to(t.fiber_, next.fiber_);
 }
 
-void Scheduler::park_over_bound(SimThread& t, SpinWait& w) {
-  t.spin_ = &w;
+void Scheduler::park_over_bound(SimThread& t) {
+  t.parked_ = true;
   ++parked_;
   yield_from(t);
 }
@@ -162,7 +162,7 @@ void Scheduler::park_over_bound(SimThread& t, SpinWait& w) {
 SimThread& Scheduler::resolve(SimThread& next, const SimThread* self) {
   if (parked_ == runnable_) check_not_deadlocked();
   SimThread* p = &next;
-  while (p->spin_ != nullptr && p != self && replay(*p)) {
+  while (p->parked_ && p != self && replay(*p)) {
     // p yielded at a replayed tick: exactly yield_from's pick, minus
     // the fiber switch (and so not counted as one).
     const ReadyQueue::Entry best = ready_.min_entry();
@@ -171,17 +171,17 @@ SimThread& Scheduler::resolve(SimThread& next, const SimThread* self) {
     exchange_and_bound(*p, /*counted=*/false);
     p = &q;
   }
-  if (p->spin_ != nullptr) {
+  if (p->parked_) {
     // Its fiber resumes the literal loop (at a load: replay() stops only
     // there), or it is `self` and simply continues.
-    p->spin_ = nullptr;
+    p->parked_ = false;
     --parked_;
   }
   return *p;
 }
 
 bool Scheduler::replay(SimThread& p) {
-  SpinWait& w = *p.spin_;
+  SpinWait& w = p.spin_;
   const std::uint64_t bound = switch_bound_;
   if (bound >= kJumpBoundLimit || w.load_cycles >= kSmtMemoCycles ||
       w.pause_cycles >= kSmtMemoCycles) [[unlikely]] {
@@ -189,7 +189,7 @@ bool Scheduler::replay(SimThread& p) {
     // against the bound (perturbation is off while parking).
     for (;;) {
       if (w.load_next) {
-        if (!w.quiet()) return false;
+        if (!w.still_quiet()) return false;
         p.advance(w.load_cycles);
         w.load_next = false;
         if (p.vclock_ > bound) return true;
@@ -216,7 +216,7 @@ bool Scheduler::replay(SimThread& p) {
       return true;
     }
   }
-  if (!w.quiet()) {
+  if (!w.still_quiet()) {
     p.vclock_ = c;
     return false;
   }
@@ -238,11 +238,11 @@ bool Scheduler::replay(SimThread& p) {
   return true;
 }
 
-void Scheduler::check_not_deadlocked() const {
+void Scheduler::check_not_deadlocked() {
   // No fiber runs while every runnable thread is parked, so memory is frozen
   // and a waiter whose next load is quiet stays quiet forever.
   for (const auto& t : threads_) {
-    if (t->spin_ != nullptr && !t->spin_->quiet()) return;
+    if (t->parked_ && !t->spin_.still_quiet()) return;
   }
   ELISION_CHECK_MSG(false,
                     "every simulated thread is spin-waiting (deadlock)");

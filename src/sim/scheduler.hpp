@@ -26,14 +26,17 @@
 //
 // Spin-waiters (tsx::Engine::spin_while) park here: a thread that yields
 // inside a tick of a spin loop (its PAUSE, or a load with no side effect)
-// hands the scheduler a SpinWait, and while its next load would have no
-// side effect either the scheduler replays the loop's ticks itself instead
-// of switching to the fiber. No other thread runs during a replay, so once
-// its first load is quiet every later one is: the replay probes quiet()
-// once and moves the waiter's clock in one jump to the tick at which the
-// literal loop would cross the preemption bound (O(1) however many ticks
-// that skips). The schedule is unchanged, and replays are not counted as
-// context switches.
+// parks on its SpinWait, which lives in the SimThread, and while its next
+// load would have no side effect either the scheduler replays the loop's
+// ticks itself instead of switching to the fiber. No other thread runs
+// during a replay, so once its first load is quiet every later one is: the
+// replay asks still_quiet() once and moves the waiter's clock in one jump
+// to the tick at which the literal loop would cross the preemption bound
+// (O(1) however many ticks that skips). still_quiet() reads no simulated
+// state while the watched line's write version matches the one the
+// waiter's last quiet probe saw; only a write since then costs the full
+// probe. The schedule is unchanged, and replays are not counted as context
+// switches.
 //
 // Usage:
 //   Scheduler sched(config);
@@ -60,31 +63,46 @@ namespace elision::sim {
 
 class Scheduler;
 
-// A spin-wait loop `while (pred(load(word))) pause();` handed to the
-// scheduler at a yield inside one of its ticks (SimThread::spin_tick): the
-// PAUSE tick, or the tick of a quiet load. While the thread is parked the
-// scheduler may run the loop's remaining iterations itself; it resumes the
-// fiber only for a load that `quiet` rejects.
+// The state of one spin-wait loop `while (pred(load(word))) pause();`. It
+// is a SimThread member that SimThread::start_spin re-initializes for each
+// wait; the thread parks on it at a yield inside one of the loop's ticks
+// (SimThread::spin_tick): the PAUSE tick, or the tick of a quiet load.
+// While the thread is parked the scheduler may run the loop's remaining
+// iterations itself; it resumes the fiber only for a load that is not
+// quiet.
 struct SpinWait {
-  // `quiet` is kept by reference, so it must be a named probe that outlives
-  // the wait; a temporary would leave `quiet` dangling.
-  template <typename Probe>
-  SpinWait(Probe& probe, std::uint64_t load, std::uint64_t pause)
-      : quiet(probe), load_cycles(load), pause_cycles(pause) {}
-  template <typename Probe>
-  SpinWait(const Probe&& probe, std::uint64_t load,
-           std::uint64_t pause) = delete;
+  // The stamp of a wait with no current quiet probe: no version reaches it.
+  static constexpr std::uint64_t kNoStamp =
+      std::numeric_limits<std::uint64_t>::max();
 
   // True iff the waiter's next load would only tick load_cycles and leave it
-  // spinning: the line has no transactional writer, the waiter holds a
-  // cached copy, and the predicate still holds for the word's value.
-  support::FunctionRef<bool()> quiet;
-  std::uint64_t load_cycles;   // the load's tick (an L1 hit)
-  std::uint64_t pause_cycles;  // the PAUSE tick
+  // spinning. While the line's version is the one the last quiet probe saw,
+  // nothing `quiet` reads has changed, so that answer stands; otherwise
+  // this probes and refreshes (or clears) the stamp.
+  bool still_quiet() {
+    if (*version == stamp) return true;
+    const bool q = quiet();
+    stamp = q ? *version : kNoStamp;
+    return q;
+  }
+
+  // The watched line's write version (tsx::LineRecord::version), which
+  // every write that can end the quiet state bumps before its tick.
+  const std::uint64_t* version = nullptr;
+  std::uint64_t stamp = kNoStamp;  // *version at the last quiet probe
+  std::uint64_t load_cycles = 0;   // the load's tick (an L1 hit)
+  std::uint64_t pause_cycles = 0;  // the PAUSE tick
   // Phase: true if the waiter's next step is the load, false if it is the
   // PAUSE tick (the last load was quiet). Shared by the fiber's loop and
   // the scheduler's replay, so the fiber resumes where a replay left off.
   bool load_next = true;
+  // The full probe: the line has no transactional writer, the waiter holds
+  // a cached copy, and the predicate still holds for the word's value. It
+  // is a reference to the waiter's probe (see SimThread::start_spin).
+  support::FunctionRef<bool()> quiet = never_quiet;
+
+ private:
+  static bool never_quiet() { return false; }
 };
 
 // One logical thread of the simulated machine. Workload code receives a
@@ -117,12 +135,31 @@ class SimThread {
   // Unconditionally yields to the scheduler.
   void yield();
 
-  // A tick of a spin-wait loop (its PAUSE, or a quiet load), after which
-  // the loop's next step is the load iff `load_next`: tick(cycles), except
-  // that a yield here parks the thread on `w` (see SpinWait). Only valid
+  // Starts a spin-wait: re-initializes this thread's SpinWait for a loop
+  // whose load costs `load_cycles`, whose PAUSE costs `pause_cycles`, whose
+  // full quiet probe is `quiet` and whose line's write version is
+  // `*version`, and returns it. `quiet` is kept by reference, so it must be
+  // a named probe that outlives the wait; a temporary would leave it
+  // dangling.
+  template <typename Probe>
+  SpinWait& start_spin(Probe& quiet, const std::uint64_t* version,
+                       std::uint64_t load_cycles, std::uint64_t pause_cycles) {
+    spin_ = {.version = version,
+             .load_cycles = load_cycles,
+             .pause_cycles = pause_cycles,
+             .quiet = quiet};
+    return spin_;
+  }
+  template <typename Probe>
+  SpinWait& start_spin(const Probe&& quiet, const std::uint64_t* version,
+                       std::uint64_t load_cycles,
+                       std::uint64_t pause_cycles) = delete;
+
+  // A tick of the current spin-wait loop (its PAUSE, or a quiet load), after
+  // which the loop's next step is the load iff `load_next`: tick(cycles),
+  // except that a yield here parks the thread on its SpinWait. Only valid
   // while Scheduler::spin_parking() holds. Defined below Scheduler.
-  ELISION_ALWAYS_INLINE void spin_tick(SpinWait& w, std::uint64_t cycles,
-                                       bool load_next);
+  ELISION_ALWAYS_INLINE void spin_tick(std::uint64_t cycles, bool load_next);
 
   // Fails unless one round of a spin loop on this thread (a load of
   // `load_cycles`, then a PAUSE of `pause_cycles`) advances its clock: a
@@ -161,13 +198,17 @@ class SimThread {
   // checks on both the double->uint64 conversion and the clock addition.
   ELISION_NOINLINE void advance_slow(std::uint64_t cycles);
 
-  Scheduler& sched_;
-  const int tid_;
-  const unsigned core_;  // tid % n_cores, fixed at spawn
+  // What the tick path and a replay read leads: the clock, the core, the
+  // parked flag and the spin-wait (a replay whose stamp holds reads none of
+  // spin_.quiet).
   std::uint64_t vclock_ = 0;
+  Scheduler& sched_;
+  const unsigned core_;  // tid % n_cores, fixed at spawn
   bool finished_ = false;
-  SpinWait* spin_ = nullptr;  // non-null while parked in a spin-wait
+  bool parked_ = false;  // parked in a spin-wait on spin_
   const bool sched_perturb_enabled_;
+  SpinWait spin_;
+  const int tid_;
   support::Xoshiro256 rng_;
   support::Xoshiro256 perturb_rng_;
   std::function<void(SimThread&)> body_;
@@ -262,17 +303,17 @@ class Scheduler {
 
   SimThread* pick_next() const;  // earliest-clock runnable thread
   void switch_from_host();
-  // Slow path of spin_tick(): parks t on `w`, then yields.
-  ELISION_NOINLINE void park_over_bound(SimThread& t, SpinWait& w);
+  // Slow path of spin_tick(): parks t on its SpinWait, then yields.
+  ELISION_NOINLINE void park_over_bound(SimThread& t);
   // `next` was just picked (its slot parked, the bound computed for it).
   // While it is a parked spin-waiter other than `self`, replays its loop
   // and, each time it yields, re-enters it and picks again. Returns the
   // thread to run, unparked: `self` itself means no switch is needed.
   SimThread& resolve(SimThread& next, const SimThread* self);
   // Runs a parked waiter's loop until it yields (true) or its next load
-  // needs the fiber (false). It probes quiet() once, at the first load: the
-  // ticks after it form a fixed load/PAUSE sequence, so the clock jumps to
-  // the tick that crosses the bound.
+  // needs the fiber (false). It asks still_quiet() once, at the first load:
+  // the ticks after it form a fixed load/PAUSE sequence, so the clock jumps
+  // to the tick that crosses the bound.
   bool replay(SimThread& p);
   // replay() jumps only below this bound (and for tick costs inside the SMT
   // table), where no tick it stands in for can reach advance()'s saturating
@@ -280,7 +321,7 @@ class Scheduler {
   static constexpr std::uint64_t kJumpBoundLimit = std::uint64_t{1} << 62;
   // Called with every runnable thread parked: fails if none of them can
   // ever stop spinning.
-  void check_not_deadlocked() const;
+  void check_not_deadlocked();
   // Caches the preemption bound the incoming thread will run against: min
   // clock of everyone else (its own slot is parked at the sentinel) plus the
   // yield slack, saturated so a lone thread (sentinel min) never yields.
@@ -393,14 +434,13 @@ ELISION_ALWAYS_INLINE void SimThread::maybe_yield() {
   }
 }
 
-ELISION_ALWAYS_INLINE void SimThread::spin_tick(SpinWait& w,
-                                                std::uint64_t cycles,
+ELISION_ALWAYS_INLINE void SimThread::spin_tick(std::uint64_t cycles,
                                                 bool load_next) {
   ELISION_DCHECK(sched_.spin_parking_);
-  w.load_next = load_next;
+  spin_.load_next = load_next;
   advance(cycles);
   if (vclock_ > sched_.switch_bound_) [[unlikely]] {
-    sched_.park_over_bound(*this, w);
+    sched_.park_over_bound(*this);
   }
 }
 

@@ -63,6 +63,7 @@ void Engine::charge_write(Ctx& ctx, LineRecord& rec, bool is_rmw) {
   }
   rec.copies.assign_only(ctx.id());
   rec.dirty_owner = ctx.id();
+  ++rec.version;  // before the tick: see LineRecord::version
   ctx.thread().tick(cost + cost_.access_compute +
                     (is_rmw ? cost_.rmw_extra : 0));
 }
@@ -75,8 +76,12 @@ void Engine::release_ownership(Ctx& ctx) {
   // Set entries are stable record pointers (see TxContext::read_lines_):
   // one deref per line, no table probing or validation.
   for (LineRecord* rec : ctx.read_lines_) rec->readers.reset(ctx.id());
+  // The write-set bump covers commit's publish, an abort's dropped copies
+  // and the writer-slot release, all done before this (see
+  // LineRecord::version).
   for (LineRecord* rec : ctx.write_lines_) {
     if (rec->writer == ctx.id()) rec->writer = kNoThread;
+    ++rec->version;
   }
   ctx.read_lines_.clear();
   ctx.write_lines_.clear();
@@ -544,27 +549,30 @@ std::uint64_t Engine::spin_word(
   }
   // A load is quiet — direct_load would only tick load_cycles and the loop
   // would go on — iff the line has no transactional writer to abort, our
-  // cached copy makes it an L1 hit, and the predicate still holds.
+  // cached copy makes it an L1 hit, and the predicate still holds. The
+  // record stays put for the whole wait (no table clear runs meanwhile),
+  // and its version tells the wait when a probe can be skipped.
+  const LineId line = line_of(addr);
+  const LineRecord& rec = table_.record(line, ctx.line_cache_for(line).ref);
   auto quiet = [&] {
-    const LineId line = line_of(addr);
-    const LineRecord& rec = table_.record(line, ctx.line_cache_for(line).ref);
     return rec.writer == kNoThread && rec.copies.test(ctx.id()) &&
            pred(read_word(addr));
   };
-  sim::SpinWait w{quiet, load_cycles, cost_.pause};
   sim::SimThread& t = ctx.thread();
+  sim::SpinWait& w =
+      t.start_spin(quiet, &rec.version, load_cycles, cost_.pause);
   for (;;) {
     // w.load_next, not control flow, says which step is next: a replay may
     // have advanced the loop while the fiber was parked.
     if (w.load_next) {
-      if (quiet()) {
-        t.spin_tick(w, w.load_cycles, /*load_next=*/false);
+      if (w.still_quiet()) {
+        t.spin_tick(w.load_cycles, /*load_next=*/false);
         continue;
       }
       const std::uint64_t v = direct_load(ctx, addr);
       if (!pred(v)) return v;
     }
-    t.spin_tick(w, w.pause_cycles, /*load_next=*/true);  // pause(ctx)
+    t.spin_tick(w.pause_cycles, /*load_next=*/true);  // pause(ctx)
   }
 }
 

@@ -93,10 +93,12 @@ class Engine {
   // schedule perturbation, the waiter parks in the scheduler when it yields
   // inside the loop, and the scheduler replays its side-effect-free
   // iterations instead of switching to the fiber (sim::SpinWait): each time
-  // the waiter is picked, a replay probes the word once and jumps its clock
-  // to the tick at which it would yield again. Outside a transaction, a
-  // loop whose load + PAUSE round scales to 0 cycles fails at once instead
-  // of spinning forever. Defined in tsx/shared.hpp.
+  // the waiter is picked, a replay jumps its clock to the tick at which it
+  // would yield again, probing the word first only if its line's write
+  // version moved since the last quiet probe, so `pred` must depend on the
+  // loaded value alone. Outside a transaction, a loop whose load + PAUSE
+  // round scales to 0 cycles fails at once instead of spinning forever.
+  // Defined in tsx/shared.hpp.
   template <typename T, typename Pred>
   T spin_while(Ctx& ctx, const Shared<T>& word, Pred pred);
 

@@ -18,7 +18,7 @@
 //   - The *records* live outside the index, in fixed-size chunks that are
 //     never reallocated, so a LineRecord pointer stays valid for as long as
 //     the table generation it was captured under. Growing the index rehashes
-//     32-byte slots only; the 100+-byte records never move. That pointer
+//     32-byte slots only; the 80-byte records never move. That pointer
 //     stability is what lets the engine keep raw LineRecord pointers in its
 //     per-transaction read/write sets and in the per-context line memo
 //     (LineTable::Cache) — release and re-access paths revalidate with one
@@ -49,6 +49,18 @@ struct LineRecord {
   int dirty_owner = kNoThread;   // thread holding the line modified, if any
   ThreadSet readers;          // tx ids with this line in their read set
   ThreadSet copies;              // threads whose simulated cache holds the line
+  // --- spin-wait stamp ---
+  // Write version: bumped by every mutation that can end a spin-waiter's
+  // quiet state (a claimed or released writer slot, a dropped `copies` bit,
+  // a new value of a word on the line), so a parked waiter whose last quiet
+  // probe saw this version knows nothing it reads has changed
+  // (sim::SpinWait::still_quiet). There are two bump sites,
+  // Engine::charge_write and the write-set loop of
+  // Engine::release_ownership, and each bump precedes the tick that could
+  // yield to the waiter. Reader bits and added copies are not bumped: they
+  // leave a waiter quiet. A stamp lives for one wait, and no clear() runs
+  // during a wait, so the reset at a record's reuse is never seen.
+  std::uint64_t version = 0;
 };
 
 class LineTable {

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -22,7 +23,10 @@
 #include "locks/schemes.hpp"
 #include "locks/ticket_lock.hpp"
 #include "locks/ttas_lock.hpp"
+#include "sim/scheduler.hpp"
+#include "support/align.hpp"
 #include "tsx/abort.hpp"
+#include "tsx/shared.hpp"
 
 namespace elision::harness {
 namespace {
@@ -136,6 +140,199 @@ TEST(FastPathDifferential, IdenticalSimulationAcrossSizesAndSlack) {
                                                  "Ticket-adj hle");
   check_lock_shape<locks::BasicClhLock<true>>(ElisionPolicy::hle(),
                                               "CLH-adj hle");
+}
+
+// A parked spin-waiter's replay skips the quiet probe while its line's
+// write version is the one its last quiet probe saw (sim::SpinWait). One
+// waiter spins on `word != 0` while a trigger thread acts on the word's
+// line; with batching on the waiter parks and is replayed, with it off it
+// runs the literal loop, which probes at every load. Every action but the
+// elided acquire ends the waiter's quiet state (a new value, a stripped
+// copy, a claimed writer slot), so a replay that skipped a probe after it
+// would run the waiter on stale state and its clock would diverge.
+enum class Trigger {
+  kReleasingStore,     // direct store of 0: the waiter returns
+  kRmwKeepsWaiting,    // direct fetch_add: the predicate still holds
+  kStoreStripsCopy,    // store of the same value: the next load misses L1
+  kTxClaimAborts,      // a transaction claims the line, then aborts
+  kTxCommitPublishes,  // a transaction publishes 0 at its commit
+  kElidedAcquire,      // an HLE-elided acquire and release of the line
+};
+
+struct StampRun {
+  std::vector<std::uint64_t> clocks;    // the trigger's, at each step
+  std::vector<std::uint64_t> versions;  // the line's, at each step
+  // Each transaction's status; 1 if the elided acquire found the lock free.
+  std::vector<unsigned> results;
+  std::uint64_t waiter_clock = 0;  // when the waiter's spin returned
+  std::uint64_t observed = 0;      // the value it returned
+  std::uint64_t elapsed = 0;
+  std::uint64_t switches = 0;
+};
+
+StampRun run_stamp_case(tsx::SharedArray<std::uint64_t>& line, Trigger trig,
+                        bool smt, bool batch, std::uint64_t slack,
+                        std::uint64_t delay, std::uint64_t in_tx_cycles) {
+  sim::MachineConfig m;
+  m.n_cores = smt ? 1 : 2;  // siblings on one core (SMT row 1), or alone
+  m.smt_per_core = 2;
+  m.yield_slack_cycles = slack;
+  m.batch_switch_bound = batch;
+  tsx::TsxConfig tc;
+  tc.spurious_per_begin = 0;
+  tc.spurious_per_access = 0;
+  sim::Scheduler sched(m);
+  tsx::Engine eng(sched, tc);
+  tsx::Shared<std::uint64_t>& word = line[0];
+  tsx::Shared<std::uint64_t>& lock = line[1];  // the elided lock's word
+  word.unsafe_set(1);
+  lock.unsafe_set(0);
+  StampRun out;
+  sched.spawn([&](sim::SimThread& t) {
+    out.observed = eng.spin_while(eng.context(t), word,
+                                  [](std::uint64_t v) { return v != 0; });
+    out.waiter_clock = t.now();
+  });
+  sched.spawn([&](sim::SimThread& t) {
+    tsx::Ctx& ctx = eng.context(t);
+    const auto step = [&] {
+      out.clocks.push_back(t.now());
+      out.versions.push_back(
+          eng.line_table().find(support::line_of(&word))->version);
+    };
+    // Ticks of uneven sizes: each one that passes the waiter's clock
+    // replays it against the line as the last action left it.
+    const auto run_on = [&] {
+      for (const std::uint64_t c : {97, 13, 250, 4, 1000, 61, 333}) {
+        eng.compute(ctx, c);
+      }
+    };
+    eng.compute(ctx, delay);  // the waiter parks
+    step();
+    bool released = false;
+    switch (trig) {
+      case Trigger::kReleasingStore:
+        word.store(ctx, 0);
+        released = true;
+        break;
+      case Trigger::kRmwKeepsWaiting:
+        word.fetch_add(ctx, 1);
+        break;
+      case Trigger::kStoreStripsCopy:
+        word.store(ctx, 1);
+        break;
+      case Trigger::kTxClaimAborts:
+        out.results.push_back(eng.run_transaction(ctx, [&] {
+          word.store(ctx, 0);
+          step();  // the claim
+          eng.compute(ctx, in_tx_cycles);
+          // XABORT does not poll for a pending remote abort; the load does,
+          // so an explicit status means the waiter never aborted us.
+          word.load(ctx);
+          eng.xabort(ctx, 1);
+        }));
+        break;
+      case Trigger::kTxCommitPublishes:
+        out.results.push_back(eng.run_transaction(ctx, [&] {
+          word.store(ctx, 0);
+          step();  // the claim
+          eng.compute(ctx, in_tx_cycles);
+        }));
+        released = out.results.back() == tsx::kCommitted;
+        break;
+      case Trigger::kElidedAcquire:
+        ctx.set_mode(tsx::ElisionMode::kSpeculative);
+        out.results.push_back(lock.xacquire_exchange(ctx, 1) == 0);
+        eng.compute(ctx, in_tx_cycles);
+        lock.xrelease_store(ctx, 0);
+        ctx.set_mode(tsx::ElisionMode::kStandard);
+        break;
+    }
+    step();
+    run_on();
+    step();
+    if (!released) word.store(ctx, 0);
+    step();
+  });
+  sched.run();
+  out.elapsed = sched.elapsed_cycles();
+  out.switches = sched.switch_count();
+  return out;
+}
+
+struct StampTotals {
+  std::uint64_t switches_on = 0;
+  std::uint64_t switches_off = 0;
+  int tx_ends_checked[2] = {0, 0};  // claim-aborts, commit-publishes
+};
+
+void expect_stamp_case(tsx::SharedArray<std::uint64_t>& line, Trigger trig,
+                       bool smt, std::uint64_t slack, std::uint64_t delay,
+                       std::uint64_t in_tx, StampTotals& totals) {
+  SCOPED_TRACE(::testing::Message()
+               << "trigger " << static_cast<int>(trig) << " smt " << smt
+               << " slack " << slack << " delay " << delay << " in-tx "
+               << in_tx);
+  const StampRun on = run_stamp_case(line, trig, smt, true, slack, delay,
+                                     in_tx);
+  const StampRun off = run_stamp_case(line, trig, smt, false, slack, delay,
+                                      in_tx);
+  EXPECT_EQ(on.clocks, off.clocks);
+  EXPECT_EQ(on.results, off.results);
+  EXPECT_EQ(on.waiter_clock, off.waiter_clock);
+  EXPECT_EQ(on.observed, 0u);
+  EXPECT_EQ(off.observed, 0u);
+  EXPECT_EQ(on.elapsed, off.elapsed);
+  totals.switches_on += on.switches;
+  totals.switches_off += off.switches;
+
+  // The version contract (tsx::LineRecord::version), which both sides
+  // share: steps are [parked, (claim,) acted, ran on, released], and every
+  // action but the elided acquire bumps.
+  const std::vector<std::uint64_t>& v = on.versions;
+  ASSERT_EQ(v, off.versions);
+  const bool tx = trig == Trigger::kTxClaimAborts ||
+                  trig == Trigger::kTxCommitPublishes;
+  ASSERT_EQ(v.size(), tx ? 5u : 4u);
+  if (trig == Trigger::kElidedAcquire) {
+    EXPECT_EQ(on.results, std::vector<unsigned>{1});
+    EXPECT_EQ(v[1], v[0]) << "an elided acquire woke the waiter";
+  } else {
+    EXPECT_GT(v[1], v[0]);
+  }
+  // A transaction that ends itself (commit or XABORT) bumps again at its
+  // publish or its writer-slot release. One that the waiter's load aborted
+  // may have been bumped by that abort before the claim step, so it proves
+  // nothing here.
+  if (tx && (on.results[0] == tsx::kCommitted ||
+             (on.results[0] & tsx::status::kExplicit) != 0)) {
+    EXPECT_GT(v[2], v[1]);
+    ++totals.tx_ends_checked[trig == Trigger::kTxCommitPublishes];
+  }
+}
+
+TEST(FastPathDifferential, SpinStampMatchesLiteralLoop) {
+  tsx::SharedArray<std::uint64_t> line(8);
+  StampTotals totals;
+  for (const Trigger trig :
+       {Trigger::kReleasingStore, Trigger::kRmwKeepsWaiting,
+        Trigger::kStoreStripsCopy, Trigger::kTxClaimAborts,
+        Trigger::kTxCommitPublishes, Trigger::kElidedAcquire}) {
+    for (const bool smt : {false, true}) {
+      for (const std::uint64_t slack : {0, 2000}) {
+        for (const std::uint64_t delay : {0, 41, 700, 5000}) {
+          for (const std::uint64_t in_tx : {0, 500}) {
+            expect_stamp_case(line, trig, smt, slack, delay, in_tx, totals);
+          }
+        }
+      }
+    }
+  }
+  // Batching on parked the waiter: its replays are not context switches.
+  EXPECT_LT(totals.switches_on, totals.switches_off);
+  // Both kinds of transaction end ran unhindered often enough to check.
+  EXPECT_GE(totals.tx_ends_checked[0], 8);
+  EXPECT_GE(totals.tx_ends_checked[1], 8);
 }
 
 // The validation gate in front of every run: degenerate machine shapes must

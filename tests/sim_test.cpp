@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -223,21 +224,25 @@ SpinStop literal_spin(std::uint64_t clock, bool load_next,
   }
 }
 
-// SpinWait keeps its probe by reference: a named probe is accepted, and a
-// temporary one, which would dangle once the statement ends, does not
+// A spin-wait keeps its probe by reference: a named probe is accepted, and
+// a temporary one, which would dangle once the statement ends, does not
 // compile.
 using QuietProbe = decltype([] { return true; });
-static_assert(std::is_constructible_v<SpinWait, QuietProbe&, std::uint64_t,
-                                      std::uint64_t>);
-static_assert(!std::is_constructible_v<SpinWait, QuietProbe, std::uint64_t,
-                                       std::uint64_t>);
+template <typename Probe>
+constexpr bool kStartsSpin =
+    requires(SimThread& t, Probe&& probe, const std::uint64_t* version) {
+      t.start_spin(std::forward<Probe>(probe), version, 1, 1);
+    };
+static_assert(kStartsSpin<QuietProbe&>);
+static_assert(!kStartsSpin<QuietProbe>);
 
 // A replay jumps a quiet waiter's clock to the tick that crosses the bound.
 // Thread 0 waits the way Engine::spin_word does on a flag only thread 1
 // sets; thread 1 moves its own clock to where the bound it will hand the
 // waiter lands (its clock + slack), yields, and checks the waiter's clock
 // and phase against the literal loop. Bounds sit at the waiter's clock, at
-// every edge of the first round, and whole rounds further on.
+// every edge of the first round, and whole rounds further on. The flag's
+// write bumps the version the wait watches, as an engine write would.
 TEST(Scheduler, QuietReplayJumpEqualsLiteralLoop) {
   support::Xoshiro256 rng(0x51A7E);
   int load_stops = 0;
@@ -264,16 +269,18 @@ TEST(Scheduler, QuietReplayJumpEqualsLiteralLoop) {
           Scheduler sched(cfg);
           SpinWait* wait = nullptr;
           bool released = false;
+          std::uint64_t version = 0;
           sched.spawn([&](SimThread& t) {
             auto quiet = [&] { return !released; };
-            SpinWait w{quiet, load_cycles, pause_cycles};
+            SpinWait& w =
+                t.start_spin(quiet, &version, load_cycles, pause_cycles);
             wait = &w;
             for (;;) {
               if (w.load_next) {
-                if (released) return;
-                t.spin_tick(w, w.load_cycles, /*load_next=*/false);
+                if (!w.still_quiet()) return;
+                t.spin_tick(w.load_cycles, /*load_next=*/false);
               } else {
-                t.spin_tick(w, w.pause_cycles, /*load_next=*/true);
+                t.spin_tick(w.pause_cycles, /*load_next=*/true);
               }
             }
           });
@@ -313,6 +320,7 @@ TEST(Scheduler, QuietReplayJumpEqualsLiteralLoop) {
               if (bound >= first_load + period) ++jumps;
             }
             released = true;
+            ++version;
           });
           sched.run();
         }

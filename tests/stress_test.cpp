@@ -75,9 +75,8 @@ TEST(Stress, BudgetCapsInjections) {
   EXPECT_LE(out.perturb_points_used, 5u);
 }
 
-// The whole point of the subsystem: a planted check-then-act bug that the
-// unperturbed schedule misses must be caught by the sweep and shrink to a
-// small budget.
+// The planted check-then-act bug must be caught by the perturbed sweep and
+// shrink to a small budget.
 TEST(Stress, SelfTestFindsPlantedRacyLockBug) {
   StressOptions o = quick_options();
   o.duration_ms = 0.05;
@@ -94,6 +93,39 @@ TEST(Stress, SelfTestFindsPlantedRacyLockBug) {
   StressCase repro = f.c;
   repro.perturb_points = f.minimized_points;
   EXPECT_FALSE(run_case(o, repro).ok());
+
+  // Control: the same case with the perturbation layer off (a budget of 0
+  // means unlimited, so the probability is what turns it off).
+  StressOptions calm = o;
+  calm.perturb_probability = 0;
+  StressCase unperturbed = f.c;
+  unperturbed.perturb_points = 0;
+  const RunOutcome control = run_case(calm, unperturbed);
+  EXPECT_EQ(control.perturb_points_used, 0u);
+  // The unperturbed schedule finds the bug too: at zero yield slack every
+  // access past the bound yields, so threads interleave between the test
+  // and the act all the time. The self-test shows that the checkers are
+  // not vacuous, not that perturbation reaches a window the default
+  // schedule misses.
+  EXPECT_FALSE(control.ok());
+  EXPECT_GT(control.ops, 0u);
+}
+
+// An unperturbed sweep over correct locks. Perturbation turns spin-wait
+// parking off (sim::Scheduler::spin_parking), so this is the stress run
+// in which waiters park and are replayed by the scheduler; every invariant
+// must still hold.
+TEST(Stress, UnperturbedSweepOverCorrectLocksHoldsInvariants) {
+  StressOptions o = quick_options();
+  o.perturb_probability = 0;
+  const SweepStats s =
+      sweep(o, all_policies(), {locks::LockId::kTtas, locks::LockId::kMcs},
+            all_workloads(), /*first_seed=*/1, /*n_seeds=*/1);
+  EXPECT_EQ(s.runs, 8 * 2 * 4);
+  EXPECT_GT(s.total_ops, 0u);
+  for (const FailureReport& f : s.failures) {
+    ADD_FAILURE() << case_name(f.c) << ": " << f.outcome.violations.front();
+  }
 }
 
 // The shared-mode sibling of the RacyLock self-test: the reader-writer

@@ -670,16 +670,14 @@ TEST(SuiteRun, JobsFanOutReproducesSequentialRun) {
   EXPECT_EQ(simulated(par), simulated(seq));
 }
 
-// Tier-1 byte identity: the smoke tier, run in process, reproduces every
-// simulated metric of the committed baseline exactly. tests/CMakeLists.txt
-// registers this test a second time with ELISION_FASTPATH=0, so the fast
-// paths and the literal paths must both reproduce it. Only the host fields
-// are left out: wall_ms, sim_ops_per_sec, and the fastpath counters (the
-// owned-line hits depend on the host heap layout).
-// Runs `points` two at a time and requires each to reproduce its
-// bench/baseline.json record, host fields aside (wall time, host speed and
-// the fast-path counters, which are 0 with ELISION_FASTPATH=0 and
-// heap-placement dependent otherwise).
+// Tier-1 byte identity: runs `points` in process, two at a time, and
+// requires each to reproduce every simulated metric of its
+// bench/baseline.json record exactly. Only the host fields are left out:
+// wall_ms, sim_ops_per_sec and the fastpath counters (0 with
+// ELISION_FASTPATH=0, and the owned-line hits depend on the host heap
+// layout otherwise). tests/CMakeLists.txt registers the smoke-tier test a
+// second time with ELISION_FASTPATH=0, so the fast paths and the literal
+// paths must both reproduce the baseline.
 void expect_reproduces_baseline(const std::vector<SuitePoint>& points) {
   const auto base = load_results_file(ELISION_BASELINE_JSON);
   ASSERT_TRUE(base.has_value());
@@ -719,9 +717,10 @@ TEST(SuiteRun, SmokeTierReproducesCommittedBaseline) {
   expect_reproduces_baseline(suite_points_for(SuiteTier::kSmoke));
 }
 
-// The 64-, 128- and 256-thread Fig 5.1 points: the only ones where parked
-// spin-waiters meet the two-level ready queue. Registered as the ctest
-// suite_big_machine_baseline and left out of the suite_test run.
+// The 64-, 128- and 256-thread Fig 5.1 points: the largest machines, where
+// most threads sit parked in spin-waits and are replayed, and the
+// ready-queue ring fills up to its 256-slot capacity. Registered as the
+// ctest suite_big_machine_baseline and left out of the suite_test run.
 TEST(SuiteRun, BigMachinePointsReproduceCommittedBaseline) {
   std::vector<SuitePoint> big;
   for (const SuitePoint& p : suite_points()) {
