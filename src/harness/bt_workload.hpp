@@ -34,9 +34,31 @@ struct BtPoint {
   std::uint64_t seed = 42;
 };
 
-// Builds the tree (random keys from a domain of 2*size) and runs the
-// benchmark for the configured virtual duration, once; run_point
-// (harness/suite.hpp) merges `p.seeds` such runs.
+// The one B+tree run behind run_bt_point_once and the stress btree
+// workload: prefills `size` distinct keys from [0, 2*size) (RNG seeded
+// with cfg.machine.seed), each with value key+1, and runs the mix under
+// cfg. Each op draws its key, dice and read dice; updates (update_pct,
+// inserts and erases half and half) run exclusive, reads in cfg.policy's
+// mode. With cfg.invariants set, it feeds the sink as run_keyed does.
+struct BtRun {
+  std::size_t size = 0;
+  // Any registry lock; suite points name one of locks::SharedLocks.
+  locks::LockId lock = locks::LockId::kSharedTtas;
+  int update_pct = 0;
+  // Of the reads, the percentage that are range scans of scan_len keys.
+  int scan_pct = 0;
+  std::size_t scan_len = 0;
+  // Stress's role split (StressOptions' btree_* fields of the same names):
+  // 0 for every suite point and not part of the suite schema.
+  int writer_threads = 0;
+  std::uint64_t writer_gap_cycles = 0;
+  std::uint64_t read_dwell_cycles = 0;
+};
+
+RunStats run_bt(const BenchConfig& cfg, const BtRun& run);
+
+// run_bt for one seed of a suite point; run_point (harness/suite.hpp)
+// merges `p.seeds` such runs.
 RunStats run_bt_point_once(const BtPoint& p);
 
 }  // namespace elision::harness

@@ -6,6 +6,7 @@
 #include "ds/hashtable.hpp"
 #include "ds/rbtree.hpp"
 #include "ds/skiplist.hpp"
+#include "harness/invariants.hpp"
 #include "locks/schemes.hpp"
 #include "locks/ttas_lock.hpp"
 #include "support/rng.hpp"
@@ -19,6 +20,7 @@ RunStats run_with_lock(const BenchConfig& cfg, const KeyedRun& run, Set& set) {
   Lock lock;
   locks::CriticalSection<Lock> cs(cfg.policy, lock);
   const std::uint64_t domain = run.size * 2;
+  Invariants* const sink = cfg.invariants;
   auto stats = run_workload(cfg, [&](tsx::Ctx& ctx) {
     auto& st = ctx.thread();
     const int update_pct =
@@ -29,19 +31,28 @@ RunStats run_with_lock(const BenchConfig& cfg, const KeyedRun& run, Set& set) {
     auto& rng = st.rng();
     const std::uint64_t key = rng.next_below(domain);
     const auto dice = static_cast<int>(rng.next_below(100));
-    return cs.run(ctx, [&] {
-      if (dice < half_updates) {
-        if constexpr (std::is_same_v<Set, ds::HashTable>) {
-          set.insert(ctx, key, key);
-        } else {
-          set.insert(ctx, key);
-        }
-      } else if (dice < update_pct) {
-        set.erase(ctx, key);
+    KeyedOp op{.kind = dice < half_updates ? KeyedOp::kInsert
+                       : dice < update_pct ? KeyedOp::kErase
+                                           : KeyedOp::kLookup,
+               .value = key,
+               .expected = key};
+    // The hash table stores each key as its own value.
+    const auto body = [&] {
+      if constexpr (std::is_same_v<Set, ds::HashTable>) {
+        op.hit = op.kind == KeyedOp::kInsert ? set.insert(ctx, key, key)
+                 : op.kind == KeyedOp::kErase ? set.erase(ctx, key)
+                                              : set.lookup(ctx, key, &op.value);
       } else {
-        set.contains(ctx, key);
+        op.hit = op.kind == KeyedOp::kInsert ? set.insert(ctx, key)
+                 : op.kind == KeyedOp::kErase ? set.erase(ctx, key)
+                                              : set.contains(ctx, key);
       }
-    });
+    };
+    if (sink == nullptr) return cs.run(ctx, body);
+    const locks::RegionResult r = cs.run(
+        ctx, [&] { sink->occupy(ctx, cfg.policy.mode, body); });
+    sink->completed(ctx, op);
+    return r;
   });
   if constexpr (std::is_same_v<Lock, locks::TtasLock>) {
     stats.arrivals = lock.arrivals();
@@ -61,12 +72,19 @@ void prefill(std::size_t size, std::uint64_t seed, Insert&& insert) {
   }
 }
 
+// Runs `run` on `set` under its lock, then, with a sink attached, hands
+// the sink the set (named `name`) to reconcile.
 template <typename Set>
-RunStats run_on_set(const BenchConfig& cfg, const KeyedRun& run, Set& set) {
-  return locks::with_lock<locks::ExclusiveLocks>(
-      run.lock, [&]<typename Lock>() {
+RunStats run_on_set(const BenchConfig& cfg, const KeyedRun& run, Set& set,
+                    const char* name) {
+  RunStats stats =
+      locks::with_lock<locks::AllLocks>(run.lock, [&]<typename Lock>() {
         return run_with_lock<Lock>(cfg, run, set);
       });
+  if (cfg.invariants != nullptr) {
+    cfg.invariants->check_set(name, run.size, set);
+  }
+  return stats;
 }
 
 }  // namespace
@@ -85,14 +103,14 @@ RunStats run_keyed(const BenchConfig& cfg, const KeyedRun& run) {
         return tree.unsafe_insert(k);
       });
       tree.unsafe_distribute_free_lists(cfg.threads);
-      return run_on_set(cfg, run, tree);
+      return run_on_set(cfg, run, tree, "rbtree");
     }
     case KeyedSet::kHashTable: {
       ds::HashTable table(512, run.size * 4 + 512, cfg.threads, pool_threads);
       prefill(run.size, seed, [&](std::uint64_t k) {
-        return table.unsafe_insert(k, 1);
+        return table.unsafe_insert(k, k);
       });
-      return run_on_set(cfg, run, table);
+      return run_on_set(cfg, run, table, "hashtable");
     }
     case KeyedSet::kSkipList: {
       // 99 is the skiplist's default tower-height seed.
@@ -101,7 +119,7 @@ RunStats run_keyed(const BenchConfig& cfg, const KeyedRun& run) {
         return list.unsafe_insert(k);
       });
       list.unsafe_distribute_free_lists(cfg.threads);
-      return run_on_set(cfg, run, list);
+      return run_on_set(cfg, run, list, "skiplist");
     }
   }
   return {};

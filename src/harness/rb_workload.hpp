@@ -73,11 +73,15 @@ enum class KeyedSet { kRbTree, kHashTable, kSkipList };
 // with `lock` elided by cfg.policy, and runs the random insert/erase/
 // contains mix under cfg. Each op draws its key, then its dice, and splits
 // update_pct evenly between inserts and erases. A TTAS lock's arrival
-// counts land in RunStats::arrivals and arrivals_lock_held.
+// counts land in RunStats::arrivals and arrivals_lock_held. With
+// cfg.invariants set, the runner feeds the sink (harness/invariants.hpp)
+// and hands it the set after the run; the hash table stores each key as
+// its own value.
 struct KeyedRun {
   KeyedSet set = KeyedSet::kRbTree;
   std::size_t size = 0;
-  locks::LockId lock = locks::LockId::kTtas;  // one of locks::ExclusiveLocks
+  // Any registry lock; suite points name one of locks::ExclusiveLocks.
+  locks::LockId lock = locks::LockId::kTtas;
   int update_pct = 0;
   // The phase workload's write storm: when phase_cycles > 0, the second
   // phase (virtual time now / phase_cycles == 1) uses storm_update_pct.

@@ -102,12 +102,11 @@ RunStats run_workload(const BenchConfig& cfg_in, const OpFn& op) {
 
   for (int t = 0; t < cfg.threads; ++t) {
     tallies[t].timeline.resize(n_slots);
-    sched.spawn([&cfg, &eng, &op, &tallies, slot_cycles, t](sim::SimThread& st) {
+    sched.spawn([&eng, &op, &tallies, slot_cycles, t](sim::SimThread& st) {
       auto& ctx = eng.context(st);
       auto& mine = tallies[t];
       while (!st.stop_requested()) {
         const locks::RegionResult r = op(ctx);
-        if (cfg.on_region_complete) cfg.on_region_complete(ctx, r);
         ++mine.ops;
         if (r.speculative) {
           ++mine.spec;

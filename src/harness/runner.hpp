@@ -26,6 +26,8 @@
 
 namespace elision::harness {
 
+class Invariants;
+
 struct BenchConfig {
   int threads = 8;
   double duration_sec = 0.002;  // virtual seconds per measurement
@@ -54,12 +56,11 @@ struct BenchConfig {
   // event stream outlives the run (`elide tree`). Implies `telemetry`.
   tsx::Telemetry* telemetry_sink = nullptr;
 
-  // Called after every completed region, on the completing simulated thread
-  // (its virtual clock is current). The stress subsystem hangs its
-  // invariant checkers and starvation watchdog off this; leave unset for
-  // plain benchmarking (null = zero cost).
-  std::function<void(tsx::Ctx&, const locks::RegionResult&)>
-      on_region_complete;
+  // A caller-owned invariant sink (harness/invariants.hpp) that run_keyed
+  // and run_bt feed every body, completion and committed effect; the stress
+  // subsystem owns one per case. Null for plain benchmarking: the runners
+  // then take their unchecked path, and run_workload never reads it.
+  Invariants* invariants = nullptr;
 
   std::uint64_t duration_cycles() const {
     return machine.cycles(duration_sec * duration_scale);

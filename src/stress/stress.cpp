@@ -2,31 +2,67 @@
 
 #include <utility>
 
-#include "ds/btree.hpp"
-#include "ds/hashtable.hpp"
-#include "harness/runner.hpp"
+#include "harness/bt_workload.hpp"
+#include "harness/invariants.hpp"
+#include "harness/rb_workload.hpp"
 #include "locks/schemes.hpp"
 #include "service/sharded_kv.hpp"
-#include "stress/invariants.hpp"
 #include "support/check.hpp"
 #include "support/parallel.hpp"
 
 namespace elision::stress {
 
-const char* workload_name(Workload w) {
-  switch (w) {
-    case Workload::kCounter: return "counter";
-    case Workload::kHashTable: return "hashtable";
-    case Workload::kBtree: return "btree";
-    case Workload::kShardedKv: return "sharded-kv";
-  }
-  return "?";
+namespace {
+
+// How a workload runs: stress's own counter and sharded-KV bodies, or the
+// suite's keyed-set and B+tree runners.
+enum class Body { kCounter, kKeyed, kBt, kShardedKv };
+
+struct WorkloadRow {
+  Workload id;
+  const char* name;
+  Body body;
+  harness::KeyedRun keyed;  // the shape of a kKeyed workload
+  harness::BtRun bt;        // the shape of the kBt workload
+  bool planted_may_run;     // see planted_may_run()
+};
+
+// Every workload in Workload order. The keyed sets run a 35/35/30
+// insert/erase/lookup mix over 128 keys (half of them prefilled); the
+// B+tree runs 10/10 inserts/erases, its reads 30% eight-key scans.
+const WorkloadRow kWorkloads[] = {
+    {Workload::kCounter, "counter", Body::kCounter, {}, {}, true},
+    {Workload::kRbTree, "rbtree", Body::kKeyed,
+     {.set = harness::KeyedSet::kRbTree, .size = 64, .update_pct = 70},
+     {}, false},
+    {Workload::kHashTable, "hashtable", Body::kKeyed,
+     {.set = harness::KeyedSet::kHashTable, .size = 64, .update_pct = 70},
+     {}, true},
+    {Workload::kSkipList, "skiplist", Body::kKeyed,
+     {.set = harness::KeyedSet::kSkipList, .size = 64, .update_pct = 70},
+     {}, false},
+    {Workload::kBtree, "btree", Body::kBt, {},
+     {.size = 96, .update_pct = 20, .scan_pct = 30, .scan_len = 8}, true},
+    {Workload::kShardedKv, "sharded-kv", Body::kShardedKv, {}, {}, true},
+};
+
+const WorkloadRow& row_of(Workload w) {
+  const WorkloadRow& row = kWorkloads[static_cast<std::size_t>(w)];
+  ELISION_CHECK(row.id == w);
+  return row;
 }
 
+}  // namespace
+
+const char* workload_name(Workload w) { return row_of(w).name; }
+
 std::vector<Workload> all_workloads() {
-  return {Workload::kCounter, Workload::kHashTable, Workload::kBtree,
-          Workload::kShardedKv};
+  std::vector<Workload> out;
+  for (const WorkloadRow& row : kWorkloads) out.push_back(row.id);
+  return out;
 }
+
+bool planted_may_run(Workload w) { return row_of(w).planted_may_run; }
 
 std::vector<locks::ElisionPolicy> all_policies() {
   std::vector<locks::ElisionPolicy> v;
@@ -57,7 +93,8 @@ std::string case_name(const StressCase& c) {
 
 namespace {
 
-harness::BenchConfig base_config(const StressOptions& o, const StressCase& c) {
+harness::BenchConfig base_config(const StressOptions& o, const StressCase& c,
+                                 harness::Invariants* sink) {
   harness::BenchConfig cfg;
   cfg.threads = o.threads;
   cfg.duration_sec = o.duration_ms / 1e3;
@@ -72,34 +109,8 @@ harness::BenchConfig base_config(const StressOptions& o, const StressCase& c) {
   if (c.policy.scheme == locks::Scheme::kHleScmNested) {
     cfg.tsx.allow_hle_in_rtm = true;
   }
-  cfg.telemetry = o.telemetry;
+  cfg.invariants = sink;
   return cfg;
-}
-
-void fill_outcome(const harness::RunStats& stats, RunOutcome* out) {
-  out->ops = stats.ops;
-  out->aborts = stats.tx.aborts;
-  out->perturb_points_used = stats.perturb_points;
-  out->elapsed_cycles = stats.elapsed_cycles;
-  out->avalanche_episodes = stats.episodes.size();
-}
-
-// The run's starvation watchdog, fed every region `cfg`'s run completes.
-struct Watchdog : StarvationWatchdog {
-  Watchdog(const StressOptions& o, harness::BenchConfig& cfg)
-      : StarvationWatchdog(o.threads, o.starvation_gap_cycles,
-                           o.starvation_min_other_ops) {
-    cfg.on_region_complete = [this](tsx::Ctx& ctx,
-                                    const locks::RegionResult&) {
-      note_completion(ctx.id(), ctx.thread().now());
-    };
-  }
-};
-
-void append_watchdog(const StarvationWatchdog& dog, RunOutcome* out) {
-  for (const std::string& v : dog.violations()) {
-    out->violations.push_back("starvation: " + v);
-  }
 }
 
 // One hot Shared counter. Every completed region increments it exactly once
@@ -107,227 +118,29 @@ void append_watchdog(const StarvationWatchdog& dog, RunOutcome* out) {
 // run it must equal the harness's completed-op count: any racy overlap of
 // two non-speculative bodies manifests as a lost update.
 template <typename Lock>
-RunOutcome run_counter(const StressOptions& o, const StressCase& c) {
-  harness::BenchConfig cfg = base_config(o, c);
+harness::RunStats run_counter(const harness::BenchConfig& cfg,
+                              std::vector<std::string>* violations) {
   Lock lock;
   locks::CriticalSection<Lock> cs(cfg.policy, lock);
   tsx::Shared<std::uint64_t> counter(0);
-  MutualExclusionChecker mutex;
-  Watchdog dog(o, cfg);
+  harness::Invariants& sink = *cfg.invariants;
   const harness::RunStats stats =
       harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
-        return cs.run(ctx, [&] {
-          mutex.occupy(ctx, [&] {
+        const locks::RegionResult r = cs.run(ctx, [&] {
+          sink.occupy(ctx, locks::AccessMode::kExclusive, [&] {
             counter.store(ctx, counter.load(ctx) + 1);
             ctx.engine().compute(ctx, 20);
           });
         });
+        sink.completed(ctx);
+        return r;
       });
-  dog.finish(stats.elapsed_cycles);
-
-  RunOutcome out;
-  fill_outcome(stats, &out);
   if (counter.unsafe_get() != stats.ops) {
-    out.violations.push_back(
+    violations->push_back(
         "lost updates: counter=" + std::to_string(counter.unsafe_get()) +
         " completed ops=" + std::to_string(stats.ops));
   }
-  if (mutex.violations() > 0) {
-    out.violations.push_back(
-        "mutual exclusion: " + std::to_string(mutex.violations()) +
-        " overlapping non-speculative critical sections");
-  }
-  append_watchdog(dog, &out);
-  return out;
-}
-
-// Mixed insert/erase/lookup over the chained hash table. The net insertion
-// balance is tracked in a Shared counter (so speculative replays roll it
-// back together with the structure) and reconciled against the table's
-// actual size; the structure itself is validated node-by-node afterwards.
-template <typename Lock>
-RunOutcome run_hashtable(const StressOptions& o, const StressCase& c) {
-  harness::BenchConfig cfg = base_config(o, c);
-  Lock lock;
-  locks::CriticalSection<Lock> cs(cfg.policy, lock);
-  ds::HashTable table(o.hashtable_buckets, o.hashtable_capacity, o.threads);
-  // Prefill half the key domain so erase/lookup hit from the start.
-  std::uint64_t prefilled = 0;
-  for (std::uint64_t k = 0; k < o.hashtable_key_domain; k += 2) {
-    if (table.unsafe_insert(k, k * 3)) ++prefilled;
-  }
-  tsx::Shared<std::uint64_t> net(prefilled);
-  MutualExclusionChecker mutex;
-  Watchdog dog(o, cfg);
-  // Host-side, set-only: committed stores are always key*3, and the TM
-  // buffers speculative writes until commit, so no execution — not even a
-  // doomed one — should ever observe anything else.
-  std::uint64_t torn_values = 0;
-  const harness::RunStats stats =
-      harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
-        const std::uint64_t key =
-            ctx.thread().rng().next_below(o.hashtable_key_domain);
-        const std::uint64_t dice = ctx.thread().rng().next_below(100);
-        return cs.run(ctx, [&] {
-          mutex.occupy(ctx, [&] {
-            if (dice < 35) {
-              if (table.insert(ctx, key, key * 3)) {
-                net.store(ctx, net.load(ctx) + 1);
-              }
-            } else if (dice < 70) {
-              if (table.erase(ctx, key)) {
-                net.store(ctx, net.load(ctx) - 1);
-              }
-            } else {
-              std::uint64_t v = 0;
-              if (table.lookup(ctx, key, &v) && v != key * 3) ++torn_values;
-            }
-          });
-        });
-      });
-  dog.finish(stats.elapsed_cycles);
-
-  RunOutcome out;
-  fill_outcome(stats, &out);
-  std::string why;
-  if (!table.unsafe_validate(&why)) {
-    out.violations.push_back("hashtable structure: " + why);
-  }
-  if (net.unsafe_get() != table.unsafe_size()) {
-    out.violations.push_back(
-        "hashtable net size: tracked " + std::to_string(net.unsafe_get()) +
-        " but table holds " + std::to_string(table.unsafe_size()));
-  }
-  if (torn_values > 0) {
-    out.violations.push_back("hashtable torn values: " +
-                             std::to_string(torn_values) +
-                             " lookups observed value != 3*key");
-  }
-  if (mutex.violations() > 0) {
-    out.violations.push_back(
-        "mutual exclusion: " + std::to_string(mutex.violations()) +
-        " overlapping non-speculative critical sections");
-  }
-  append_watchdog(dog, &out);
-  return out;
-}
-
-// B+tree mix over the two-mode lock API: updates run exclusive, reads run
-// *shared* on shared-capable locks (and exclusive on single-mode ones, so
-// the workload still crosses the whole lock grid). On top of the structural
-// checks this is where the reader-writer invariants live: a writer
-// occupancy must exclude everything, readers may overlap each other, and the
-// RoleLockoutChecker watches for either role being locked out — the
-// writer-starvation hazard the planted GreedySharedLock self-test trips.
-template <typename Lock>
-RunOutcome run_btree(const StressOptions& o, const StressCase& c) {
-  harness::BenchConfig cfg = base_config(o, c);
-  Lock lock;
-  locks::CriticalSection<Lock> cs(cfg.policy, lock);
-  // Capacity bound: nothing is ever freed and a leaf interval below half
-  // capacity cannot split again (see ds/btree.hpp).
-  ds::BplusTree tree(o.btree_size * 2 + 256);
-  const std::uint64_t domain = o.btree_size * 2;
-  std::uint64_t prefilled = 0;
-  for (std::uint64_t k = 0; k < domain; k += 2) {
-    if (tree.unsafe_insert(k, k + 1)) ++prefilled;
-  }
-  tree.unsafe_distribute_free_lists(o.threads);
-  tsx::Shared<std::uint64_t> net(prefilled);
-  SharedMutualExclusionChecker rw_mutex;
-  RoleLockoutChecker roles(o.starvation_gap_cycles,
-                           o.starvation_min_other_ops);
-  Watchdog dog(o, cfg);
-  std::uint64_t torn_values = 0;
-  const int half_updates = o.btree_update_pct / 2;
-  const harness::RunStats stats =
-      harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
-        const std::uint64_t key = ctx.thread().rng().next_below(domain);
-        const std::uint64_t dice = ctx.thread().rng().next_below(100);
-        const std::uint64_t read_dice = ctx.thread().rng().next_below(100);
-        // Role assignment: per-op dice by default; with dedicated writer
-        // threads, low thread ids update and the rest only read (a pure
-        // reader crowd is what keeps a writer-lockout window open — a
-        // mixed-duty thread that blocks as a writer stops reading, so the
-        // crowd self-drains).
-        const bool is_update =
-            o.btree_writer_threads > 0
-                ? ctx.id() < o.btree_writer_threads
-                : dice < static_cast<std::uint64_t>(o.btree_update_pct);
-        // Inserts take the lower half of the update dice range — the whole
-        // [0, 100) range for a dedicated writer, [0, update_pct) otherwise.
-        const std::uint64_t insert_below = static_cast<std::uint64_t>(
-            o.btree_writer_threads > 0 ? 50 : half_updates);
-        if (is_update) {
-          if (o.btree_writer_gap_cycles != 0) {
-            ctx.engine().compute(ctx, o.btree_writer_gap_cycles);
-          }
-          const locks::RegionResult r = cs.run_exclusive(ctx, [&] {
-            rw_mutex.as_writer(ctx, [&] {
-              if (dice < insert_below) {
-                if (tree.insert(ctx, key, key + 1)) {
-                  net.store(ctx, net.load(ctx) + 1);
-                }
-              } else if (tree.erase(ctx, key)) {
-                net.store(ctx, net.load(ctx) - 1);
-              }
-            });
-          });
-          roles.note_writer(ctx.thread().now());
-          return r;
-        }
-        const auto read_body = [&] {
-          rw_mutex.as_reader(ctx, [&] {
-            if (o.btree_read_dwell_cycles != 0) {
-              ctx.engine().compute(ctx, o.btree_read_dwell_cycles);
-            }
-            if (read_dice < static_cast<std::uint64_t>(o.btree_scan_pct)) {
-              std::uint64_t sum = 0;
-              tree.range_sum(ctx, key, o.btree_scan_len, &sum);
-              return;
-            }
-            std::uint64_t v = 0;
-            if (tree.lookup(ctx, key, &v) && v != key + 1) ++torn_values;
-          });
-        };
-        locks::RegionResult r;
-        if constexpr (locks::detail::kHasSharedMode<Lock>) {
-          r = cs.run_shared(ctx, read_body);
-        } else {
-          r = cs.run_exclusive(ctx, read_body);
-        }
-        roles.note_reader(ctx.thread().now());
-        return r;
-      });
-  dog.finish(stats.elapsed_cycles);
-  roles.finish(stats.elapsed_cycles);
-
-  RunOutcome out;
-  fill_outcome(stats, &out);
-  std::string why;
-  if (!tree.unsafe_validate(&why)) {
-    out.violations.push_back("btree structure: " + why);
-  }
-  if (net.unsafe_get() != tree.unsafe_size()) {
-    out.violations.push_back(
-        "btree net size: tracked " + std::to_string(net.unsafe_get()) +
-        " but tree holds " + std::to_string(tree.unsafe_size()));
-  }
-  if (torn_values > 0) {
-    out.violations.push_back("btree torn values: " +
-                             std::to_string(torn_values) +
-                             " lookups observed value != key+1");
-  }
-  if (rw_mutex.violations() > 0) {
-    out.violations.push_back(
-        "rw mutual exclusion: " + std::to_string(rw_mutex.violations()) +
-        " non-speculative writer overlaps");
-  }
-  for (const std::string& v : roles.violations()) {
-    out.violations.push_back("role lockout: " + v);
-  }
-  append_watchdog(dog, &out);
-  return out;
+  return stats;
 }
 
 // Sharded KV service: the single-shard mix plus the cross-shard
@@ -342,8 +155,9 @@ RunOutcome run_btree(const StressOptions& o, const StressCase& c) {
 // unsafe_validate audits per-shard structure, key routing, and the
 // track_totals in-region totals.
 template <typename Lock>
-RunOutcome run_sharded_kv(const StressOptions& o, const StressCase& c) {
-  harness::BenchConfig cfg = base_config(o, c);
+harness::RunStats run_sharded_kv(const StressOptions& o,
+                                 const harness::BenchConfig& cfg,
+                                 std::vector<std::string>* violations) {
   typename service::ShardedKvT<Lock>::Config kcfg;
   kcfg.shards = o.kv_shards;
   kcfg.keys = static_cast<std::size_t>(o.kv_key_domain);
@@ -356,80 +170,119 @@ RunOutcome run_sharded_kv(const StressOptions& o, const StressCase& c) {
     if (kv.unsafe_put(k, k + 5)) ledger += static_cast<std::int64_t>(k + 5);
   }
   kv.unsafe_distribute_free_lists(o.threads);
-  Watchdog dog(o, cfg);
+  harness::Invariants& sink = *cfg.invariants;
+  const auto op = [&](tsx::Ctx& ctx) {
+    auto& rng = ctx.thread().rng();
+    const std::uint64_t key = rng.next_below(o.kv_key_domain);
+    const std::uint64_t dice = rng.next_below(100);
+    if (dice < 20) {
+      const std::uint64_t value = 1 + rng.next_below(100);
+      std::uint64_t old = 0;
+      const auto r = kv.put(ctx, key, value, nullptr, &old);
+      ledger +=
+          static_cast<std::int64_t>(value) - static_cast<std::int64_t>(old);
+      return r;
+    }
+    if (dice < 30) {
+      bool hit = false;
+      std::uint64_t old = 0;
+      const auto r = kv.erase(ctx, key, &hit, &old);
+      if (hit) ledger -= static_cast<std::int64_t>(old);
+      return r;
+    }
+    if (dice < 40) {
+      service::KvPair pairs[3];
+      for (auto& p : pairs) {
+        p.key = rng.next_below(o.kv_key_domain);
+        p.value = 1 + rng.next_below(100);
+      }
+      std::int64_t d = 0;
+      const auto r = kv.multi_put(ctx, pairs, 3, &d);
+      ledger += d;
+      return r;
+    }
+    if (dice < 60) {
+      const std::uint64_t to = rng.next_below(o.kv_key_domain);
+      return kv.transfer(ctx, key, to, 1 + rng.next_below(50));
+    }
+    std::uint64_t v = 0;
+    return kv.get(ctx, key, &v);
+  };
   const harness::RunStats stats =
       harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
-        auto& rng = ctx.thread().rng();
-        const std::uint64_t key = rng.next_below(o.kv_key_domain);
-        const std::uint64_t dice = rng.next_below(100);
-        if (dice < 20) {
-          const std::uint64_t value = 1 + rng.next_below(100);
-          std::uint64_t old = 0;
-          const auto r = kv.put(ctx, key, value, nullptr, &old);
-          ledger += static_cast<std::int64_t>(value) -
-                    static_cast<std::int64_t>(old);
-          return r;
-        }
-        if (dice < 30) {
-          bool hit = false;
-          std::uint64_t old = 0;
-          const auto r = kv.erase(ctx, key, &hit, &old);
-          if (hit) ledger -= static_cast<std::int64_t>(old);
-          return r;
-        }
-        if (dice < 40) {
-          service::KvPair pairs[3];
-          for (auto& p : pairs) {
-            p.key = rng.next_below(o.kv_key_domain);
-            p.value = 1 + rng.next_below(100);
-          }
-          std::int64_t d = 0;
-          const auto r = kv.multi_put(ctx, pairs, 3, &d);
-          ledger += d;
-          return r;
-        }
-        if (dice < 60) {
-          const std::uint64_t to = rng.next_below(o.kv_key_domain);
-          return kv.transfer(ctx, key, to, 1 + rng.next_below(50));
-        }
-        std::uint64_t v = 0;
-        return kv.get(ctx, key, &v);
+        const locks::RegionResult r = op(ctx);
+        sink.completed(ctx);
+        return r;
       });
-  dog.finish(stats.elapsed_cycles);
 
-  RunOutcome out;
-  fill_outcome(stats, &out);
   std::string why;
   if (!kv.unsafe_validate(&why)) {
-    out.violations.push_back("sharded-kv structure: " + why);
+    violations->push_back("sharded-kv structure: " + why);
   }
   const auto total = static_cast<std::int64_t>(kv.unsafe_total_value());
   if (total != ledger) {
-    out.violations.push_back(
+    violations->push_back(
         "sharded-kv lost update: stored values sum to " +
         std::to_string(total) + " but the committed-op ledger expects " +
         std::to_string(ledger));
   }
-  append_watchdog(dog, &out);
-  return out;
+  return stats;
 }
 
 }  // namespace
 
 RunOutcome run_case(const StressOptions& o, const StressCase& c) {
-  ELISION_CHECK_MSG(!locks::lock_has(c.lock, locks::kPlanted) ||
-                        c.policy.scheme == locks::Scheme::kStandard,
+  const bool planted = locks::lock_has(c.lock, locks::kPlanted);
+  ELISION_CHECK_MSG(!planted || c.policy.scheme == locks::Scheme::kStandard,
                     "a planted lock is a standard-scheme self-test instrument");
-  return locks::with_lock<locks::AllLocks>(c.lock, [&]<typename Lock>() {
-    switch (c.workload) {
-      case Workload::kCounter: return run_counter<Lock>(o, c);
-      case Workload::kHashTable: return run_hashtable<Lock>(o, c);
-      case Workload::kBtree: return run_btree<Lock>(o, c);
-      case Workload::kShardedKv: return run_sharded_kv<Lock>(o, c);
+  const WorkloadRow& w = row_of(c.workload);
+  ELISION_CHECK_MSG(!planted || w.planted_may_run,
+                    "a planted lock can make this workload loop forever");
+  harness::Invariants sink(o.threads, o.starvation_gap_cycles,
+                           o.starvation_min_other_ops);
+  harness::BenchConfig cfg = base_config(o, c, &sink);
+  RunOutcome out;
+  harness::RunStats stats;
+  switch (w.body) {
+    case Body::kCounter:
+      stats = locks::with_lock<locks::AllLocks>(c.lock, [&]<typename Lock>() {
+        return run_counter<Lock>(cfg, &out.violations);
+      });
+      break;
+    case Body::kKeyed: {
+      harness::KeyedRun run = w.keyed;
+      run.lock = c.lock;
+      stats = harness::run_keyed(cfg, run);
+      break;
     }
-    ELISION_CHECK_MSG(false, "unknown workload");
-    return RunOutcome{};
-  });
+    case Body::kBt: {
+      harness::BtRun run = w.bt;
+      run.lock = c.lock;
+      run.writer_threads = o.btree_writer_threads;
+      run.writer_gap_cycles = o.btree_writer_gap_cycles;
+      run.read_dwell_cycles = o.btree_read_dwell_cycles;
+      // Reads run shared on a two-mode lock, exclusive on the others.
+      cfg.policy = cfg.policy.with_mode(
+          locks::lock_has(c.lock, locks::kSharedMode)
+              ? locks::AccessMode::kShared
+              : locks::AccessMode::kExclusive);
+      stats = harness::run_bt(cfg, run);
+      break;
+    }
+    case Body::kShardedKv:
+      stats = locks::with_lock<locks::AllLocks>(c.lock, [&]<typename Lock>() {
+        return run_sharded_kv<Lock>(o, cfg, &out.violations);
+      });
+      break;
+  }
+  out.ops = stats.ops;
+  out.aborts = stats.tx.aborts;
+  out.perturb_points_used = stats.perturb_points;
+  out.elapsed_cycles = stats.elapsed_cycles;
+  for (std::string& v : sink.finish(stats.elapsed_cycles)) {
+    out.violations.push_back(std::move(v));
+  }
+  return out;
 }
 
 Minimized minimize_case(const StressOptions& o, StressCase c) {

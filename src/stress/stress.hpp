@@ -9,9 +9,11 @@
 //  * perturbation — sim::PerturbConfig injects random extra delays at
 //    shared-memory access points, driven by a dedicated per-run seed
 //    (the workload's own random choices are untouched);
-//  * invariants — mutual exclusion (at most one *non-speculative* thread
-//    per lock's critical section), lost-update detection, data-structure
-//    validation after every run, and a virtual-time starvation watchdog;
+//  * invariants — a harness::Invariants sink on the very runners the
+//    suite measures: mutual exclusion for both lock modes, role lockout,
+//    a starvation watchdog, and a ledger of committed effects reconciled
+//    against the validated structure; plus lost-update detection on the
+//    counter and a value ledger on the sharded KV service;
 //  * sweeping — run_case() executes one (policy, lock, workload,
 //    perturbation seed) cell; sweep() crosses policy x lock x workload x
 //    seed; minimize_case() shrinks a failing seed's perturbation budget to
@@ -30,11 +32,16 @@
 
 namespace elision::stress {
 
+// The keyed sets run through harness::run_keyed and the B+tree through
+// harness::run_bt, the runners behind the suite's points, at the shapes of
+// stress.cpp's workload table.
 enum class Workload {
   kCounter,    // one hot Shared counter; checks lost updates + mutex
-  kHashTable,  // mixed insert/erase/lookup; checks structure + net size
+  kRbTree,     // insert/erase/lookup mix; checks structure, net size, mutex
+  kHashTable,  // the same mix; also checks lookups for torn values
+  kSkipList,   // the same mix
   kBtree,      // B+tree mix; reads run shared on two-mode locks; checks
-               // structure, net size, rw-mutex and role lockout
+               // structure, net size, torn values, rw-mutex and role lockout
   kShardedKv,  // sharded KV service; single-shard + cross-shard
                // (multi_put/transfer) mix; checks per-shard structure and
                // the cross-shard value ledger (a torn multi-lock region
@@ -43,6 +50,12 @@ enum class Workload {
 
 const char* workload_name(Workload w);
 std::vector<Workload> all_workloads();
+
+// Whether a planted lock may run the workload. One that corrupts a
+// red-black tree or a skiplist can leave a cycle its next traversal never
+// leaves; the run then ends at MachineConfig::max_switches, which aborts
+// the process instead of reporting a violation.
+bool planted_may_run(Workload w);
 
 // Policies covered by "--schemes all": the paper's six evaluated schemes
 // plus the RTM-based elision mechanism and the adaptive mode controller
@@ -75,36 +88,18 @@ struct StressOptions {
   // switches. 0 disables.
   std::uint64_t max_switches = 50000000;
 
-  // Attach an abort-telemetry ring to each run and report episode counts
-  // in the outcome (host-memory cost only; see docs/telemetry.md).
-  bool telemetry = false;
-
-  // Hash-table workload sizing.
-  std::uint64_t hashtable_key_domain = 96;
-  std::size_t hashtable_buckets = 32;
-  std::size_t hashtable_capacity = 256;
-
-  // B+tree workload: tree size (key domain is 2x), the update share of the
-  // mix (split between inserts and erases), the share of reads that are
-  // range scans, their length, and an optional in-section dwell for read
-  // operations — virtual cycles of compute() inside the (shared) critical
-  // section, used by the writer-starvation self-test to keep the reader
-  // crowd overlapped.
-  std::size_t btree_size = 96;
-  int btree_update_pct = 20;
-  int btree_scan_pct = 30;
-  std::size_t btree_scan_len = 8;
-  std::uint64_t btree_read_dwell_cycles = 0;
-
   // Sharded-KV workload sizing: few shards + a small key domain keep the
   // cross-shard regions (multi_put/transfer) genuinely conflicting.
   int kv_shards = 4;
   std::uint64_t kv_key_domain = 48;
-  // 0: every thread rolls the update die per op. > 0: threads with id below
-  // this are dedicated writers (update mix only) and the rest are pure
-  // readers — the role split the lockout hazards need (a mixed-duty thread
-  // that blocks as a writer stops reading, so the reader crowd self-drains
-  // and a reader-barging bug can never starve writers for long).
+
+  // The btree workload's role split (harness::BtRun's fields of the same
+  // names). 0: every thread rolls the update die per op. > 0: threads with
+  // id below this are dedicated writers (update mix only) and the rest are
+  // pure readers — the role split the lockout hazards need (a mixed-duty
+  // thread that blocks as a writer stops reading, so the reader crowd
+  // self-drains and a reader-barging bug can never starve writers for
+  // long).
   int btree_writer_threads = 0;
   // Virtual cycles an updater computes *outside* the critical section before
   // each update. Without it a dedicated writer re-announces intent the
@@ -112,6 +107,9 @@ struct StressOptions {
   // documented unfairness) locks the readers out — the gap opens reader
   // windows so only a broken lock trips the lockout checker.
   std::uint64_t btree_writer_gap_cycles = 0;
+  // Virtual cycles of compute() inside each read section, keeping the
+  // reader crowd overlapped.
+  std::uint64_t btree_read_dwell_cycles = 0;
 
   // Shrink failing seeds' perturbation budgets during sweep().
   bool minimize = true;
@@ -129,8 +127,9 @@ struct StressOptions {
 // One cell of the sweep.
 struct StressCase {
   locks::ElisionPolicy policy = locks::ElisionPolicy::hle();
-  // Any registry lock; a planted one only under the standard policy. The
-  // btree workload runs a two-mode lock's reads shared.
+  // Any registry lock; a planted one only under the standard policy and
+  // on a workload planted_may_run() allows. The btree workload runs a
+  // two-mode lock's reads shared.
   locks::LockId lock = locks::LockId::kTtas;
   Workload workload = Workload::kCounter;
   std::uint64_t perturb_seed = 0;
@@ -146,7 +145,6 @@ struct RunOutcome {
   std::uint64_t aborts = 0;
   std::uint64_t perturb_points_used = 0;
   std::uint64_t elapsed_cycles = 0;
-  std::uint64_t avalanche_episodes = 0;  // only when telemetry is on
   bool ok() const { return violations.empty(); }
 };
 

@@ -670,9 +670,10 @@ TEST(SuiteRun, JobsFanOutReproducesSequentialRun) {
   EXPECT_EQ(simulated(par), simulated(seq));
 }
 
-// Tier-1 byte identity: runs `points` in process, two at a time, and
-// requires each to reproduce every simulated metric of its
-// bench/baseline.json record exactly. Only the host fields are left out:
+// Tier-1 byte identity: runs `points` in process, two at a time with two
+// host threads per point's seeds, and requires each to reproduce every
+// simulated metric of its bench/baseline.json record exactly. Only the
+// host fields are left out:
 // wall_ms, sim_ops_per_sec and the fastpath counters (0 with
 // ELISION_FASTPATH=0, and the owned-line hits depend on the host heap
 // layout otherwise). tests/CMakeLists.txt registers the smoke-tier test a
@@ -681,7 +682,7 @@ TEST(SuiteRun, JobsFanOutReproducesSequentialRun) {
 void expect_reproduces_baseline(const std::vector<SuitePoint>& points) {
   const auto base = load_results_file(ELISION_BASELINE_JSON);
   ASSERT_TRUE(base.has_value());
-  const SuiteResult run = run_suite(points, 2);
+  const SuiteResult run = run_suite(points, 2, 2);
   ASSERT_EQ(run.duration_scale, base->duration_scale)
       << "the baseline runs at ELISION_BENCH_SCALE=1";
   const bool fastpath = env_fastpath_enabled();

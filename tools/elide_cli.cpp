@@ -366,7 +366,6 @@ int cmd_stress(const Options& o) {
   so.perturb_probability = o.prob;
   so.perturb_max_delay_cycles = o.max_delay;
   so.minimize = !o.no_minimize;
-  so.telemetry = o.telemetry;
   // The table checked every name.
   const auto policies =
       pick(o.schemes, stress::all_policies(), locks::ElisionPolicy::parse);
@@ -374,18 +373,27 @@ int cmd_stress(const Options& o) {
       pick(o.locks, locks::lock_ids(0, locks::kPlanted), locks::find_lock);
   const auto workloads =
       pick(o.workloads, stress::all_workloads(), cli::find_stress_workload);
-  // The planted-bug locks run only non-speculatively (run_case checks it).
+  // The planted-bug locks run only non-speculatively, and only on the
+  // workloads they cannot make loop (run_case checks both).
   const bool planted = std::ranges::any_of(lock_ids, [](locks::LockId id) {
     return locks::lock_has(id, locks::kPlanted);
   });
+  const std::string planted_locks =
+      "--locks " + cli::lock_slugs(locks::lock_ids(locks::kPlanted), " and ");
   if (planted && !std::ranges::all_of(policies, [](const auto& p) {
         return p.scheme == locks::Scheme::kStandard;
       })) {
-    return usage_error(
-        cli::kStress, "--locks " +
-                          cli::lock_slugs(locks::lock_ids(locks::kPlanted),
-                                          " and ") +
-                          " need --schemes standard");
+    return usage_error(cli::kStress, planted_locks + " need --schemes standard");
+  }
+  if (planted && !std::ranges::all_of(workloads, stress::planted_may_run)) {
+    std::string looping;
+    for (const stress::Workload w : stress::all_workloads()) {
+      if (stress::planted_may_run(w)) continue;
+      looping += (looping.empty() ? "" : ",") + std::string(stress::workload_name(w));
+    }
+    return usage_error(cli::kStress,
+                       planted_locks + " cannot run --workloads " + looping +
+                           " (a structure they corrupt can loop forever)");
   }
 
   int done = 0;

@@ -50,6 +50,15 @@ const std::string kLockHelp = lock_slugs(locks::ExclusiveLocks::kIds, " ") +
 const std::string kLocksHelp =
     lock_slugs(locks::AllLocks::kIds, " ", kWidth - kHelpColumn) +
     " (any case)";
+// The --workloads help: stress's workload table.
+std::string workload_names() {
+  std::string out;
+  for (const stress::Workload w : stress::all_workloads()) {
+    out += (out.empty() ? "" : " ") + std::string(stress::workload_name(w));
+  }
+  return out;
+}
+const std::string kWorkloadsHelp = workload_names();
 
 const Flag kFlags[] = {
     // Red-black tree runs (tree, schemes) and STAMP apps.
@@ -113,7 +122,7 @@ const Flag kFlags[] = {
     {"--locks", Kind::kList, kStress, &Options::locks, "all|NAME,...",
      kLocksHelp.c_str(), {}, known<locks::find_lock>},
     {"--workloads", Kind::kList, kStress, &Options::workloads,
-     "all|NAME,...", "counter hashtable btree sharded-kv", {},
+     "all|NAME,...", kWorkloadsHelp.c_str(), {},
      known<find_stress_workload>},
     {"--seeds", Kind::kInt, kStress, &Options::seeds, "N",
      "perturbation seeds per case", {1}},
@@ -127,8 +136,6 @@ const Flag kFlags[] = {
      "longest injected delay"},
     {"--no-minimize", Kind::kBool, kStress, &Options::no_minimize, "",
      "report failing seeds without shrinking them"},
-    {"--telemetry", Kind::kBool, kStress, &Options::telemetry, "",
-     "count avalanche episodes per case"},
 };
 
 std::string number(double x) {

@@ -81,7 +81,6 @@ struct Options {
   double prob = stress::StressOptions{}.perturb_probability;
   std::uint64_t max_delay = stress::StressOptions{}.perturb_max_delay_cycles;
   bool no_minimize = false;
-  bool telemetry = false;
 };
 
 enum class Kind {
