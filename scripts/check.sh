@@ -11,8 +11,9 @@
 # planted-bug stress self-tests (stress_test's SelfTestFindsPlanted*), the
 # fast-path on/off identity (suite_smoke_baseline_fastpath_off), the smoke
 # tier's `--jobs 2 --host-threads 2` identity with the committed baseline
-# (suite_test) and the differential fuzzes of the line table and the ready
-# queue.
+# (suite_test), the gate's planted-regression self-check
+# (suite_gate_catches_planted_regression) and the differential fuzzes of
+# the line table and the ready queue.
 # What stays here:
 # - a ThreadSanitizer build of the parallel paths (parallel_test and a
 #   threaded `elide stress` smoke), with the engine's fiber switches
@@ -26,9 +27,8 @@
 # - the full tier gated against the baseline, whose
 #   machine-scale-points-elide invariant covers the 128- and 256-thread
 #   fig5.1 points;
-# - self-checks that a planted 50% throughput regression and a planted 5x
-#   simulator slowdown are caught by the suite gate, and a planted 5x
-#   slowdown by the fast-path gate.
+# - self-checks that a planted 5x simulator slowdown is caught by the
+#   suite gate and by the fast-path gate.
 # Uses its own build trees (build-check*/) so it never dirties build/, and
 # one temp directory, removed on exit.
 set -euo pipefail
@@ -158,18 +158,11 @@ EOF
   echo "check: elide suite full-tier gate failed" >&2; exit 1; }
 echo "fastpath: full tier gated green"
 
-# Gate self-checks: a planted 50% throughput regression and a planted 5x
-# simulator slowdown must both be detected (proof neither gate is vacuous).
-# The slowdown check gates against the fresh same-machine results from
-# above, where a tight sim_ops_per_sec tolerance is meaningful.
-if "$BUILD"/tools/elide suite --tier smoke --plant-regression 0.5 \
-    --out /dev/null --baseline bench/baseline.json --gate --quiet \
-    >/dev/null 2>&1; then
-  echo "check: bench gate missed a planted 50% throughput regression" >&2
-  exit 1
-fi
-echo "bench suite: planted-regression self-check caught the regression"
-
+# Gate self-check: a planted 5x simulator slowdown must be detected (proof
+# the host-speed gate is not vacuous; the planted throughput regression is
+# the ctest suite_gate_catches_planted_regression). It gates against the
+# fresh same-machine results from above, where a tight sim_ops_per_sec
+# tolerance is meaningful.
 if "$BUILD"/tools/elide suite --tier smoke --plant-slowdown 0.2 \
     --out /dev/null --baseline "$bench_json" --gate --tol-simops 0.5 \
     --quiet >/dev/null 2>&1; then

@@ -1,6 +1,7 @@
 #include "harness/metrics.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "support/check.hpp"
 #include "support/json.hpp"
@@ -12,50 +13,159 @@ std::string Histogram::bucket_label(std::size_t i) {
   return std::to_string(bucket_lo(i)) + "-" + std::to_string(bucket_hi(i));
 }
 
+namespace {
+
+using Episodes = std::vector<tsx::AvalancheEpisode>;
+using OpLatencies = std::vector<RunStats::OpLatency>;
+
+QuantileHistogram& series(OpLatencies& all, const std::string& op) {
+  for (auto& ol : all) {
+    if (ol.op == op) return ol.hist;
+  }
+  return all.emplace_back(RunStats::OpLatency{op, {}}).hist;
+}
+
+// ---- merge rules: how two runs' values of a row merge and compare, and a
+// change that makes one differ ----
+
+struct Equal {
+  static bool same(const auto& a, const auto& b) { return a == b; }
+};
+
+// Counters add.
+struct Sum : Equal {
+  static void merge(std::uint64_t& a, std::uint64_t b) { a += b; }
+  static void change(std::uint64_t& a) { ++a; }
+};
+
+// Per-cause, per-slot and per-shard counts add index by index; a vector
+// grows to the longer of the two.
+struct IndexwiseSum : Equal {
+  static void add(std::uint64_t& a, std::uint64_t b) { a += b; }
+  static void add(SlotStats& a, const SlotStats& b) {
+    a.ops += b.ops;
+    a.nonspec_ops += b.nonspec_ops;
+  }
+  template <typename V>
+  static void merge(V& a, const V& b) {
+    if constexpr (requires { a.resize(0); }) {
+      a.resize(std::max(a.size(), b.size()));
+    }
+    for (std::size_t i = 0; i < b.size(); ++i) add(a[i], b[i]);
+  }
+  template <typename V>
+  static void change(V& a) {
+    if constexpr (requires { a.resize(0); }) {
+      a.resize(std::max<std::size_t>(a.size(), 1));
+    }
+    add(a[0], typename V::value_type{1});
+  }
+};
+
+struct HistogramMerge : Equal {
+  static void merge(Histogram& a, const Histogram& b) { a.merge(b); }
+  static void change(Histogram& a) { a.add(1); }
+};
+
+// Avalanche episodes, in seed order. An episode's lock line is a host
+// address, so two runs agree on an episode when all else matches.
+struct Append {
+  static void merge(Episodes& a, const Episodes& b) {
+    a.insert(a.end(), b.begin(), b.end());
+  }
+  static bool same(const Episodes& a, const Episodes& b) {
+    const auto key = [](const tsx::AvalancheEpisode& e) {
+      return std::tie(e.trigger_thread, e.start, e.end, e.victims, e.aborts,
+                      e.serialized_ops);
+    };
+    return std::ranges::equal(a, b, {}, key, key);
+  }
+  static void change(Episodes& a) { a.emplace_back().aborts = 1; }
+};
+
+// Latency series merge by op name, in first-seen order.
+struct ByOpName : Equal {
+  static void merge(OpLatencies& a, const OpLatencies& b) {
+    for (const auto& ol : b) series(a, ol.op).merge(ol.hist);
+  }
+  static void change(OpLatencies& a) { series(a, "get").add(1); }
+};
+
+template <typename Rule, typename Get>
+constexpr StatsRow row(const char* name, MetricTag tag, Get) {
+  return {name, tag,
+          [](RunStats& a, const RunStats& b) {
+            Rule::merge(Get{}(a), Get{}(b));
+          },
+          [](const RunStats& a, const RunStats& b) {
+            return Rule::same(Get{}(a), Get{}(b));
+          },
+          [](RunStats& s) { Rule::change(Get{}(s)); }};
+}
+
+#define ELISION_ROW(Rule, member, tag) \
+  row<Rule>(#member, MetricTag::tag,  \
+            [](auto& s) -> auto& { return s.member; })
+
+// Every RunStats member, once.
+constexpr StatsRow kRows[] = {
+    // ghz comes first: the first non-empty run sets it (so it reads ops and
+    // elapsed_cycles before they merge), and every later run must match.
+    {"ghz", MetricTag::kSimulated,
+     [](RunStats& a, const RunStats& b) {
+       const bool empty = a.elapsed_cycles == 0 && a.ops == 0;
+       ELISION_CHECK_MSG(empty || a.ghz == b.ghz,
+                         "accumulated runs with different MachineConfig::ghz");
+       a.ghz = b.ghz;
+     },
+     [](const RunStats& a, const RunStats& b) { return a.ghz == b.ghz; },
+     [](RunStats& s) { s.ghz += 1.0; }},
+    ELISION_ROW(Sum, ops, kSimulated),
+    ELISION_ROW(Sum, spec_ops, kSimulated),
+    ELISION_ROW(Sum, nonspec_ops, kSimulated),
+    ELISION_ROW(Sum, attempts, kSimulated),
+    ELISION_ROW(Sum, elapsed_cycles, kSimulated),
+    ELISION_ROW(Sum, perturb_points, kSimulated),
+    ELISION_ROW(Sum, tx.begins, kSimulated),
+    ELISION_ROW(Sum, tx.commits, kSimulated),
+    ELISION_ROW(Sum, tx.aborts, kSimulated),
+    ELISION_ROW(IndexwiseSum, tx.aborts_by_cause, kSimulated),
+    // Line ids are host addresses, so the owned-line and slot-memo caches
+    // hit by heap placement.
+    ELISION_ROW(Sum, tx.fp_owned_hits, kHost),
+    ELISION_ROW(Sum, tx.fp_probe_skips, kHost),
+    ELISION_ROW(Sum, fp_bound_recomputes, kHost),
+    ELISION_ROW(IndexwiseSum, timeline, kSimulated),
+    ELISION_ROW(Sum, arrivals, kSimulated),
+    ELISION_ROW(Sum, arrivals_lock_held, kSimulated),
+    ELISION_ROW(IndexwiseSum, shard_requests, kSimulated),
+    ELISION_ROW(HistogramMerge, attempts_hist, kSimulated),
+    ELISION_ROW(HistogramMerge, rejoin_hist, kSimulated),
+    ELISION_ROW(Append, episodes, kSimulated),
+    ELISION_ROW(Sum, telemetry_events, kSimulated),
+    ELISION_ROW(Sum, telemetry_dropped, kSimulated),
+    ELISION_ROW(ByOpName, op_latency, kSimulated),
+};
+
+#undef ELISION_ROW
+
+}  // namespace
+
+std::span<const StatsRow> stats_rows() { return kRows; }
+
+std::string simulated_diff(const RunStats& a, const RunStats& b) {
+  for (const StatsRow& r : kRows) {
+    if (r.tag == MetricTag::kSimulated && !r.same(a, b)) return r.name;
+  }
+  return "";
+}
+
 void RunStats::accumulate(const RunStats& o) {
-  if (elapsed_cycles == 0 && ops == 0) {
-    ghz = o.ghz;
-  } else {
-    ELISION_CHECK_MSG(ghz == o.ghz,
-                      "accumulated runs with different MachineConfig::ghz");
-  }
-  ops += o.ops;
-  spec_ops += o.spec_ops;
-  nonspec_ops += o.nonspec_ops;
-  attempts += o.attempts;
-  elapsed_cycles += o.elapsed_cycles;
-  perturb_points += o.perturb_points;
-  tx += o.tx;
-  fp_bound_recomputes += o.fp_bound_recomputes;
-  if (timeline.size() < o.timeline.size()) timeline.resize(o.timeline.size());
-  for (std::size_t s = 0; s < o.timeline.size(); ++s) {
-    timeline[s].ops += o.timeline[s].ops;
-    timeline[s].nonspec_ops += o.timeline[s].nonspec_ops;
-  }
-  arrivals += o.arrivals;
-  arrivals_lock_held += o.arrivals_lock_held;
-  if (shard_requests.size() < o.shard_requests.size()) {
-    shard_requests.resize(o.shard_requests.size());
-  }
-  for (std::size_t s = 0; s < o.shard_requests.size(); ++s) {
-    shard_requests[s] += o.shard_requests[s];
-  }
-  attempts_hist.merge(o.attempts_hist);
-  rejoin_hist.merge(o.rejoin_hist);
-  episodes.insert(episodes.end(), o.episodes.begin(), o.episodes.end());
-  telemetry_events += o.telemetry_events;
-  telemetry_dropped += o.telemetry_dropped;
-  for (const auto& ol : o.op_latency) {
-    latency_series(ol.op)->merge(ol.hist);
-  }
+  for (const StatsRow& r : kRows) r.merge(*this, o);
 }
 
 QuantileHistogram* RunStats::latency_series(const std::string& op) {
-  for (auto& ol : op_latency) {
-    if (ol.op == op) return &ol.hist;
-  }
-  op_latency.push_back({op, {}});
-  return &op_latency.back().hist;
+  return &series(op_latency, op);
 }
 
 void MetricsRegistry::record(const std::string& scheme,

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,8 @@ class Histogram {
   }
   // "0", "1", "2-3", "4-7", ...
   static std::string bucket_label(std::size_t i);
+
+  bool operator==(const Histogram&) const = default;
 
  private:
   std::vector<std::uint64_t> buckets_;
@@ -179,6 +182,8 @@ class QuantileHistogram {
   }
   const std::vector<std::uint64_t>& buckets() const { return buckets_; }
 
+  bool operator==(const QuantileHistogram&) const = default;
+
  private:
   std::vector<std::uint64_t> buckets_;
   std::uint64_t samples_ = 0;
@@ -189,12 +194,14 @@ class QuantileHistogram {
 struct SlotStats {
   std::uint64_t ops = 0;
   std::uint64_t nonspec_ops = 0;
+  bool operator==(const SlotStats&) const = default;
 };
 
 // What one run (or a merge of runs) measured: the paper's metrics S
 // (speculative completions), N (non-speculative completions), total
 // execution attempts (A + N + S) and throughput, plus every counter,
-// histogram and per-slot timeline the workloads record.
+// histogram and per-slot timeline the workloads record. Each member is one
+// row of stats_rows(), which says how it merges and whether it is simulated.
 struct RunStats {
   std::uint64_t ops = 0;          // S + N
   std::uint64_t spec_ops = 0;     // S
@@ -208,8 +215,7 @@ struct RunStats {
   tsx::TxStats tx;  // engine-level transaction counters
   // Scheduler-side fast-path telemetry: how many times the cached
   // context-switch bound was recomputed (once per actual switch under
-  // batching; 0 when machine.batch_switch_bound is off). Host-side
-  // observability only — the engine-side companions live in tx.
+  // batching; 0 when machine.batch_switch_bound is off).
   std::uint64_t fp_bound_recomputes = 0;
   std::vector<SlotStats> timeline;
 
@@ -236,14 +242,12 @@ struct RunStats {
   struct OpLatency {
     std::string op;
     QuantileHistogram hist;
+    bool operator==(const OpLatency&) const = default;
   };
   std::vector<OpLatency> op_latency;
   QuantileHistogram* latency_series(const std::string& op);
 
-  // Folds another run into this one: every counter, histogram and episode
-  // list is merged, and timelines and shard counts are added index-wise
-  // (resizing to the longer of the two). ghz is taken from the first
-  // non-empty run and must match across all accumulated runs.
+  // Folds another run into this one, each member by its stats_rows() rule.
   void accumulate(const RunStats& o);
 
   double seconds() const { return elapsed_cycles / (ghz * 1e9); }
@@ -260,6 +264,29 @@ struct RunStats {
                : 0.0;
   }
 };
+
+// Whether a value is a result of the simulation (a pure function of config
+// and seed, identical across processes, host threads and the fast-path
+// switch) or a property of the host run: its wall time, or a count that
+// depends on where the host heap placed the simulated lines.
+enum class MetricTag { kSimulated, kHost };
+
+// One RunStats member: its path ("tx.begins"), its tag, how two runs' values
+// merge, whether two runs agree on it, and a change that makes it differ
+// (for mutation tests). stats_rows() lists every member once.
+struct StatsRow {
+  const char* name;
+  MetricTag tag;
+  void (*merge)(RunStats& into, const RunStats& from);
+  bool (*same)(const RunStats& a, const RunStats& b);
+  void (*change)(RunStats& s);
+};
+
+std::span<const StatsRow> stats_rows();
+
+// The name of the first simulated row on which a and b differ, or "" when
+// they agree on every one: the way to compare two runs.
+std::string simulated_diff(const RunStats& a, const RunStats& b);
 
 // Ordered collection of series, keyed by (scheme, lock). Each series is the
 // RunStats::accumulate merge of the runs recorded under its key. Insertion

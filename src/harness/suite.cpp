@@ -413,8 +413,9 @@ GateReport compare_to_baseline(const SuiteResult& current,
       const double b = bm.*g.value;
       const double c = cm.*g.value;
       if (g.relative && !(b > 0)) continue;
-      if (g.host_speed && !(c > 0)) continue;
-      const double tol = g.host_speed && simops_rel ? *simops_rel : g.tol;
+      const bool host = g.tag == MetricTag::kHost;
+      if (host && !(c > 0)) continue;
+      const double tol = host && simops_rel ? *simops_rel : g.tol;
       const bool above = g.relative ? c > b * (1 + tol) : c > b + tol;
       const bool below = g.relative ? c < b * (1 - tol) : c + tol < b;
       const bool worse = g.higher_is_better ? below : above;

@@ -132,23 +132,15 @@ struct PointMetrics {
     std::uint64_t max_cycles = 0;
   };
   std::vector<OpLatencySummary> latency;
-  // Per-access fast-path telemetry (docs/simulator.md): owned-line cache
-  // hits, slot-memo probe skips, and switch-bound recomputes. Host-side
-  // observability of the hot path — none of these feed a simulated metric.
-  // fp_bound_recomputes is schedule-determined (identical across processes)
-  // but fp_owned_hits/fp_probe_skips depend on the host heap layout: line
-  // ids are real addresses >> 6 and index the direct-mapped caches, so two
-  // processes can see different collision patterns while simulating the
-  // exact same run. Comparisons (gate, parallel-identity, baseline drift)
-  // must treat the whole object like wall_ms and ignore it. Emitted in JSON
-  // as an optional "fastpath" object only when at least one is non-zero
+  // Per-access fast-path telemetry (docs/simulator.md §1): owned-line cache
+  // hits, slot-memo probe skips, and switch-bound recomputes. Written as the
+  // "fastpath" object, a host row, only when one is non-zero
   // (ELISION_FASTPATH=0 runs stay byte-identical to pre-fastpath output).
   std::uint64_t fp_owned_hits = 0;
   std::uint64_t fp_probe_skips = 0;
   std::uint64_t fp_bound_recomputes = 0;
-  // Host-side speed: simulated ops completed per host wall second and the
-  // point's host wall time. These are the only non-deterministic fields of a
-  // point (everything above is virtual-time data, identical per seed).
+  // Host rows: simulated ops completed per host wall second, and the
+  // point's host wall time.
   double sim_ops_per_sec = 0.0;
   double wall_ms = 0.0;
 
@@ -184,19 +176,24 @@ struct SuiteResult {
 // Runs `points` up to `jobs` at a time on an in-process host-thread pool
 // (support/parallel.hpp; jobs <= 1 runs them inline, in order), each with
 // its multi-seed fan-out `host_threads` wide, and fills the run metadata.
-// Records come back in `points` order, so every simulated metric is
-// identical at any jobs/host_threads; only wall_ms, sim_ops_per_sec and
-// run.host change. The result's tier is kFull if any point is full-only,
-// else kSmoke.
+// Records come back in `points` order, so simulated_json is identical at
+// any jobs/host_threads. The result's tier is kFull if any point is
+// full-only, else kSmoke.
 SuiteResult run_suite(const std::vector<SuitePoint>& points, int jobs = 1,
                       int host_threads = 1);
 
 // ---- canonical JSON results ----
 
-// Writes the BENCH_results.json document (schema_version 1).
-void write_results_json(const SuiteResult& result, std::FILE* out);
+// The BENCH_results.json document (schema_version 1).
+std::string results_json(const SuiteResult& result);
 
-// Parses a document produced by write_results_json (e.g. the committed
+// The same document without the rows tagged MetricTag::kHost (each point's
+// wall_ms, sim_ops_per_sec and fastpath, and run.host): two runs of the same
+// points agree on it byte for byte at any jobs, host_threads, process or
+// fast-path setting. The way to compare two suite runs.
+std::string simulated_json(const SuiteResult& result);
+
+// Parses a document produced by results_json (e.g. the committed
 // baseline). Nullopt on schema mismatch or malformed input — including a
 // point whose kind, lock, scheme or tier does not parse, or whose metrics
 // lack an always-written key. Absent point fields keep their defaults.
@@ -219,9 +216,10 @@ struct GatedMetric {
   bool relative;
   bool higher_is_better;
   bool reports_improvement;
-  // Host simulator speed, not a virtual-time result: compare_to_baseline's
-  // simops_rel, if given, replaces tol, and a current 0 (no data) skips it.
-  bool host_speed = false;
+  // The row's tag (filled by gated_metrics()). A host row is simulator
+  // speed, not a virtual-time result: compare_to_baseline's simops_rel, if
+  // given, replaces tol, and a current 0 (no data) skips it.
+  MetricTag tag = MetricTag::kSimulated;
 };
 
 // The gated rows of the metrics table, in table order.

@@ -1,10 +1,11 @@
 // The bench-suite results schema: one field table per JSON object — per
 // workload kind, the keys every point starts with, the per-point "metrics"
 // (whose gated rows also carry the gate's rule) and the run metadata. Each
-// row names a key once — its member, its printed form, when it is written
-// and, for point fields, the elide suite --list column it fills — and that
-// row drives JSON writing, strict parsing, the --list table and the gate.
-// Adding a field or a gated metric is one row.
+// row names a key once — its member, its printed form, when it is written,
+// whether it is simulated or host (MetricTag) and, for point fields, the
+// elide suite --list column it fills — and that row drives JSON writing,
+// strict parsing, the --list table, simulated_json and the gate. Adding a
+// field or a gated metric is one row.
 #include <cmath>
 #include <concepts>
 #include <functional>
@@ -138,34 +139,50 @@ enum class Presence {
               // so adding one changes no existing document; may be absent
 };
 
-// One key of a JSON object, read from and written to an S.
+// One key of a JSON object, read from and written to an S: a value by
+// put/get, or a nested object of `members`.
 template <typename S>
 struct Field {
   const char* key;
   Presence presence = Presence::kOptional;
   const char* column = nullptr;  // elide suite --list column, or nullptr
-  std::function<void(const S&, std::string&)> put;
-  std::function<bool(const Value&, S&)> get;
+  std::function<void(const S&, std::string&)> put = {};
+  std::function<bool(const Value&, S&)> get = {};
   std::optional<GatedMetric> gate = {};  // metrics rows the gate compares
+  MetricTag tag = MetricTag::kSimulated;  // host rows: not in simulated_json
+  std::vector<Field> members = {};
 };
 
-// The field's JSON text, or nullopt when it is not written.
 template <typename S>
-std::optional<std::string> written(const Field<S>& f, const S& s) {
+void put_object(const std::vector<Field<S>>& fields, const S& s,
+                std::string& o, bool with_host = true);
+
+// The field's JSON text, or nullopt when it is not written: a kWhenSet
+// field at its default, or a host row when `with_host` is false.
+template <typename S>
+std::optional<std::string> written(const Field<S>& f, const S& s,
+                                   bool with_host = true) {
+  if (f.tag == MetricTag::kHost && !with_host) return std::nullopt;
+  const auto text_of = [&](const S& from) {
+    std::string text;
+    f.members.empty() ? f.put(from, text)
+                      : put_object(f.members, from, text, with_host);
+    return text;
+  };
   static const S kDefault{};
-  std::string text, dflt;
-  f.put(s, text);
-  if (f.presence != Presence::kWhenSet) return text;
-  f.put(kDefault, dflt);
-  return text != dflt ? std::optional(text) : std::nullopt;
+  std::string text = text_of(s);
+  if (f.presence == Presence::kWhenSet && text == text_of(kDefault)) {
+    return std::nullopt;
+  }
+  return text;
 }
 
 // Appends `"key":value` and then `end` for every written field.
 template <typename S>
 void put_members(const std::vector<Field<S>>& fields, const S& s,
-                 std::string& o, std::string_view end) {
+                 std::string& o, std::string_view end, bool with_host = true) {
   for (const auto& f : fields) {
-    if (const auto text = written(f, s)) {
+    if (const auto text = written(f, s, with_host)) {
       o += '"' + std::string(f.key) + "\":" + *text + std::string(end);
     }
   }
@@ -173,9 +190,9 @@ void put_members(const std::vector<Field<S>>& fields, const S& s,
 
 template <typename S>
 void put_object(const std::vector<Field<S>>& fields, const S& s,
-                std::string& o) {
+                std::string& o, bool with_host) {
   o += '{';
-  put_members(fields, s, o, ",");
+  put_members(fields, s, o, ",", with_host);
   if (o.back() == ',') o.pop_back();
   o += '}';
 }
@@ -189,7 +206,9 @@ bool get_object(const std::vector<Field<S>>& fields, const Value& obj,
   if (!obj.is_object()) return false;
   for (const auto& f : fields) {
     const Value* v = obj.find(f.key);
-    if (v == nullptr ? f.presence == Presence::kRequired : !f.get(*v, s)) {
+    if (v == nullptr ? f.presence == Presence::kRequired
+                     : !(f.members.empty() ? f.get(*v, s)
+                                           : get_object(f.members, *v, s))) {
       return false;
     }
   }
@@ -225,6 +244,13 @@ auto when_set(A... a) {
   return f;
 }
 
+// A row tagged MetricTag::kHost.
+template <typename S>
+Field<S> host(Field<S> f) {
+  f.tag = MetricTag::kHost;
+  return f;
+}
+
 // A key with one legal value. Micro points carry the rb-shaped keys the
 // committed baseline's canary lines already hold.
 template <typename S, typename T>
@@ -246,9 +272,7 @@ Field<S> fixed(const char* key, T value, const char* column = nullptr,
 template <typename S>
 Field<S> group(const char* key, Presence presence,
                std::vector<Field<S>> fields) {
-  return {key, presence, nullptr,
-          [=](const S& s, std::string& o) { put_object(fields, s, o); },
-          [=](const Value& v, S& s) { return get_object(fields, v, s); }};
+  return {.key = key, .presence = presence, .members = std::move(fields)};
 }
 
 // The "lock" key (the --list "lock" column): the lock's name
@@ -565,16 +589,16 @@ const std::vector<Field<PointMetrics>>& metrics_fields() {
       need("avalanche_victims", &M::avalanche_victims),
       when_set("phase_ops", &M::phase_ops),
       latency(),
-      group<M>("fastpath", Presence::kWhenSet,
-               {need("owned_hits", &M::fp_owned_hits),
-                need("probe_skips", &M::fp_probe_skips),
-                need("bound_recomputes", &M::fp_bound_recomputes)}),
+      host(group<M>("fastpath", Presence::kWhenSet,
+                    {need("owned_hits", &M::fp_owned_hits),
+                     need("probe_skips", &M::fp_probe_skips),
+                     need("bound_recomputes", &M::fp_bound_recomputes)})),
       // Host speed varies across machines far more than virtual-time
       // metrics do; same-host gating passes a tight --tol-simops.
-      gated({.key = "sim_ops_per_sec", .value = &M::sim_ops_per_sec,
-             .tol = 0.75, .relative = true, .higher_is_better = true,
-             .reports_improvement = false, .host_speed = true}, 3),
-      need("wall_ms", &M::wall_ms, 3)};
+      host(gated({.key = "sim_ops_per_sec", .value = &M::sim_ops_per_sec,
+                  .tol = 0.75, .relative = true, .higher_is_better = true,
+                  .reports_improvement = false}, 3)),
+      host(need("wall_ms", &M::wall_ms, 3))};
   return k;
 }
 
@@ -597,11 +621,12 @@ const std::vector<Field<SuiteResult>>& header_fields() {
                          {field("n_cores", &R::n_cores),
                           field("smt_per_core", &R::smt_per_core),
                           field("ghz", &R::ghz)}),
-                group<R>("host", Presence::kOptional,
-                         {field("cores", &R::host_cores),
-                          field("jobs", &R::jobs),
-                          field("host_threads", &R::host_threads),
-                          field("total_wall_ms", &R::total_wall_ms, 3)})})};
+                host(group<R>("host", Presence::kOptional,
+                              {field("cores", &R::host_cores),
+                               field("jobs", &R::jobs),
+                               field("host_threads", &R::host_threads),
+                               field("total_wall_ms", &R::total_wall_ms,
+                                     3)}))})};
   return k;
 }
 
@@ -634,25 +659,39 @@ bool point_telemetry(const SuitePoint& sp) {
 std::vector<GatedMetric> gated_metrics() {
   std::vector<GatedMetric> out;
   for (const auto& f : metrics_fields()) {
-    if (f.gate) out.push_back(*f.gate);
+    if (!f.gate) continue;
+    out.push_back(*f.gate);
+    out.back().tag = f.tag;
   }
   return out;
 }
 
 // ---- canonical JSON results ----
 
-void write_results_json(const SuiteResult& result, std::FILE* out) {
+namespace {
+
+std::string document(const SuiteResult& result, bool with_host) {
   std::string o = "{\n  ";
-  put_members(header_fields(), result, o, ",\n  ");
+  put_members(header_fields(), result, o, ",\n  ", with_host);
   o += "\"points\":[\n";
   for (std::size_t i = 0; i < result.points.size(); ++i) {
     o += point_json(result.points[i].def);
     o += "     \"metrics\":";
-    put_object(metrics_fields(), result.points[i].metrics, o);
+    put_object(metrics_fields(), result.points[i].metrics, o, with_host);
     o += i + 1 < result.points.size() ? "},\n" : "}\n";
   }
   o += "  ]\n}\n";
-  std::fputs(o.c_str(), out);
+  return o;
+}
+
+}  // namespace
+
+std::string results_json(const SuiteResult& result) {
+  return document(result, true);
+}
+
+std::string simulated_json(const SuiteResult& result) {
+  return document(result, false);
 }
 
 std::optional<SuiteResult> parse_results_json(const Value& doc) {

@@ -43,7 +43,7 @@ const WorkloadRow kWorkloads[] = {
      {}, false},
     {Workload::kBtree, "btree", Body::kBt, {},
      {.size = 96, .update_pct = 20, .scan_pct = 30, .scan_len = 8}, true},
-    {Workload::kShardedKv, "sharded-kv", Body::kShardedKv, {}, {}, true},
+    {Workload::kShardedKv, "sharded-kv", Body::kShardedKv, {}, {}, false},
 };
 
 const WorkloadRow& row_of(Workload w) {

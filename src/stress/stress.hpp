@@ -54,7 +54,8 @@ std::vector<Workload> all_workloads();
 // Whether a planted lock may run the workload. One that corrupts a
 // red-black tree or a skiplist can leave a cycle its next traversal never
 // leaves; the run then ends at MachineConfig::max_switches, which aborts
-// the process instead of reporting a violation.
+// the process instead of reporting a violation. The sharded KV's shards are
+// red-black trees, and there the corruption reaches a null node: SIGSEGV.
 bool planted_may_run(Workload w);
 
 // Policies covered by "--schemes all": the paper's six evaluated schemes

@@ -82,24 +82,6 @@ ShapeRun run_shape(std::vector<std::uint64_t>& words, int threads,
   return out;
 }
 
-void expect_identical(const ShapeRun& on, const ShapeRun& off,
-                      const char* what) {
-  SCOPED_TRACE(what);
-  EXPECT_EQ(on.stats.ops, off.stats.ops);
-  EXPECT_EQ(on.stats.spec_ops, off.stats.spec_ops);
-  EXPECT_EQ(on.stats.nonspec_ops, off.stats.nonspec_ops);
-  EXPECT_EQ(on.stats.attempts, off.stats.attempts);
-  EXPECT_EQ(on.stats.elapsed_cycles, off.stats.elapsed_cycles);
-  EXPECT_EQ(on.stats.tx.begins, off.stats.tx.begins);
-  EXPECT_EQ(on.stats.tx.commits, off.stats.tx.commits);
-  EXPECT_EQ(on.stats.tx.aborts, off.stats.tx.aborts);
-  for (int c = 0; c < static_cast<int>(tsx::AbortCause::kCauseCount); ++c) {
-    EXPECT_EQ(on.stats.tx.aborts_by_cause[c], off.stats.tx.aborts_by_cause[c])
-        << "cause " << to_string(static_cast<tsx::AbortCause>(c));
-  }
-  EXPECT_EQ(on.words, off.words) << "final memory image diverged";
-}
-
 template <typename Lock>
 void check_lock_shape(const locks::ElisionPolicy& policy, const char* name) {
   std::vector<std::uint64_t> words(512);
@@ -111,7 +93,8 @@ void check_lock_shape(const locks::ElisionPolicy& policy, const char* name) {
       const std::string what = std::string(name) +
                                " threads=" + std::to_string(threads) +
                                " slack=" + std::to_string(slack);
-      expect_identical(on, off, what.c_str());
+      EXPECT_EQ(harness::simulated_diff(on.stats, off.stats), "") << what;
+      EXPECT_EQ(on.words, off.words) << what << ": memory image diverged";
 
       // The runs must have simulated something worth comparing.
       EXPECT_GT(on.stats.ops, 0u) << what;

@@ -70,12 +70,7 @@ TEST(Runner, DeterministicAcrossIdenticalRuns) {
       return cs.run(ctx, [&] { hot.store(ctx, hot.load(ctx) + 1); });
     });
   };
-  const RunStats a = once();
-  const RunStats b = once();
-  EXPECT_EQ(a.ops, b.ops);
-  EXPECT_EQ(a.spec_ops, b.spec_ops);
-  EXPECT_EQ(a.attempts, b.attempts);
-  EXPECT_EQ(a.elapsed_cycles, b.elapsed_cycles);
+  EXPECT_EQ(simulated_diff(once(), once()), "");
 }
 
 TEST(Runner, TimelineSlotsAccumulate) {

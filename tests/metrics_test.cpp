@@ -1,17 +1,21 @@
-// Metrics tests: histogram bucketing, registry aggregation, and the JSON/CSV
+// Metrics tests: histogram bucketing, registry aggregation, the JSON/CSV
 // exports — including the acceptance check that a six-scheme sweep exports
-// an abort-cause matrix and attempts histogram for every scheme.
+// an abort-cause matrix and attempts histogram for every scheme — and the
+// row table: a mutation of each RunStats row and each results row is seen
+// by simulated_diff and simulated_json exactly when the row is simulated.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "harness/metrics.hpp"
 #include "harness/runner.hpp"
+#include "harness/suite.hpp"
 #include "locks/schemes.hpp"
 #include "locks/ttas_lock.hpp"
 #include "support/json.hpp"
@@ -20,6 +24,21 @@
 
 namespace elision::harness {
 namespace {
+
+std::string export_to_string(const MetricsRegistry& reg, bool csv) {
+  char* buf = nullptr;
+  std::size_t len = 0;
+  std::FILE* f = open_memstream(&buf, &len);
+  if (csv) {
+    reg.export_csv(f);
+  } else {
+    reg.export_json(f);
+  }
+  std::fclose(f);
+  std::string out(buf, len);
+  std::free(buf);
+  return out;
+}
 
 TEST(Histogram, PowerOfTwoBuckets) {
   Histogram h;
@@ -60,18 +79,12 @@ TEST(Histogram, MaxValuedSampleLandsInSaturatedTopBucket) {
   EXPECT_EQ(Histogram::bucket_label(64),
             "9223372036854775808-18446744073709551615");
   // Exporting a histogram containing the top bucket must not trip UBSan.
-  char* buf = nullptr;
-  std::size_t len = 0;
-  std::FILE* f = open_memstream(&buf, &len);
   RunStats run;
   run.attempts_hist.add(UINT64_MAX);
   MetricsRegistry reg;
   reg.record("S", "L", run);
-  reg.export_json(f);
-  std::fclose(f);
-  const std::string out(buf, len);
-  std::free(buf);
-  EXPECT_NE(out.find("18446744073709551615"), std::string::npos);
+  EXPECT_NE(export_to_string(reg, /*csv=*/false).find("18446744073709551615"),
+            std::string::npos);
 }
 
 TEST(Histogram, MergeAddsBucketwise) {
@@ -199,21 +212,6 @@ TEST(MetricsRegistry, SeriesAreKeyedAndOrdered) {
   EXPECT_EQ(reg.entries()[0].runs, 2u);
   EXPECT_EQ(reg.entries()[1].stats.ops, 20u);
   EXPECT_EQ(reg.entries()[1].runs, 1u);
-}
-
-std::string export_to_string(const MetricsRegistry& reg, bool csv) {
-  char* buf = nullptr;
-  std::size_t len = 0;
-  std::FILE* f = open_memstream(&buf, &len);
-  if (csv) {
-    reg.export_csv(f);
-  } else {
-    reg.export_json(f);
-  }
-  std::fclose(f);
-  std::string out(buf, len);
-  std::free(buf);
-  return out;
 }
 
 TEST(MetricsRegistry, RecordAccumulatesRunStats) {
@@ -404,6 +402,90 @@ TEST(MetricsExport, JsonRoundTripsThroughParser) {
   const auto first_row = csv.find('\n') + 1;
   EXPECT_EQ(csv.find("Standard"), csv.rfind("Standard"));
   EXPECT_GT(csv.find("Standard"), first_row);
+}
+
+// A run in which every row holds a value: each row's change applied once.
+RunStats every_row_set() {
+  RunStats s;
+  for (const StatsRow& r : stats_rows()) r.change(s);
+  return s;
+}
+
+SuiteResult one_point(const RunStats& s) {
+  SuiteResult r;
+  r.points.push_back({SuitePoint{}, PointMetrics::derive(s)});
+  return r;
+}
+
+// Each row changed alone: simulated_diff names it exactly when it is
+// simulated, and simulated_json changes exactly when it is simulated and
+// the results document changes; a host row changes only results_json.
+TEST(StatsRows, EachChangeIsSeenExactlyWhereTheRowIsSimulated) {
+  const RunStats base = every_row_set();
+  const SuiteResult base_doc = one_point(base);
+  std::set<std::string> names, host;
+  for (const StatsRow& r : stats_rows()) {
+    SCOPED_TRACE(r.name);
+    EXPECT_TRUE(names.insert(r.name).second) << "two rows of one name";
+    const bool simulated = r.tag == MetricTag::kSimulated;
+    if (!simulated) host.insert(r.name);
+    RunStats changed = base;
+    r.change(changed);
+    EXPECT_FALSE(r.same(base, changed));
+    EXPECT_EQ(simulated_diff(base, changed), simulated ? r.name : "");
+    const SuiteResult doc = one_point(changed);
+    const bool in_doc = results_json(doc) != results_json(base_doc);
+    EXPECT_EQ(simulated_json(doc) != simulated_json(base_doc),
+              simulated && in_doc);
+    EXPECT_TRUE(in_doc || simulated);
+  }
+  // Rows bench/e2e's digest_stats does not read are rows too: a slot of the
+  // timeline, a shard count and a latency bucket each changed in place.
+  for (const char* name : {"arrivals", "arrivals_lock_held", "timeline",
+                           "shard_requests", "op_latency", "perturb_points"}) {
+    EXPECT_TRUE(names.count(name)) << name;
+  }
+  EXPECT_EQ(host, (std::set<std::string>{"tx.fp_owned_hits",
+                                         "tx.fp_probe_skips",
+                                         "fp_bound_recomputes"}));
+}
+
+// The host rows of the document itself: wall time, simulator speed and
+// run.host.
+TEST(StatsRows, SimulatedJsonDropsTheDocumentsHostRows) {
+  using Change = void (*)(SuiteResult&);
+  const SuiteResult base = one_point(every_row_set());
+  for (const Change change : std::initializer_list<Change>{
+           [](SuiteResult& r) { r.points[0].metrics.wall_ms += 1; },
+           [](SuiteResult& r) { r.points[0].metrics.sim_ops_per_sec += 1; },
+           [](SuiteResult& r) { r.host_cores += 1; },
+           [](SuiteResult& r) { r.jobs += 1; },
+           [](SuiteResult& r) { r.host_threads += 1; },
+           [](SuiteResult& r) { r.total_wall_ms += 1; }}) {
+    SuiteResult changed = base;
+    change(changed);
+    EXPECT_EQ(simulated_json(changed), simulated_json(base));
+    EXPECT_NE(results_json(changed), results_json(base));
+  }
+}
+
+// Merged into an empty run, a run reads the same on every row; merged with
+// itself, as if each row were changed twice (ghz must match, not add).
+TEST(StatsRows, AccumulateMergesEveryRow) {
+  const RunStats one = every_row_set();
+  RunStats twice = one;
+  for (const StatsRow& r : stats_rows()) {
+    if (std::string_view(r.name) != "ghz") r.change(twice);
+  }
+  RunStats total;
+  total.accumulate(one);
+  for (const StatsRow& r : stats_rows()) {
+    EXPECT_TRUE(r.same(total, one)) << r.name << ": into an empty run";
+  }
+  total.accumulate(one);
+  for (const StatsRow& r : stats_rows()) {
+    EXPECT_TRUE(r.same(total, twice)) << r.name << ": merged twice";
+  }
 }
 
 }  // namespace

@@ -142,6 +142,7 @@ TEST(Stress, SelfTestFindsPlantedRacyLockOnSharedRunners) {
   }
   EXPECT_FALSE(planted_may_run(Workload::kRbTree));
   EXPECT_FALSE(planted_may_run(Workload::kSkipList));
+  EXPECT_FALSE(planted_may_run(Workload::kShardedKv));
 }
 
 // An unperturbed sweep over correct locks. Perturbation turns spin-wait

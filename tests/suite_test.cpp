@@ -1,11 +1,10 @@
 // Bench-suite tests: curated point list, canonical JSON round-trip, the
-// regression gate (including a planted regression and coverage loss), the
+// regression gate (each gated metric at its bound, and coverage loss), the
 // paper-qualitative invariant checks, the seed-merge regression test for
 // run_point's timeline aggregation, and run_suite's point-level fan-out.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
@@ -101,15 +100,8 @@ TEST(MicroPointRun, SimulatedMetricsAreDeterministic) {
   MicroPoint p;
   p.ops_per_thread = 2000;
   const RunStats a = run_micro_point(p);
-  const RunStats b = run_micro_point(p);
   EXPECT_GT(a.ops, 0u);
-  EXPECT_EQ(a.ops, b.ops);
-  EXPECT_EQ(a.attempts, b.attempts);
-  EXPECT_EQ(a.spec_ops, b.spec_ops);
-  EXPECT_EQ(a.nonspec_ops, b.nonspec_ops);
-  EXPECT_EQ(a.elapsed_cycles, b.elapsed_cycles);
-  EXPECT_EQ(a.tx.commits, b.tx.commits);
-  EXPECT_EQ(a.tx.aborts, b.tx.aborts);
+  EXPECT_EQ(simulated_diff(a, run_micro_point(p)), "");
   // Every op completed one way or the other.
   EXPECT_EQ(a.spec_ops + a.nonspec_ops, a.ops);
   // The shared hot line keeps conflict detection exercised.
@@ -147,29 +139,6 @@ TEST(RbWorkload, TimelineMergedAcrossSeeds) {
   EXPECT_GT(merged.ops, one.ops);
 }
 
-TEST(RbWorkload, AccumulateChecksGhzAndMergesCounters) {
-  RunStats a;
-  a.ops = 10;
-  a.elapsed_cycles = 1000;
-  a.ghz = 2.0;
-  a.timeline.resize(2);
-  a.timeline[1].ops = 4;
-  RunStats total;
-  total.accumulate(a);
-  EXPECT_DOUBLE_EQ(total.ghz, 2.0);  // taken from the first run, not 3.4
-  total.accumulate(a);
-  EXPECT_EQ(total.ops, 20u);
-  ASSERT_EQ(total.timeline.size(), 2u);
-  EXPECT_EQ(total.timeline[1].ops, 8u);
-
-  RunStats other_machine;
-  other_machine.ops = 1;
-  other_machine.elapsed_cycles = 10;
-  other_machine.ghz = 3.4;
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(total.accumulate(other_machine), "different MachineConfig");
-}
-
 SuiteResult tiny_result() {
   SuiteResult r;
   r.tier = SuiteTier::kSmoke;
@@ -203,81 +172,19 @@ SuiteResult tiny_result() {
   return r;
 }
 
-std::string to_json_string(const SuiteResult& r) {
-  char* buf = nullptr;
-  std::size_t len = 0;
-  std::FILE* f = open_memstream(&buf, &len);
-  write_results_json(r, f);
-  std::fclose(f);
-  std::string out(buf, len);
-  std::free(buf);
-  return out;
-}
-
-TEST(SuiteJson, ResultsRoundTrip) {
-  const SuiteResult orig = tiny_result();
-  const std::string text = to_json_string(orig);
-
-  const auto doc = support::json::parse(text);
-  ASSERT_TRUE(doc.has_value()) << text;
-  const auto parsed = parse_results_json(*doc);
-  ASSERT_TRUE(parsed.has_value());
-
-  EXPECT_EQ(parsed->tier, orig.tier);
-  EXPECT_DOUBLE_EQ(parsed->duration_scale, orig.duration_scale);
-  EXPECT_EQ(parsed->n_cores, orig.n_cores);
-  EXPECT_DOUBLE_EQ(parsed->ghz, orig.ghz);
-  ASSERT_EQ(parsed->points.size(), orig.points.size());
-  for (std::size_t i = 0; i < orig.points.size(); ++i) {
-    const auto& a = orig.points[i];
-    const auto& b = parsed->points[i];
-    EXPECT_EQ(b.def.id, a.def.id);  // insertion order preserved
-    EXPECT_EQ(b.def.tier, a.def.tier);
-    EXPECT_NEAR(b.metrics.throughput_ops_per_sec,
-                a.metrics.throughput_ops_per_sec, 1.0);
-    EXPECT_NEAR(b.metrics.nonspec_fraction, a.metrics.nonspec_fraction, 1e-6);
-    EXPECT_EQ(b.metrics.ops, a.metrics.ops);
-    EXPECT_EQ(b.metrics.aborts_by_cause[static_cast<std::size_t>(
-                  tsx::AbortCause::kConflict)],
-              7u);
-    EXPECT_EQ(b.metrics.avalanche_episodes, 2u);
-  }
-}
-
-TEST(SuiteJson, HostMetadataAndSimSpeedRoundTrip) {
+// Every full-tier point — all five kinds, the t64 canary's overrides and
+// the big-machine shapes — with every optional metrics object and the host
+// metadata present, written, parsed and written again must come back as
+// the same text. Seeds and durations are moved off their defaults first: a
+// parser that dropped one of them would otherwise still reproduce the
+// default.
+TEST(SuiteJson, WriteParseWriteIsByteIdentical) {
   SuiteResult orig = tiny_result();
+  orig.tier = SuiteTier::kFull;
   orig.host_cores = 16;
   orig.jobs = 4;
   orig.host_threads = 3;
   orig.total_wall_ms = 1234.5;
-  orig.points[0].metrics.sim_ops_per_sec = 5.5e6;
-  orig.points[0].metrics.wall_ms = 42.125;
-
-  const auto doc = support::json::parse(to_json_string(orig));
-  ASSERT_TRUE(doc.has_value());
-  const auto parsed = parse_results_json(*doc);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->host_cores, 16u);
-  EXPECT_EQ(parsed->jobs, 4);
-  EXPECT_EQ(parsed->host_threads, 3);
-  EXPECT_NEAR(parsed->total_wall_ms, 1234.5, 1e-3);
-  EXPECT_NEAR(parsed->points[0].metrics.sim_ops_per_sec, 5.5e6, 1.0);
-  EXPECT_NEAR(parsed->points[0].metrics.wall_ms, 42.125, 1e-3);
-  // Point kinds survive the round trip.
-  for (std::size_t i = 0; i < orig.points.size(); ++i) {
-    EXPECT_EQ(parsed->points[i].def.kind(), orig.points[i].def.kind())
-        << orig.points[i].def.id;
-  }
-}
-
-// Every full-tier point — all five kinds, the t64 canary's overrides and
-// the big-machine shapes — with every optional metrics object present,
-// written, parsed and written again must come back as the same text. Seeds
-// and durations are moved off their defaults first: a parser that dropped
-// one of them would otherwise still reproduce the default.
-TEST(SuiteJson, WriteParseWriteIsByteIdentical) {
-  SuiteResult orig = tiny_result();
-  orig.tier = SuiteTier::kFull;
   orig.points.clear();
   std::uint64_t i = 0;
   for (const auto& sp : suite_points_for(SuiteTier::kFull)) {
@@ -302,12 +209,12 @@ TEST(SuiteJson, WriteParseWriteIsByteIdentical) {
   for (const auto& p : orig.points) kinds.insert(p.def.kind());
   ASSERT_EQ(kinds.size(), 5u);
 
-  const std::string text = to_json_string(orig);
+  const std::string text = results_json(orig);
   const auto doc = support::json::parse(text);
   ASSERT_TRUE(doc.has_value()) << text;
   const auto parsed = parse_results_json(*doc);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(to_json_string(*parsed), text);
+  EXPECT_EQ(results_json(*parsed), text);
 }
 
 // The committed baseline parses and rewrites byte for byte, and so does the
@@ -327,7 +234,7 @@ TEST(SuiteJson, CommittedBaselineRewritesByteIdentical) {
   }
   const auto base = load_results_file(ELISION_BASELINE_JSON);
   ASSERT_TRUE(base.has_value());
-  EXPECT_EQ(to_json_string(*base), committed);
+  EXPECT_EQ(results_json(*base), committed);
 
   const auto full = suite_points_for(SuiteTier::kFull);
   ASSERT_EQ(full.size(), base->points.size());
@@ -336,7 +243,7 @@ TEST(SuiteJson, CommittedBaselineRewritesByteIdentical) {
     EXPECT_EQ(full[i].id, base->points[i].def.id);
     regen.points[i].def = full[i];
   }
-  EXPECT_EQ(to_json_string(regen), committed);
+  EXPECT_EQ(results_json(regen), committed);
 }
 
 TEST(SuiteJson, RejectsMalformedPointFields) {
@@ -346,7 +253,7 @@ TEST(SuiteJson, RejectsMalformedPointFields) {
   m.phase_ops = {5, 6, 7};
   m.latency = {{"get", 10, 1, 2, 3, 4}};
   m.fp_owned_hits = 3;
-  const std::string good = to_json_string(r);
+  const std::string good = results_json(r);
   ASSERT_TRUE(parse_results_json(*support::json::parse(good)).has_value());
   const std::pair<const char*, const char*> corruptions[] = {
       {"\"kind\":\"rb\"", "\"kind\":\"rbx\""},
@@ -394,7 +301,7 @@ TEST(SuiteJson, HostFieldsDefaultWhenAbsent) {
   // retired jobs_mode key (unknown keys are ignored).
   SuiteResult orig = tiny_result();
   orig.host_threads = 3;
-  std::string json = to_json_string(orig);
+  std::string json = results_json(orig);
   const std::string key = "\"host_threads\":3,";
   const auto at = json.find(key);
   ASSERT_NE(at, std::string::npos);
@@ -414,59 +321,14 @@ TEST(SuiteJson, RejectsWrongSchemaVersion) {
   EXPECT_FALSE(parse_results_json(*doc).has_value());
 }
 
-TEST(SuiteGate, PassesOnIdenticalResults) {
-  const SuiteResult base = tiny_result();
-  const GateReport report = compare_to_baseline(base, base);
-  EXPECT_TRUE(report.ok());
-  EXPECT_TRUE(report.improvements.empty());
-}
-
-TEST(SuiteGate, DetectsPlantedThroughputRegression) {
-  const SuiteResult base = tiny_result();
-  SuiteResult cur = base;
-  cur.points[0].metrics.throughput_ops_per_sec *= 0.5;  // planted: -50%
-  const GateReport report = compare_to_baseline(cur, base);
-  ASSERT_FALSE(report.ok());
-  ASSERT_EQ(report.regressions.size(), 1u);
-  EXPECT_EQ(report.regressions[0].point_id, base.points[0].def.id);
-  EXPECT_EQ(report.regressions[0].metric, "throughput_ops_per_sec");
-}
-
-TEST(SuiteGate, DetectsAttemptsAndFallbackRegressions) {
-  const SuiteResult base = tiny_result();
-  SuiteResult cur = base;
-  cur.points[1].metrics.attempts_per_op *= 1.5;
-  cur.points[2].metrics.nonspec_fraction += 0.2;
-  const GateReport report = compare_to_baseline(cur, base);
-  ASSERT_EQ(report.regressions.size(), 2u);
-  EXPECT_EQ(report.regressions[0].metric, "attempts_per_op");
-  EXPECT_EQ(report.regressions[1].metric, "nonspec_fraction");
-}
-
-TEST(SuiteGate, DetectsPlantedSimulatorSlowdown) {
+// simops_rel >= 1.0 disables the host-speed check even with data on both
+// sides. (A baseline of 0 skips it: ZeroBaselineSkipsRelativeMetrics.)
+TEST(SuiteGate, SimSpeedSkippedWhenDisabled) {
   SuiteResult base = tiny_result();
   for (auto& p : base.points) p.metrics.sim_ops_per_sec = 1e6;
   SuiteResult cur = base;
-  cur.points[0].metrics.sim_ops_per_sec *= 0.2;  // past the default 75% slack
-  const GateReport report = compare_to_baseline(cur, base);
-  ASSERT_EQ(report.regressions.size(), 1u);
-  EXPECT_EQ(report.regressions[0].point_id, base.points[0].def.id);
-  EXPECT_EQ(report.regressions[0].metric, "sim_ops_per_sec");
-}
-
-TEST(SuiteGate, SimSpeedSkippedWithoutBaselineDataOrWhenDisabled) {
-  // Baselines that predate sim_ops_per_sec carry 0: never a regression.
-  const SuiteResult base = tiny_result();
-  SuiteResult cur = base;
-  cur.points[0].metrics.sim_ops_per_sec = 1e6;
-  EXPECT_TRUE(compare_to_baseline(cur, base).ok());
-
-  // simops_rel >= 1.0 disables the check even with data on both sides.
-  SuiteResult base2 = base;
-  for (auto& p : base2.points) p.metrics.sim_ops_per_sec = 1e6;
-  SuiteResult cur2 = base2;
-  cur2.points[0].metrics.sim_ops_per_sec = 1.0;  // 6 orders slower
-  EXPECT_TRUE(compare_to_baseline(cur2, base2, 1.0).ok());
+  cur.points[0].metrics.sim_ops_per_sec = 1.0;  // 6 orders slower
+  EXPECT_TRUE(compare_to_baseline(cur, base, 1.0).ok());
 }
 
 // Every gated metric at its bound: just past it in the worse direction is a
@@ -493,21 +355,21 @@ TEST(SuiteGate, EachGatedMetricHasItsBound) {
       {"sim_ops_per_sec", &PointMetrics::sim_ops_per_sec, 1e6, 0.249e6,
        0.251e6, 1e7, false},
   };
-  for (const Case& c : cases) {
+  // Each case on its own point, so a regression past the first is caught.
+  for (std::size_t at = 0; const Case& c : cases) {
     SCOPED_TRACE(c.metric);
     SuiteResult base = tiny_result();
-    base.points[0].metrics.*c.value = c.base;
-    if (c.value != &PointMetrics::sim_ops_per_sec) {
-      base.points[0].metrics.sim_ops_per_sec = 1e6;
-    }
+    PointMetrics& bm = base.points[++at].metrics;
+    bm.*c.value = c.base;
+    if (c.value != &PointMetrics::sim_ops_per_sec) bm.sim_ops_per_sec = 1e6;
     auto gate = [&](double current) {
       SuiteResult cur = base;
-      cur.points[0].metrics.*c.value = current;
+      cur.points[at].metrics.*c.value = current;
       return compare_to_baseline(cur, base);
     };
     const GateReport worse = gate(c.worse);
     ASSERT_EQ(worse.regressions.size(), 1u);
-    EXPECT_EQ(worse.regressions[0].point_id, base.points[0].def.id);
+    EXPECT_EQ(worse.regressions[0].point_id, base.points[at].def.id);
     EXPECT_EQ(worse.regressions[0].metric, c.metric);
     EXPECT_DOUBLE_EQ(worse.regressions[0].baseline, c.base);
     EXPECT_DOUBLE_EQ(worse.regressions[0].current, c.worse);
@@ -549,14 +411,6 @@ TEST(SuiteGate, ZeroBaselineSkipsRelativeMetrics) {
   }
 }
 
-TEST(SuiteGate, WithinToleranceIsNotARegression) {
-  const SuiteResult base = tiny_result();
-  SuiteResult cur = base;
-  cur.points[0].metrics.throughput_ops_per_sec *= 0.95;  // within 10%
-  cur.points[1].metrics.attempts_per_op *= 1.10;         // within 15%
-  EXPECT_TRUE(compare_to_baseline(cur, base).ok());
-}
-
 TEST(SuiteGate, MissingBaselinePointIsCoverageLoss) {
   const SuiteResult base = tiny_result();
   SuiteResult cur = base;
@@ -564,16 +418,6 @@ TEST(SuiteGate, MissingBaselinePointIsCoverageLoss) {
   const GateReport report = compare_to_baseline(cur, base);
   ASSERT_EQ(report.regressions.size(), 1u);
   EXPECT_EQ(report.regressions[0].metric, "coverage");
-}
-
-TEST(SuiteGate, BigImprovementSuggestsBaselineRefresh) {
-  const SuiteResult base = tiny_result();
-  SuiteResult cur = base;
-  cur.points[0].metrics.throughput_ops_per_sec *= 2.0;
-  const GateReport report = compare_to_baseline(cur, base);
-  EXPECT_TRUE(report.ok());
-  ASSERT_EQ(report.improvements.size(), 1u);
-  EXPECT_EQ(report.improvements[0].metric, "throughput_ops_per_sec");
 }
 
 TEST(SuiteInvariants, ViolationIsReportedOnDoctoredResults) {
@@ -611,12 +455,7 @@ TEST(SuiteRun, PointIsDeterministic) {
   ASSERT_FALSE(points.empty());
   RbPoint p = std::get<RbPoint>(points[1].workload);  // ttas-hle
   p.duration_sec = 0.0005;
-  const PointMetrics a = PointMetrics::derive(run_point(p));
-  const PointMetrics b = PointMetrics::derive(run_point(p));
-  EXPECT_EQ(a.ops, b.ops);
-  EXPECT_EQ(a.attempts, b.attempts);
-  EXPECT_DOUBLE_EQ(a.throughput_ops_per_sec, b.throughput_ops_per_sec);
-  EXPECT_EQ(a.aborts_by_cause, b.aborts_by_cause);
+  EXPECT_EQ(simulated_diff(run_point(p), run_point(p)), "");
 }
 
 // Point-level fan-out: three short smoke points of different kinds run
@@ -648,37 +487,20 @@ TEST(SuiteRun, JobsFanOutReproducesSequentialRun) {
   EXPECT_EQ(seq.jobs, 1);
   EXPECT_EQ(par.jobs, 3);
   EXPECT_EQ(par.host_threads, 2);
-  auto simulated = [](SuiteResult r) {
-    r.host_cores = 0;
-    r.jobs = 1;
-    r.host_threads = 1;
-    r.total_wall_ms = 0.0;
-    for (auto& p : r.points) {
-      p.metrics.wall_ms = 0.0;
-      p.metrics.sim_ops_per_sec = 0.0;
-      p.metrics.fp_owned_hits = 0;
-      p.metrics.fp_probe_skips = 0;
-      p.metrics.fp_bound_recomputes = 0;
-    }
-    return to_json_string(r);
-  };
   ASSERT_EQ(seq.points.size(), 3u);
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(seq.points[i].def.id, points[i].id);
     EXPECT_GT(seq.points[i].metrics.ops, 0u) << points[i].id;
   }
-  EXPECT_EQ(simulated(par), simulated(seq));
+  EXPECT_EQ(simulated_json(par), simulated_json(seq));
 }
 
 // Tier-1 byte identity: runs `points` in process, two at a time with two
 // host threads per point's seeds, and requires each to reproduce every
-// simulated metric of its bench/baseline.json record exactly. Only the
-// host fields are left out:
-// wall_ms, sim_ops_per_sec and the fastpath counters (0 with
-// ELISION_FASTPATH=0, and the owned-line hits depend on the host heap
-// layout otherwise). tests/CMakeLists.txt registers the smoke-tier test a
-// second time with ELISION_FASTPATH=0, so the fast paths and the literal
-// paths must both reproduce the baseline.
+// simulated metric of its bench/baseline.json record exactly: the
+// simulated_json of each point. tests/CMakeLists.txt registers the
+// smoke-tier test a second time with ELISION_FASTPATH=0, so the fast paths
+// and the literal paths must both reproduce the baseline.
 void expect_reproduces_baseline(const std::vector<SuitePoint>& points) {
   const auto base = load_results_file(ELISION_BASELINE_JSON);
   ASSERT_TRUE(base.has_value());
@@ -686,17 +508,10 @@ void expect_reproduces_baseline(const std::vector<SuitePoint>& points) {
   ASSERT_EQ(run.duration_scale, base->duration_scale)
       << "the baseline runs at ELISION_BENCH_SCALE=1";
   const bool fastpath = env_fastpath_enabled();
-  auto point_json = [](PointRecord r, bool drop_host) {
-    if (drop_host) {
-      r.metrics.wall_ms = 0.0;
-      r.metrics.sim_ops_per_sec = 0.0;
-      r.metrics.fp_owned_hits = 0;
-      r.metrics.fp_probe_skips = 0;
-      r.metrics.fp_bound_recomputes = 0;
-    }
+  auto point_json = [](const PointRecord& r, bool simulated) {
     SuiteResult doc;
-    doc.points.push_back(std::move(r));
-    return to_json_string(doc);
+    doc.points.push_back(r);
+    return simulated ? simulated_json(doc) : results_json(doc);
   };
   ASSERT_FALSE(run.points.empty());
   for (const PointRecord& got : run.points) {

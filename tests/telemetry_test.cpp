@@ -364,6 +364,7 @@ TEST(AvalancheIntegration, TelemetryDoesNotPerturbVirtualTime) {
   // Telemetry records host-side only; the simulated run must be bit-for-bit
   // identical with it on or off.
   // The caller-owned observation sinks must not perturb it either.
+  // Its own list, not simulated_diff: the telemetry rows differ by design.
   Telemetry sink;
   locks::AdaptiveController adaptive;
   const auto off = run_rb(locks::ElisionPolicy::hle(), false);

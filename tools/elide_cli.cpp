@@ -318,7 +318,7 @@ int cmd_suite(const Options& o) {
   }
 
   if (!write_file(o.out_file, [&](std::FILE* f, bool) {
-        harness::write_results_json(result, f);
+        std::fputs(harness::results_json(result).c_str(), f);
       })) {
     return 2;
   }
@@ -393,7 +393,7 @@ int cmd_stress(const Options& o) {
     }
     return usage_error(cli::kStress,
                        planted_locks + " cannot run --workloads " + looping +
-                           " (a structure they corrupt can loop forever)");
+                           " (a structure they corrupt can loop or crash)");
   }
 
   int done = 0;
