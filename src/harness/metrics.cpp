@@ -149,6 +149,26 @@ constexpr StatsRow kRows[] = {
 
 #undef ELISION_ROW
 
+// An aggregate's member count: the most initializers T{...} accepts.
+struct AnyMember {
+  template <typename T>
+  operator T() const;
+};
+template <typename T, typename... A>
+constexpr std::size_t member_count() {
+  if constexpr (requires { T{A{}..., AnyMember{}}; }) {
+    return member_count<T, A..., AnyMember>();
+  }
+  return sizeof...(A);
+}
+
+// A member added to RunStats or TxStats needs a row above (TxStats'
+// operator+= sums contexts inside the engine), and one added to
+// AvalancheEpisode a key in Append::same, which leaves out only the line.
+static_assert(member_count<RunStats>() - 1 + member_count<tsx::TxStats>() ==
+              std::size(kRows));
+static_assert(member_count<tsx::AvalancheEpisode>() == 7);
+
 }  // namespace
 
 std::span<const StatsRow> stats_rows() { return kRows; }

@@ -488,42 +488,45 @@ InvariantResult skipped(const char* name, const char* why) {
 
 std::vector<InvariantResult> check_invariants(const SuiteResult& result) {
   std::vector<InvariantResult> out;
-  auto point = [&](const char* id) { return result.find(id); };
+  auto point = [&](const std::string& id) { return result.find(id); };
   char buf[256];
-
-  // (1) SCM >= plain HLE throughput on the contended MCS point: software
-  // conflict management eliminates the avalanche (Fig 5.2 headline claim).
-  {
-    const char* name = "scm-beats-hle-on-contended-mcs";
-    const auto* hle = point("rb-s64-u20-t8-mcs-hle");
-    const auto* scm = point("rb-s64-u20-t8-mcs-hle-scm");
-    if (hle == nullptr || scm == nullptr) {
-      out.push_back(skipped(name, "required points not in this tier"));
+  // One check over points that must all be in the tier: `holds` writes the
+  // detail into buf and says whether the claim holds.
+  auto check = [&](const std::string& name,
+                   std::initializer_list<std::string> ids, auto holds) {
+    std::vector<const PointRecord*> ps;
+    for (const auto& id : ids) ps.push_back(point(id));
+    if (std::ranges::count(ps, nullptr) > 0) {
+      const char* why = ids.size() > 1 ? "required points not in this tier"
+                                       : "required point not in this tier";
+      out.push_back(skipped(name.c_str(), why));
     } else {
-      const bool ok = scm->metrics.throughput_ops_per_sec >=
-                      hle->metrics.throughput_ops_per_sec;
-      std::snprintf(buf, sizeof buf, "HLE-SCM %.3g ops/s vs HLE %.3g ops/s",
-                    scm->metrics.throughput_ops_per_sec,
-                    hle->metrics.throughput_ops_per_sec);
-      out.push_back({name, ok, false, buf});
+      out.push_back({name, holds(ps), false, buf});
     }
-  }
+  };
+  auto avalanche = [&](const char* name, const char* id) {
+    check(name, {id}, [&](const auto& ps) {
+      const std::uint64_t n = ps[0]->metrics.avalanche_episodes;
+      std::snprintf(buf, sizeof buf, "%llu avalanche episodes (want >= 1)",
+                    static_cast<unsigned long long>(n));
+      return n >= 1;
+    });
+  };
 
-  // (2) Same on the contended TTAS point (gains appear under contention).
-  {
-    const char* name = "scm-beats-hle-on-contended-ttas";
-    const auto* hle = point("rb-s64-u20-t8-ttas-hle");
-    const auto* scm = point("rb-s64-u20-t8-ttas-hle-scm");
-    if (hle == nullptr || scm == nullptr) {
-      out.push_back(skipped(name, "required points not in this tier"));
-    } else {
-      const bool ok = scm->metrics.throughput_ops_per_sec >=
-                      hle->metrics.throughput_ops_per_sec;
-      std::snprintf(buf, sizeof buf, "HLE-SCM %.3g ops/s vs HLE %.3g ops/s",
-                    scm->metrics.throughput_ops_per_sec,
-                    hle->metrics.throughput_ops_per_sec);
-      out.push_back({name, ok, false, buf});
-    }
+  // (1)+(2) SCM >= plain HLE throughput on the contended MCS point, where
+  // software conflict management eliminates the avalanche (Fig 5.2 headline
+  // claim), and the same on the contended TTAS point (gains appear under
+  // contention).
+  for (const std::string lock : {"mcs", "ttas"}) {
+    const std::string hle = "rb-s64-u20-t8-" + lock + "-hle";
+    check("scm-beats-hle-on-contended-" + lock, {hle, hle + "-scm"},
+          [&](const auto& ps) {
+            const double h = ps[0]->metrics.throughput_ops_per_sec;
+            const double scm = ps[1]->metrics.throughput_ops_per_sec;
+            std::snprintf(buf, sizeof buf,
+                          "HLE-SCM %.3g ops/s vs HLE %.3g ops/s", scm, h);
+            return scm >= h;
+          });
   }
 
   // (3) Adjusted ticket/CLH locks commit speculatively when solo (Ch. 6:
@@ -532,100 +535,55 @@ std::vector<InvariantResult> check_invariants(const SuiteResult& result) {
        {std::pair{"rb-s64-u20-t1-ticket-adj-hle",
                   "adjusted-ticket-elides-solo"},
         std::pair{"rb-s64-u20-t1-clh-adj-hle", "adjusted-clh-elides-solo"}}) {
-    const auto* p = point(id);
-    if (p == nullptr) {
-      out.push_back(skipped(name, "required point not in this tier"));
-    } else {
-      const bool ok = p->metrics.spec_fraction >= 0.9;
-      std::snprintf(buf, sizeof buf, "spec fraction %.4f (want >= 0.9)",
-                    p->metrics.spec_fraction);
-      out.push_back({name, ok, false, buf});
-    }
+    check(name, {id}, [&](const auto& ps) {
+      const double spec = ps[0]->metrics.spec_fraction;
+      std::snprintf(buf, sizeof buf, "spec fraction %.4f (want >= 0.9)", spec);
+      return spec >= 0.9;
+    });
   }
 
   // (4) The unadjusted ticket lock never elides: its release store does not
   // restore the lock word, so every speculative attempt aborts.
-  {
-    const char* name = "unadjusted-ticket-serializes";
-    const auto* p = point("rb-s64-u20-t1-ticket-hle");
-    if (p == nullptr) {
-      out.push_back(skipped(name, "required point not in this tier"));
-    } else {
-      const bool ok = p->metrics.nonspec_fraction >= 0.99;
-      std::snprintf(buf, sizeof buf, "nonspec fraction %.4f (want >= 0.99)",
-                    p->metrics.nonspec_fraction);
-      out.push_back({name, ok, false, buf});
-    }
-  }
+  check("unadjusted-ticket-serializes", {"rb-s64-u20-t1-ticket-hle"},
+        [&](const auto& ps) {
+          const double nonspec = ps[0]->metrics.nonspec_fraction;
+          std::snprintf(buf, sizeof buf,
+                        "nonspec fraction %.4f (want >= 0.99)", nonspec);
+          return nonspec >= 0.99;
+        });
 
   // (5) The standard scheme never speculates.
-  {
-    const char* name = "standard-is-nonspeculative";
-    const auto* p = point("rb-s64-u20-t8-ttas-standard");
-    if (p == nullptr) {
-      out.push_back(skipped(name, "required point not in this tier"));
-    } else {
-      const bool ok = p->metrics.spec_fraction == 0.0;
-      std::snprintf(buf, sizeof buf, "spec fraction %.4f (want 0)",
-                    p->metrics.spec_fraction);
-      out.push_back({name, ok, false, buf});
-    }
-  }
+  check("standard-is-nonspeculative", {"rb-s64-u20-t8-ttas-standard"},
+        [&](const auto& ps) {
+          const double spec = ps[0]->metrics.spec_fraction;
+          std::snprintf(buf, sizeof buf, "spec fraction %.4f (want 0)", spec);
+          return spec == 0.0;
+        });
 
   // (6) HLE over MCS on a contended small tree exhibits the avalanche
   // (Fig 3.3); requires telemetry.
-  {
-    const char* name = "hle-mcs-avalanche-detected";
-    const auto* p = point("rb-s64-u20-t8-mcs-hle");
-    if (p == nullptr) {
-      out.push_back(skipped(name, "required point not in this tier"));
-    } else {
-      const bool ok = p->metrics.avalanche_episodes >= 1;
-      std::snprintf(buf, sizeof buf, "%llu avalanche episodes (want >= 1)",
-                    static_cast<unsigned long long>(
-                        p->metrics.avalanche_episodes));
-      out.push_back({name, ok, false, buf});
-    }
-  }
+  avalanche("hle-mcs-avalanche-detected", "rb-s64-u20-t8-mcs-hle");
 
   // (7) Shared-mode elision pays off on the read-mostly B+tree point: with
   // 90% lookups/scans, the `+shared` policy (fallback readers coexist with
   // each other and with the elided crowd) must beat the exclusive-elided
   // equivalent, whose fallback reads serialize through the writer word.
-  {
-    const char* name = "shared-elision-beats-exclusive-read-mostly";
-    const auto* excl = point("bt-s1024-u10-c100-l64-t8-shared-ttas-hle");
-    const auto* shrd =
-        point("bt-s1024-u10-c100-l64-t8-shared-ttas-hle+shared");
-    if (excl == nullptr || shrd == nullptr) {
-      out.push_back(skipped(name, "required points not in this tier"));
-    } else {
-      const bool ok = shrd->metrics.throughput_ops_per_sec >
-                      excl->metrics.throughput_ops_per_sec;
-      std::snprintf(buf, sizeof buf,
-                    "hle+shared %.3g ops/s vs hle %.3g ops/s",
-                    shrd->metrics.throughput_ops_per_sec,
-                    excl->metrics.throughput_ops_per_sec);
-      out.push_back({name, ok, false, buf});
-    }
-  }
+  check("shared-elision-beats-exclusive-read-mostly",
+        {"bt-s1024-u10-c100-l64-t8-shared-ttas-hle",
+         "bt-s1024-u10-c100-l64-t8-shared-ttas-hle+shared"},
+        [&](const auto& ps) {
+          const double excl = ps[0]->metrics.throughput_ops_per_sec;
+          const double shrd = ps[1]->metrics.throughput_ops_per_sec;
+          std::snprintf(buf, sizeof buf,
+                        "hle+shared %.3g ops/s vs hle %.3g ops/s", shrd, excl);
+          return shrd > excl;
+        });
 
   // (8) The writer-heavy B+tree point exhibits the reader avalanche: real
   // writer acquisitions of the reader-writer word abort the subscribed
   // elided-reader crowd, visible as telemetry episodes.
-  {
-    const char* name = "shared-btree-reader-avalanche-detected";
-    const auto* p = point("bt-s128-u80-c30-l16-t8-shared-ttas-hle+shared");
-    if (p == nullptr) {
-      out.push_back(skipped(name, "required point not in this tier"));
-    } else {
-      const bool ok = p->metrics.avalanche_episodes >= 1;
-      std::snprintf(buf, sizeof buf, "%llu avalanche episodes (want >= 1)",
-                    static_cast<unsigned long long>(
-                        p->metrics.avalanche_episodes));
-      out.push_back({name, ok, false, buf});
-    }
-  }
+  avalanche("shared-btree-reader-avalanche-detected",
+            "bt-s128-u80-c30-l16-t8-shared-ttas-hle+shared");
 
   // (9)+(10) The adaptive-elision headline on the phase-shifting point
   // (docs/adaptive.md): per phase, adaptive must commit at least 90% of the
@@ -783,61 +741,41 @@ std::vector<InvariantResult> check_invariants(const SuiteResult& result) {
   // (12) The hot-shard point (zipf theta 1.2, write-heavy) concentrates
   // enough conflicting traffic on one shard's lock that plain HLE exhibits
   // the avalanche there — the service-scale rendition of Fig 3.3.
-  {
-    const char* name = "kv-hot-shard-avalanche-detected";
-    const auto* p = point("kv-sh8-k8192-z120-u50-t8-hle");
-    if (p == nullptr) {
-      out.push_back(skipped(name, "required point not in this tier"));
-    } else {
-      const bool ok = p->metrics.avalanche_episodes >= 1;
-      std::snprintf(buf, sizeof buf, "%llu avalanche episodes (want >= 1)",
-                    static_cast<unsigned long long>(
-                        p->metrics.avalanche_episodes));
-      out.push_back({name, ok, false, buf});
-    }
-  }
+  avalanche("kv-hot-shard-avalanche-detected", "kv-sh8-k8192-z120-u50-t8-hle");
 
   // (13) The KV service actually elides: under the moderate-skew service
   // mix the per-shard locks are mostly uncontended, so the HLE point must
   // run overwhelmingly speculatively while the standard point never does.
-  {
-    const char* name = "kv-service-elides";
-    const auto* hle = point("kv-sh8-k8192-z99-u30-t8-hle");
-    const auto* std_ = point("kv-sh8-k8192-z99-u30-t8-standard");
-    if (hle == nullptr || std_ == nullptr) {
-      out.push_back(skipped(name, "required points not in this tier"));
-    } else {
-      const bool ok = hle->metrics.spec_fraction >= 0.5 &&
-                      std_->metrics.spec_fraction == 0.0;
-      std::snprintf(buf, sizeof buf,
-                    "hle spec fraction %.4f (want >= 0.5), standard %.4f "
-                    "(want 0)",
-                    hle->metrics.spec_fraction, std_->metrics.spec_fraction);
-      out.push_back({name, ok, false, buf});
-    }
-  }
+  check("kv-service-elides",
+        {"kv-sh8-k8192-z99-u30-t8-hle", "kv-sh8-k8192-z99-u30-t8-standard"},
+        [&](const auto& ps) {
+          const double hle = ps[0]->metrics.spec_fraction;
+          const double std_ = ps[1]->metrics.spec_fraction;
+          std::snprintf(buf, sizeof buf,
+                        "hle spec fraction %.4f (want >= 0.5), standard %.4f "
+                        "(want 0)",
+                        hle, std_);
+          return hle >= 0.5 && std_ == 0.0;
+        });
 
   // (14) The machine-scale fig5.1 points still elide at 128 and 256
   // simulated threads: transactions commit and most ops run speculatively.
-  {
-    const char* name = "machine-scale-points-elide";
-    const auto* m64 = point("rb-s64-u20-t128-ttas-hle-scm-m64x2");
-    const auto* m128 = point("rb-s64-u20-t256-ttas-hle-scm-m128x2");
-    if (m64 == nullptr || m128 == nullptr) {
-      out.push_back(skipped(name, "required points not in this tier"));
-    } else {
-      auto elides = [](const PointRecord* p) {
-        return p->metrics.tx_commits > 0 && p->metrics.spec_fraction > 0.5;
-      };
-      std::snprintf(buf, sizeof buf,
-                    "spec fraction %.4f / %.4f with %llu / %llu commits "
-                    "(want > 0.5 and > 0)",
-                    m64->metrics.spec_fraction, m128->metrics.spec_fraction,
-                    static_cast<unsigned long long>(m64->metrics.tx_commits),
-                    static_cast<unsigned long long>(m128->metrics.tx_commits));
-      out.push_back({name, elides(m64) && elides(m128), false, buf});
-    }
-  }
+  check("machine-scale-points-elide",
+        {"rb-s64-u20-t128-ttas-hle-scm-m64x2",
+         "rb-s64-u20-t256-ttas-hle-scm-m128x2"},
+        [&](const auto& ps) {
+          const PointMetrics &m64 = ps[0]->metrics, &m128 = ps[1]->metrics;
+          std::snprintf(buf, sizeof buf,
+                        "spec fraction %.4f / %.4f with %llu / %llu commits "
+                        "(want > 0.5 and > 0)",
+                        m64.spec_fraction, m128.spec_fraction,
+                        static_cast<unsigned long long>(m64.tx_commits),
+                        static_cast<unsigned long long>(m128.tx_commits));
+          auto elides = [](const PointMetrics& m) {
+            return m.tx_commits > 0 && m.spec_fraction > 0.5;
+          };
+          return elides(m64) && elides(m128);
+        });
 
   return out;
 }

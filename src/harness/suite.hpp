@@ -130,6 +130,7 @@ struct PointMetrics {
     std::uint64_t p99_cycles = 0;
     std::uint64_t p999_cycles = 0;
     std::uint64_t max_cycles = 0;
+    bool operator==(const OpLatencySummary&) const = default;
   };
   std::vector<OpLatencySummary> latency;
   // Per-access fast-path telemetry (docs/simulator.md §1): owned-line cache
@@ -145,6 +146,7 @@ struct PointMetrics {
   double wall_ms = 0.0;
 
   static PointMetrics derive(const RunStats& stats);
+  bool operator==(const PointMetrics&) const = default;
 };
 
 struct PointRecord {

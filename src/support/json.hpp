@@ -345,7 +345,8 @@ inline std::optional<Value> parse(std::string_view text) {
   return v;
 }
 
-inline std::optional<Value> parse_file(const char* path) {
+// A whole file's bytes; nullopt when it cannot be opened.
+inline std::optional<std::string> read_file(const char* path) {
   std::FILE* f = std::fopen(path, "rb");
   if (f == nullptr) return std::nullopt;
   std::string data;
@@ -353,7 +354,12 @@ inline std::optional<Value> parse_file(const char* path) {
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) data.append(buf, n);
   std::fclose(f);
-  return parse(data);
+  return data;
+}
+
+inline std::optional<Value> parse_file(const char* path) {
+  const auto data = read_file(path);
+  return data ? parse(*data) : std::nullopt;
 }
 
 }  // namespace elision::support::json

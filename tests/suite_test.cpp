@@ -1,5 +1,5 @@
 // Bench-suite tests: curated point list, canonical JSON round-trip, the
-// regression gate (each gated metric at its bound, and coverage loss), the
+// regression gate (each gated metric at its bound, all at once, coverage), the
 // paper-qualitative invariant checks, the seed-merge regression test for
 // run_point's timeline aggregation, and run_suite's point-level fan-out.
 #include <gtest/gtest.h>
@@ -215,26 +215,31 @@ TEST(SuiteJson, WriteParseWriteIsByteIdentical) {
   const auto parsed = parse_results_json(*doc);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(results_json(*parsed), text);
+  // The parsed values are the ones set, not only a fixpoint of the tables.
+  EXPECT_EQ(parsed->tier, SuiteTier::kFull);
+  EXPECT_EQ(parsed->n_cores, 4u);
+  EXPECT_DOUBLE_EQ(parsed->ghz, 3.4);
+  EXPECT_EQ(parsed->host_cores, 16u);
+  EXPECT_EQ(parsed->jobs, 4);
+  EXPECT_EQ(parsed->host_threads, 3);
+  EXPECT_DOUBLE_EQ(parsed->total_wall_ms, 1234.5);
+  ASSERT_EQ(parsed->points.size(), orig.points.size());
+  for (std::size_t k = 0; k < orig.points.size(); ++k) {
+    const PointRecord &a = orig.points[k], &b = parsed->points[k];
+    EXPECT_EQ(b.def.id, a.def.id);  // insertion order preserved
+    EXPECT_TRUE(b.metrics == a.metrics) << a.def.id;
+  }
 }
 
 // The committed baseline parses and rewrites byte for byte, and so does the
 // registry's own definition of every point carrying the baseline's metrics:
 // the field tables reproduce every historical point line.
 TEST(SuiteJson, CommittedBaselineRewritesByteIdentical) {
-  std::string committed;
-  {
-    std::FILE* f = std::fopen(ELISION_BASELINE_JSON, "rb");
-    ASSERT_NE(f, nullptr);
-    char buf[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-      committed.append(buf, n);
-    }
-    std::fclose(f);
-  }
+  const auto committed = support::json::read_file(ELISION_BASELINE_JSON);
+  ASSERT_TRUE(committed.has_value());
   const auto base = load_results_file(ELISION_BASELINE_JSON);
   ASSERT_TRUE(base.has_value());
-  EXPECT_EQ(results_json(*base), committed);
+  EXPECT_EQ(results_json(*base), *committed);
 
   const auto full = suite_points_for(SuiteTier::kFull);
   ASSERT_EQ(full.size(), base->points.size());
@@ -243,7 +248,7 @@ TEST(SuiteJson, CommittedBaselineRewritesByteIdentical) {
     EXPECT_EQ(full[i].id, base->points[i].def.id);
     regen.points[i].def = full[i];
   }
-  EXPECT_EQ(results_json(regen), committed);
+  EXPECT_EQ(results_json(regen), *committed);
 }
 
 TEST(SuiteJson, RejectsMalformedPointFields) {
@@ -388,6 +393,24 @@ TEST(SuiteGate, EachGatedMetricHasItsBound) {
     } else {
       EXPECT_TRUE(better.improvements.empty());
     }
+  }
+  // Every case past its bound at once, on points 1-4: one report lists
+  // every regression, in point order. Unchanged results list none.
+  SuiteResult base = tiny_result();
+  for (std::size_t at = 1; const Case& c : cases) {
+    base.points[at++].metrics.*c.value = c.base;
+  }
+  EXPECT_TRUE(compare_to_baseline(base, base).ok());
+  EXPECT_TRUE(compare_to_baseline(base, base).improvements.empty());
+  SuiteResult cur = base;
+  for (std::size_t at = 1; const Case& c : cases) {
+    cur.points[at++].metrics.*c.value = c.worse;
+  }
+  const GateReport all = compare_to_baseline(cur, base);
+  ASSERT_EQ(all.regressions.size(), std::size(cases));
+  for (std::size_t k = 0; k < std::size(cases); ++k) {
+    EXPECT_EQ(all.regressions[k].point_id, base.points[k + 1].def.id);
+    EXPECT_EQ(all.regressions[k].metric, cases[k].metric);
   }
 }
 
